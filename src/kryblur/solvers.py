@@ -11,8 +11,7 @@ Implemented methods:
   symmetric (possibly indefinite) maps such as the flip-symmetrized blur;
 * ``minres_sym_prec`` MINRES on the two-sided symmetrically preconditioned
   system, reporting residuals of the original system;
-* ``gmres``           full (non-restarted) Arnoldi with modified Gram-Schmidt
-  plus one reorthogonalization pass, optional stationary right
+* ``gmres``           full (non-restarted) Arnoldi, optional stationary right
   preconditioner;
 * ``fgmres``          flexible Arnoldi: the preconditioner may change every
   iteration, the preconditioned directions are stored;
@@ -21,11 +20,15 @@ Implemented methods:
 * ``flsqr``           flexible Golub-Kahan with iteration-dependent right
   preconditioning and full orthogonalization of both bases.
 
+``gmres`` and ``fgmres`` share one Arnoldi engine.  It and ``flsqr`` keep
+preallocated bases orthonormal by classical Gram-Schmidt applied twice (CGS2)
+and read ``b - A x`` from the Arnoldi (flexible Golub-Kahan) relation.
+
 Each run returns a :class:`SolveRecord` with per-iteration true residual
 norms, recurrence (projected) residual norms, and error metrics when the
-ground truth is available.  ``n_ops`` counts the operator applications
-consumed by the iteration loop itself (forward plus adjoint); diagnostic
-residual evaluations and the MINRES symmetry probe are not charged to it.
+ground truth is available.  ``n_ops`` counts operator applications (forward
+plus adjoint): every one for ``gmres``, ``fgmres`` and ``flsqr``; the MINRES
+and ``lsqr`` residual recomputes and the MINRES symmetry probe go uncharged.
 """
 
 from __future__ import annotations
@@ -358,9 +361,13 @@ def minres_sym_prec(A, b, p_half, rule: StoppingRule | None = None,
 # ---------------------------------------------------------------------------
 
 class _HessenbergLS:
-    """Incremental Givens QR of the small Hessenberg least-squares problem."""
+    """Incremental Givens QR of the small Hessenberg least-squares problem
+    ``min ||beta e1 - Hbar y||``; the unrotated columns of ``Hbar`` are kept
+    for the residual."""
 
     def __init__(self, beta: float, max_cols: int):
+        self.beta = beta
+        self.h = np.zeros((max_cols + 1, max_cols))
         self.r = np.zeros((max_cols + 1, max_cols))
         self.g = np.zeros(max_cols + 1)
         self.g[0] = beta
@@ -372,7 +379,7 @@ class _HessenbergLS:
         """Add column k (entries for rows 0..k+1); returns the projected
         residual norm of the enlarged problem."""
         k = self.k
-        col = np.asarray(col, dtype=float).copy()
+        self.h[:k + 2, k] = col
         for i, (c, s) in enumerate(zip(self.cs, self.sn)):
             a, b = col[i], col[i + 1]
             col[i] = c * a + s * b
@@ -397,67 +404,94 @@ class _HessenbergLS:
         except np.linalg.LinAlgError:
             return np.linalg.lstsq(r, self.g[:k], rcond=None)[0]
 
+    def residual_coefficients(self, y: np.ndarray) -> np.ndarray:
+        """Coefficients of ``b - A Z_k y = Q_k (beta e1 - H_k y) - y_k w`` on
+        ``[q_1 .. q_k, w]``, ``w`` the new basis vector before normalization:
+        no division, so it holds at breakdown and when ``Q`` loses
+        orthogonality."""
+        k = self.k
+        t = -(self.h[:k, :k] @ y)
+        t[0] += self.beta
+        return np.append(t, -y[-1])
 
-def _combine(basis, y):
-    x = np.zeros_like(basis[0])
-    for coeff, vec in zip(y, basis):
-        x = x + coeff * vec
-    return x
+
+def _cgs2(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Orthogonalize ``w`` in place against the rows of ``basis`` by classical
+    Gram-Schmidt applied twice ("twice is enough"); returns the summed
+    coefficients."""
+    h = basis @ w
+    w -= h @ basis
+    c = basis @ w
+    w -= c @ basis
+    return h + c
 
 
-def _arnoldi_loop(A, b, rule, history, *, supplier, flexible):
-    """Shared engine for plain GMRES and FGMRES.
+def _flexible(prec_at):
+    """Direction map of the flexible solvers: ``z = P_k v`` with
+    ``P_k = prec_at(k - 1, x_prev)``, or ``v`` when there is no callback or
+    it returns None."""
 
-    ``supplier(k, x_prev)`` returns the preconditioner for 0-based iteration
-    k (flexible mode); plain mode passes no supplier.  With no
-    preconditioning the two modes perform literally identical arithmetic,
-    which is what the reduction tests pin down.
+    def direction(k, v, x):
+        prec = prec_at(k - 1, x) if prec_at is not None else None
+        if prec is None:
+            return v, None
+        return np.ravel(prec.apply(v)), getattr(prec, "alpha", None)
+
+    return direction
+
+
+def _skip_degenerate(z, v, k, tol_break, skipped):
+    """A degenerate preconditioned direction (e.g. zero weights) is skipped
+    and recorded; the plain direction ``v`` takes its place."""
+    if z is not v and np.linalg.norm(z) <= tol_break:
+        skipped.append(k)
+        return v
+    return z
+
+
+def _arnoldi(A, b, rule, history, *, direction, solution=None, flexible=False):
+    """The one Arnoldi engine behind :func:`gmres` and :func:`fgmres`.
+
+    ``direction(k, v, x_prev)`` returns the vector ``z`` the operator is
+    applied to at 1-based step k (``v``, ``P v`` or ``P_k v``) and the alpha
+    to report.  The iterate is ``solution(V y)`` (identity by default), or
+    ``Z y`` in flexible mode, where the directions are stored and degenerate
+    ones skipped.  The basis lives in one preallocated array, is kept
+    orthonormal by CGS2, and the true residual is read from the Arnoldi
+    relation, so the operator is applied exactly once per step.
     """
     counted = _Counted(A)
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
         return history.record("breakdown", np.zeros(A.size), 0)
     tol_break = BREAKDOWN_RTOL * beta
-    basis = [b / beta]
-    directions = []          # preconditioned directions (flexible mode)
+    basis = np.empty((rule.max_iter + 1, A.size))
+    basis[0] = b / beta
+    dirs = np.empty((rule.max_iter, A.size)) if flexible else None
     ls = _HessenbergLS(beta, rule.max_iter)
     x = np.zeros(A.size)
     skipped: list[int] = []
     reason = "max_iter"
     for k in range(1, rule.max_iter + 1):
-        v = basis[-1]
-        alpha_k = None
+        v = basis[k - 1]
+        z, alpha_k = direction(k, v, x)
         if flexible:
-            prec = supplier(k - 1, x) if supplier is not None else None
-            if prec is None:
-                z = v
-            else:
-                z = np.ravel(prec.apply(v))
-                alpha_k = getattr(prec, "alpha", None)
-                if np.linalg.norm(z) <= tol_break:
-                    # degenerate preconditioned direction (e.g. zero weights):
-                    # skip it and fall back to the plain Arnoldi direction
-                    skipped.append(k)
-                    z = v
-            directions.append(z)
-        else:
-            z = v
-        w = np.ravel(counted.apply(z))
-        col = np.zeros(k + 1)
-        for i, vi in enumerate(basis):
-            hi = float(np.dot(vi, w))
-            w = w - hi * vi
-            col[i] = hi
-        for i, vi in enumerate(basis):      # one reorthogonalization pass
-            corr = float(np.dot(vi, w))
-            w = w - corr * vi
-            col[i] += corr
+            z = dirs[k - 1] = _skip_degenerate(z, v, k, tol_break, skipped)
+        w = basis[k]
+        w[:] = np.ravel(counted.apply(z))
+        h = _cgs2(basis[:k], w)
         h_new = float(np.linalg.norm(w))
-        col[k] = h_new
-        proj = ls.push_column(col)
+        proj = ls.push_column(np.append(h, h_new))
         y = ls.solve()
-        x = _combine(directions if flexible else basis[:ls.k], y)
-        res_true = _true_residual(A, b, x)
+        t = ls.residual_coefficients(y)
+        if flexible:
+            x = y @ dirs[:k]
+            r = t @ basis[:k + 1]
+        else:
+            # iterate coefficients and residual in one pass over the basis
+            u, r = np.vstack((np.append(y, 0.0), t)) @ basis[:k + 1]
+            x = u if solution is None else solution(u)
+        res_true = float(np.linalg.norm(r))
         history.push(x, res_true, proj, alpha_k)
         if rule.dp_enabled and discrepancy_stop(res_true, rule):
             reason = "discrepancy"
@@ -465,7 +499,7 @@ def _arnoldi_loop(A, b, rule, history, *, supplier, flexible):
         if h_new <= tol_break:
             reason = "breakdown"
             break
-        basis.append(w / h_new)
+        w /= h_new
     return history.record(reason, x, counted.count, skipped)
 
 
@@ -485,50 +519,11 @@ def gmres(A, b, rule: StoppingRule | None = None, right_prec=None,
         )
     history = _History(x_true, keep_iterates)
     if right_prec is None:
-        return _arnoldi_loop(A, b, rule, history, supplier=None, flexible=False)
-    return _arnoldi_right_prec(A, right_prec, b, rule, history)
-
-
-def _arnoldi_right_prec(A, right_prec, b, rule, history):
-    # classic right-preconditioned GMRES: same engine, composition handled
-    # here so the work metric still counts applications of A alone
-    beta = float(np.linalg.norm(b))
-    if beta == 0.0:
-        return history.record("breakdown", np.zeros(A.size), 0)
-    counted = _Counted(A)
-    tol_break = BREAKDOWN_RTOL * beta
-    basis = [b / beta]
-    ls = _HessenbergLS(beta, rule.max_iter)
-    x = np.zeros(A.size)
-    reason = "max_iter"
-    alpha_k = getattr(right_prec, "alpha", None)
-    for k in range(1, rule.max_iter + 1):
-        z = np.ravel(right_prec.apply(basis[-1]))
-        w = np.ravel(counted.apply(z))
-        col = np.zeros(k + 1)
-        for i, vi in enumerate(basis):
-            hi = float(np.dot(vi, w))
-            w = w - hi * vi
-            col[i] = hi
-        for i, vi in enumerate(basis):
-            corr = float(np.dot(vi, w))
-            w = w - corr * vi
-            col[i] += corr
-        h_new = float(np.linalg.norm(w))
-        col[k] = h_new
-        proj = ls.push_column(col)
-        y = ls.solve()
-        x = np.ravel(right_prec.apply(_combine(basis[:ls.k], y)))
-        res_true = _true_residual(A, b, x)
-        history.push(x, res_true, proj, alpha_k)
-        if rule.dp_enabled and discrepancy_stop(res_true, rule):
-            reason = "discrepancy"
-            break
-        if h_new <= tol_break:
-            reason = "breakdown"
-            break
-        basis.append(w / h_new)
-    return history.record(reason, x, counted.count)
+        return _arnoldi(A, b, rule, history, direction=lambda k, v, x: (v, None))
+    alpha = getattr(right_prec, "alpha", None)
+    return _arnoldi(A, b, rule, history,
+                    direction=lambda k, v, x: (np.ravel(right_prec.apply(v)), alpha),
+                    solution=lambda u: np.ravel(right_prec.apply(u)))
 
 
 def fgmres(A, b, prec_at=None, rule: StoppingRule | None = None, x_true=None,
@@ -537,13 +532,15 @@ def fgmres(A, b, prec_at=None, rule: StoppingRule | None = None, x_true=None,
     0-based iteration k, given the previous solution estimate.
 
     The preconditioned directions are stored and combined directly, so the
-    preconditioner may change freely.  A constant identity callback performs
-    literally the same arithmetic as unpreconditioned :func:`gmres`.
+    preconditioner may change freely.  A constant identity callback runs the
+    same Arnoldi arithmetic as unpreconditioned :func:`gmres`; only the final
+    combinations differ (``Z y`` and the residual as two products instead of
+    one), so the two agree to rounding.
     """
     rule = rule or StoppingRule()
     b = _flat(b, A.size)
     history = _History(x_true, keep_iterates)
-    return _arnoldi_loop(A, b, rule, history, supplier=prec_at, flexible=True)
+    return _arnoldi(A, b, rule, history, direction=_flexible(prec_at), flexible=True)
 
 
 # ---------------------------------------------------------------------------
@@ -632,11 +629,13 @@ def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None, x_true=None,
     """Flexible LSQR: Golub-Kahan with an iteration-dependent right
     preconditioner supplied by ``prec_at(k, x_prev)``.
 
-    Both generated bases are kept orthonormal by single-pass modified
-    Gram-Schmidt (flexibility breaks the bidiagonal short recurrence, so the
-    projected problem is upper Hessenberg).  With a constant identity
-    callback the projected problem is bidiagonal again and the method reduces
-    to :func:`lsqr`.
+    Both generated bases are kept orthonormal by CGS2 (flexibility breaks the
+    bidiagonal short recurrence, so the projected problem is upper
+    Hessenberg).  The true residual is read from the flexible Golub-Kahan
+    relation ``A Z_k = U_{k+1} Mbar_k``, so one iteration costs one forward
+    and one adjoint application.  With a constant identity callback the
+    projected problem is bidiagonal again and the method reduces to
+    :func:`lsqr`.
     """
     rule = rule or StoppingRule()
     b = _flat(b, A.size)
@@ -646,42 +645,32 @@ def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None, x_true=None,
     if beta1 == 0.0:
         return history.record("breakdown", np.zeros(A.size), 0)
     tol_break = BREAKDOWN_RTOL * beta1
-    u_basis = [b / beta1]
+    u_basis = np.empty((rule.max_iter + 1, A.size))
+    v_basis = np.empty((rule.max_iter, A.size))
+    dirs = np.empty((rule.max_iter, A.size))
+    u_basis[0] = b / beta1
     s0 = np.ravel(counted.apply_adjoint(u_basis[0]))
     alfa = float(np.linalg.norm(s0))
     if alfa == 0.0:
         return history.record("breakdown", np.zeros(A.size), counted.count)
-    v_basis = [s0 / alfa]
-    directions = []
+    v_basis[0] = s0 / alfa
+    direction = _flexible(prec_at)
     ls = _HessenbergLS(beta1, rule.max_iter)
     x = np.zeros(A.size)
     skipped: list[int] = []
     reason = "max_iter"
     for k in range(1, rule.max_iter + 1):
-        v = v_basis[-1]
-        alpha_k = None
-        prec = prec_at(k - 1, x) if prec_at is not None else None
-        if prec is None:
-            zdir = v
-        else:
-            zdir = np.ravel(prec.apply(v))
-            alpha_k = getattr(prec, "alpha", None)
-            if np.linalg.norm(zdir) <= tol_break:
-                skipped.append(k)
-                zdir = v
-        directions.append(zdir)
-        w = np.ravel(counted.apply(zdir))
-        col = np.zeros(k + 1)
-        for i, ui in enumerate(u_basis):
-            mi = float(np.dot(ui, w))
-            w = w - mi * ui
-            col[i] = mi
+        v = v_basis[k - 1]
+        zdir, alpha_k = direction(k, v, x)
+        zdir = dirs[k - 1] = _skip_degenerate(zdir, v, k, tol_break, skipped)
+        w = u_basis[k]
+        w[:] = np.ravel(counted.apply(zdir))
+        m = _cgs2(u_basis[:k], w)
         m_new = float(np.linalg.norm(w))
-        col[k] = m_new
-        proj = ls.push_column(col)
+        proj = ls.push_column(np.append(m, m_new))
         y = ls.solve()
-        x = _combine(directions, y)
-        res_true = _true_residual(A, b, x)
+        x = y @ dirs[:k]
+        res_true = float(np.linalg.norm(ls.residual_coefficients(y) @ u_basis[:k + 1]))
         history.push(x, res_true, proj, alpha_k)
         if rule.dp_enabled and discrepancy_stop(res_true, rule):
             reason = "discrepancy"
@@ -689,13 +678,15 @@ def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None, x_true=None,
         if m_new <= tol_break:
             reason = "breakdown"
             break
-        u_basis.append(w / m_new)
-        snew = np.ravel(counted.apply_adjoint(u_basis[-1]))
-        for vi in v_basis:
-            snew = snew - float(np.dot(vi, snew)) * vi
+        if k == rule.max_iter:
+            break  # no step follows that would use the next adjoint image
+        w /= m_new
+        snew = v_basis[k]
+        snew[:] = np.ravel(counted.apply_adjoint(w))
+        _cgs2(v_basis[:k], snew)
         s_norm = float(np.linalg.norm(snew))
         if s_norm <= tol_break:
             reason = "breakdown"
             break
-        v_basis.append(snew / s_norm)
+        snew /= s_norm
     return history.record(reason, x, counted.count, skipped)

@@ -1,11 +1,14 @@
 """End-to-end command-line interface tests (all in-process, one subprocess)."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kryblur
 from kryblur import __version__
 from kryblur.cli import main, parse_psf_spec
 from kryblur.problems import read_pgm
@@ -67,9 +70,14 @@ def test_version_prints_semantic_version(capsys):
 
 
 def test_console_entry_point_runs_in_subprocess():
+    # the child imports the same package as this process, also when pytest
+    # put it on the path through its ``pythonpath`` setting
+    src = str(Path(kryblur.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "kryblur.cli", "version"],
         capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == __version__

@@ -12,6 +12,7 @@ from kryblur.operators import (
 )
 from kryblur.preconditioners import (
     CirculantOperator,
+    ComposedOperator,
     DiagonalOperator,
     IdentityOperator,
     circulant_abs_tikhonov,
@@ -271,16 +272,56 @@ def test_gmres_flip_side_improves_best_error():
     assert min(flipped.rre) < min(plain.rre)
 
 
-def test_gmres_flip_isometry_residuals():
-    # On (YA, Yb) the recorded residual equals the unflipped system residual.
-    prob = make_problem(star_field(8, seed=3), make_gaussian_psf(3, 1.0), "zero", 0.02, 5)
+def _assert_residuals_match_dense(rec, prob):
+    # Every recorded residual (read from the Arnoldi relation) equals the
+    # residual of the unflipped system recomputed with the dense matrix.
     dense = materialize_dense(prob.operator)
     b = prob.b.ravel()
-    fop = FlipComposedOperator(prob.operator)
-    rec = gmres(fop, apply_flip(b), StoppingRule(max_iter=15), keep_iterates=True)
+    b_norm = np.linalg.norm(b)
+    assert rec.iterations == len(rec.iterates) > 0
     for res, x in zip(rec.res_norm, rec.iterates):
         direct = np.linalg.norm(b - dense @ x)
         assert abs(res - direct) <= 1e-10 * max(1.0, direct)
+        assert abs(res - direct) <= 1e-10 * b_norm
+
+
+def test_gmres_flip_isometry_residuals():
+    # On (YA, Yb) the recorded residual equals the unflipped system residual.
+    prob = make_problem(star_field(8, seed=3), make_gaussian_psf(3, 1.0), "zero", 0.02, 5)
+    fop = FlipComposedOperator(prob.operator)
+    rec = gmres(fop, apply_flip(prob.b.ravel()), StoppingRule(max_iter=15),
+                keep_iterates=True)
+    _assert_residuals_match_dense(rec, prob)
+
+
+@pytest.mark.parametrize("method", ["YA", "YAP", "YAPW", "skip-first"])
+def test_flip_residuals_match_dense_on_reflective_motion_blur(method):
+    # The paper's setting: two-motion blur, reflective boundaries, 40 steps
+    # of the flipped GMRES family, including a skipped degenerate direction.
+    psf = make_two_motion_psf(7, 45.0, 135.0)
+    prob = make_problem(natural_scene(32, seed=7), psf, "reflective", 0.01, 42)
+    symbol = bccb_eigenvalues(psf, 32)
+    fop = FlipComposedOperator(prob.operator)
+    rhs = apply_flip(prob.b.ravel())
+    rule = StoppingRule(max_iter=40)
+
+    def supplier(k, x_prev):
+        circ = circulant_abs_tikhonov(symbol, 0.1 * 0.8 ** k)
+        if method == "skip-first":
+            return DiagonalOperator(np.zeros(x_prev.size)) if k == 0 else circ
+        weights = sparsity_weights(x_prev) if np.any(x_prev) else IdentityOperator(x_prev.size)
+        return ComposedOperator(weights, circ)
+
+    if method == "YA":
+        rec = gmres(fop, rhs, rule, keep_iterates=True)
+    elif method == "YAP":
+        rec = gmres(fop, rhs, rule, right_prec=circulant_abs_tikhonov(symbol, 0.1),
+                    keep_iterates=True)
+    else:
+        rec = fgmres(fop, rhs, supplier, rule, keep_iterates=True)
+    assert rec.skipped == ([1] if method == "skip-first" else [])
+    assert rec.iterations == 40
+    _assert_residuals_match_dense(rec, prob)
 
 
 def test_gmres_right_preconditioned_residual_identity():
@@ -444,6 +485,41 @@ def test_lsqr_work_accounting_two_applications_per_iteration():
     assert rec.n_ops == 2 * rec.iterations + 1  # one startup adjoint
     plain = gmres(LinearMap.from_matrix(mat), b, StoppingRule(max_iter=10))
     assert plain.n_ops == plain.iterations
+
+
+def _counting_map(mat):
+    calls = {"apply": 0, "apply_adjoint": 0}
+
+    def apply(x):
+        calls["apply"] += 1
+        return mat @ x
+
+    def apply_adjoint(y):
+        calls["apply_adjoint"] += 1
+        return mat.T @ y
+
+    return LinearMap(mat.shape[0], apply, apply_adjoint), calls
+
+
+@pytest.mark.parametrize("method", ["gmres", "gmres-right-prec", "fgmres", "flsqr"])
+def test_work_accounting_counts_every_operator_application(method):
+    # n_ops is every application of A and A^T, residual bookkeeping included
+    mat = random_nonsymmetric(16, 3)
+    b = _unit_rhs(16, 4)
+    weights = 0.5 + np.random.default_rng(5).random(16)
+    rule = StoppingRule(max_iter=10)
+    op, calls = _counting_map(mat)
+    if method == "gmres":
+        rec = gmres(op, b, rule)
+    elif method == "gmres-right-prec":
+        rec = gmres(op, b, rule, right_prec=DiagonalOperator(weights))
+    elif method == "fgmres":
+        rec = fgmres(op, b, lambda k, x_prev: DiagonalOperator(weights ** (k % 3)), rule)
+    else:
+        rec = flsqr(op, b, lambda k, x_prev: DiagonalOperator(weights ** (k % 3)), rule)
+    assert rec.iterations == 10
+    assert calls["apply"] + calls["apply_adjoint"] == rec.n_ops
+    assert calls["apply"] == rec.iterations
 
 
 def test_lsqr_projected_residual_nonincreasing():
