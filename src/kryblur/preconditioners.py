@@ -1,9 +1,10 @@
 """Circulant and diagonal preconditioners built from the blur symbol.
 
 A circulant operator is fixed by its eigenvalue grid on the uniform n-by-n
-frequency grid; application is one inverse DFT, an elementwise scale, and one
-forward DFT.  The constructors below turn the sampled blur symbol into
-filter-style eigenvalue grids:
+frequency grid; application is one DFT, an elementwise scale, and one inverse
+DFT, taken over half the spectrum for a real image and a conjugate-symmetric
+grid (as a real PSF gives).  The constructors below turn the sampled blur
+symbol into filter-style eigenvalue grids:
 
 * ``circulant_tikhonov``      conj(s) / (|s|^2 + alpha), the circulant whose
   application IS the Tikhonov-regularized deconvolution for periodic
@@ -21,10 +22,13 @@ for sparsity, diagonal reweighting from the previous iterate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as _fft
+
+from .operators import _image_stack
 
 __all__ = [
     "CirculantOperator",
@@ -44,6 +48,7 @@ __all__ = [
 #: Absolute tolerance for "real and nonnegative" eigenvalue checks.
 HERMITIAN_ATOL = 1e-12
 
+#: Conjugate-symmetry tolerance, relative to max |eigs|, for the real-FFT path.
 _IMAG_RTOL = 1e-10
 
 
@@ -52,8 +57,9 @@ class CirculantOperator:
 
     The eigenvectors are the 2-D Fourier vectors; applying the operator to an
     image is ``fft2(ifft2(x) * eigs)``.  Real input with a conjugate-symmetric
-    grid comes back real (tiny imaginary residue discarded); other grids give
-    a legitimately complex result, which is returned as such.
+    grid (``eigs[i, j] == conj(eigs[-i, -j])`` within 1e-10 of max |eigs|)
+    takes the half-spectrum path ``irfft2(rfft2(x) * conj(eigs[:, :n//2+1]))``,
+    whose result is real.  Other input and grids return the complex result.
 
     ``alpha`` is bookkeeping only: constructors record the regularization
     parameter they were built with so solver histories can log it.
@@ -71,31 +77,33 @@ class CirculantOperator:
     def size(self) -> int:
         return self.n * self.n
 
-    def _scale(self, x, eigs):
-        arr = np.asarray(x)
-        if arr.shape[-1:] == (self.size,):
-            work = arr.reshape(arr.shape[:-1] + (self.n, self.n))
-        elif arr.shape[-2:] == (self.n, self.n):
-            work = arr
+    @functools.cached_property
+    def _half_spectrum(self) -> np.ndarray | None:
+        # conj(eigs) on the half grid, or None for a grid that is not
+        # conjugate-symmetric; checked lazily, on the first real apply.
+        mirrored = np.roll(self.eigs[::-1, ::-1], 1, axis=(0, 1))
+        defect = np.abs(self.eigs - np.conj(mirrored)).max(initial=0.0)
+        if not defect <= _IMAG_RTOL * np.abs(self.eigs).max(initial=0.0):
+            return None
+        return np.conj(self.eigs[:, :self.n // 2 + 1])
+
+    def _scale(self, x, adjoint: bool):
+        arr, work = _image_stack(x, self.n)
+        half = None if np.iscomplexobj(arr) else self._half_spectrum
+        if half is not None:
+            out = _fft.irfft2(_fft.rfft2(work, axes=(-2, -1))
+                              * (np.conj(half) if adjoint else half),
+                              s=(self.n, self.n), axes=(-2, -1))
         else:
-            raise ValueError(
-                f"expected image(s) of shape {(self.n, self.n)} or stacked "
-                f"vectors of length {self.size}, got shape {arr.shape}"
-            )
-        out = _fft.fft2(_fft.ifft2(work, axes=(-2, -1)) * eigs, axes=(-2, -1))
-        if not np.iscomplexobj(arr):
-            residue = np.linalg.norm(out.imag.ravel())
-            scale = np.linalg.norm(work.ravel())
-            if residue <= _IMAG_RTOL * max(scale, np.finfo(float).tiny):
-                out = np.ascontiguousarray(out.real)
-            # else: non-symmetric grid, result really is complex
+            eigs = np.conj(self.eigs) if adjoint else self.eigs
+            out = _fft.fft2(_fft.ifft2(work, axes=(-2, -1)) * eigs, axes=(-2, -1))
         return out.reshape(arr.shape)
 
     def apply(self, x):
-        return self._scale(x, self.eigs)
+        return self._scale(x, adjoint=False)
 
     def apply_adjoint(self, x):
-        return self._scale(x, np.conj(self.eigs))
+        return self._scale(x, adjoint=True)
 
     def inverse(self) -> "CirculantOperator":
         """The circulant with reciprocal eigenvalues."""

@@ -41,6 +41,39 @@ def symbol_direct(psf, n: int) -> np.ndarray:
     return out
 
 
+def _source_index(k: int, n: int, bc: str):
+    """Field-of-view index that supplies out-of-range index k, or None."""
+    if bc == "zero":
+        return k if 0 <= k < n else None
+    if bc == "periodic":
+        return k % n
+    # half-sample reflection: ... 1 0 | 0 1 ... n-1 | n-1 n-2 ..., period 2n
+    k %= 2 * n
+    return k if k < n else 2 * n - 1 - k
+
+
+def blur_matrix_direct(psf, bc: str, n: int) -> np.ndarray:
+    """Dense blur matrix built entry by entry from the boundary index rules.
+
+    Output pixel p receives kernel entry h[r, c] times source pixel
+    p - (r - center_row, c - center_col); a source outside the field of view
+    is dropped (zero), wrapped modulo n (periodic), or mirrored about the
+    half-sample edge (reflective).  No FFT and no padding is involved.
+    """
+    mat = np.zeros((n * n, n * n))
+    kr, kc = psf.kernel.shape
+    for i in range(n):
+        for j in range(n):
+            for r in range(kr):
+                for c in range(kc):
+                    si = _source_index(i - (r - psf.center[0]), n, bc)
+                    sj = _source_index(j - (c - psf.center[1]), n, bc)
+                    if si is None or sj is None:
+                        continue
+                    mat[i * n + j, si * n + sj] += psf.kernel[r, c]
+    return mat
+
+
 def dense_tikhonov_solve(mat: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
     """Directly solve (A^T A + alpha I) x = A^T b."""
     size = mat.shape[1]

@@ -20,7 +20,7 @@ from kryblur.operators import (
 from kryblur.preconditioners import CirculantOperator
 from kryblur.problems import make_gaussian_psf, make_motion_psf, make_two_motion_psf
 
-from oracles import flip_matrix, symbol_direct
+from oracles import blur_matrix_direct, flip_matrix, symbol_direct
 
 
 DELTA = Psf(np.array([[1.0]]), (0, 0))
@@ -192,6 +192,23 @@ def test_adjoint_zero_bc_matches_dense_transpose():
     y = rng.standard_normal((4, 4))
     got = op.apply_adjoint(y).ravel()
     assert np.abs(got - dense.T @ y.ravel()).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bc", ["zero", "periodic", "reflective"])
+@pytest.mark.parametrize("psf, n", [
+    (make_gaussian_psf(3, 1.0), 5),          # padded grid 7x7: odd last axis
+    (make_gaussian_psf(5, 1.2), 8),
+    (make_two_motion_psf(4, 45.0, 135.0), 8),  # 4x7, center (3, 3)
+    (make_two_motion_psf(4, 45.0, 135.0), 9),  # padded grid 15x15
+], ids=["gauss3-n5", "gauss5-n8", "motion2-n8", "motion2-n9"])
+def test_dense_matches_direct_index_rules(bc, psf, n):
+    op = BlurOperator(psf, bc, n)
+    want = blur_matrix_direct(psf, bc, n)
+    assert np.abs(materialize_dense(op) - want).max() <= 1e-12
+    if bc != "reflective":
+        # column j of the adjoint's matrix is apply_adjoint(e_j)
+        adjoint = op.apply_adjoint(np.eye(n * n)).T
+        assert np.abs(adjoint - want.T).max() <= 1e-12
 
 
 def test_adjoint_quadrantally_symmetric_periodic_equals_forward():

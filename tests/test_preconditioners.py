@@ -18,7 +18,7 @@ from kryblur.preconditioners import (
     compose,
     sparsity_weights,
 )
-from kryblur.problems import make_gaussian_psf
+from kryblur.problems import make_gaussian_psf, make_two_motion_psf
 
 from oracles import dense_tikhonov_solve
 
@@ -60,6 +60,45 @@ def test_circulant_real_output_for_symmetric_grid():
     c = CirculantOperator(grid)
     out = c.apply(np.random.default_rng(7).standard_normal((8, 8)))
     assert not np.iscomplexobj(out)
+
+
+def _complex_formula(x, eigs):
+    # fft2(ifft2(x) * eigs) on each image of a flat, image or batch input
+    n = eigs.shape[0]
+    images = x.reshape(x.shape[:-1] + (n, n)) if x.shape[-1] == n * n else x
+    return np.fft.fft2(np.fft.ifft2(images) * eigs).reshape(x.shape)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("build", [circulant_tikhonov, circulant_abs_tikhonov],
+                         ids=["tikhonov", "abs_tikhonov"])
+def test_circulant_real_path_matches_complex_formula(build, n):
+    psf = make_two_motion_psf(4, 45.0, 135.0)  # off-center: complex symbol
+    c = build(bccb_eigenvalues(psf, n), 0.05)
+    if build is circulant_tikhonov:
+        assert np.abs(c.eigs.imag).max() > 1e-2
+    rng = np.random.default_rng(n)
+    inputs = (rng.standard_normal(n * n), rng.standard_normal((n, n)),
+              rng.standard_normal((3, n * n)), rng.standard_normal((2, 3, n, n)))
+    for x in inputs:
+        for got, eigs in ((c.apply(x), c.eigs),
+                          (c.apply_adjoint(x), np.conj(c.eigs))):
+            assert got.dtype == np.float64 and got.shape == x.shape
+            want = _complex_formula(x, eigs).real
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(x)
+
+
+def test_circulant_non_hermitian_grid_on_real_input_stays_complex():
+    n = 8
+    rng = np.random.default_rng(11)
+    grid = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    c = CirculantOperator(grid)
+    for x in (rng.standard_normal(n * n), rng.standard_normal((2, n, n))):
+        for got, eigs in ((c.apply(x), grid), (c.apply_adjoint(x), np.conj(grid))):
+            want = _complex_formula(x, eigs)
+            assert np.iscomplexobj(got) and got.shape == x.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(x)
+            assert np.linalg.norm(want.imag) > 1e-3 * np.linalg.norm(x)
 
 
 def test_circulant_inverse_and_singularity():
