@@ -22,13 +22,15 @@ Implemented methods:
 
 ``gmres`` and ``fgmres`` share one Arnoldi engine.  It and ``flsqr`` keep
 preallocated bases orthonormal by classical Gram-Schmidt applied twice (CGS2)
-and read ``b - A x`` from the Arnoldi (flexible Golub-Kahan) relation.
+and read ``b - A x`` from the Arnoldi (flexible Golub-Kahan) relation.  The
+short recurrences (MINRES and ``lsqr``) update ``b - A x`` with the same
+scalars as the iterate, from images of the directions they already hold.
 
 Each run returns a :class:`SolveRecord` with per-iteration true residual
 norms, recurrence (projected) residual norms, and error metrics when the
-ground truth is available.  ``n_ops`` counts operator applications (forward
-plus adjoint): every one for ``gmres``, ``fgmres`` and ``flsqr``; the MINRES
-and ``lsqr`` residual recomputes and the MINRES symmetry probe go uncharged.
+ground truth is available.  ``n_ops`` counts every operator application
+(forward plus adjoint) of the solver loop; only the MINRES symmetry probe
+goes uncharged.
 """
 
 from __future__ import annotations
@@ -162,6 +164,8 @@ class _History:
 
     def __init__(self, truth, keep_iterates):
         self.truth = None if truth is None else np.asarray(truth, float).ravel()
+        if self.truth is not None and not np.all(np.isfinite(self.truth)):
+            raise ValueError("x_true must be finite")
         self.res_norm: list[float] = []
         self.res_proj: list[float] = []
         self.rre: list[float] | None = [] if truth is not None else None
@@ -211,6 +215,8 @@ def _flat(b, size, what="right-hand side"):
     b = np.asarray(b, dtype=float).ravel()
     if b.size != size:
         raise ValueError(f"{what} has {b.size} entries, operator expects {size}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError(f"{what} must be finite")
     return b
 
 
@@ -249,37 +255,38 @@ def _probe_symmetry(op):
             )
 
 
-def _true_residual(op, b, x):
-    return float(np.linalg.norm(b - np.ravel(op.apply(x))))
-
-
 # ---------------------------------------------------------------------------
 # MINRES
 # ---------------------------------------------------------------------------
 
-def _minres_loop(system, rhs, rule, history, *, to_solution, residual_op,
-                 residual_rhs, alpha):
-    counted = _Counted(system)
-    beta1 = float(np.linalg.norm(rhs))
+def _minres_loop(step, v, b, rule, history, alpha):
+    """The MINRES recurrence behind :func:`minres` and :func:`minres_sym_prec`.
+
+    ``v`` is the system right-hand side.  ``step(v)`` applies A once and
+    returns the system image of the Lanczos vector ``v``, the image ``A s`` of
+    its solution direction, and ``s``.  ``d`` and ``A d`` share one
+    recurrence, so ``x`` and ``b - A x`` take the same scalars."""
+    beta1 = float(np.linalg.norm(v))
     if beta1 == 0.0:
-        zero = np.zeros(system.size)
-        return history.record("breakdown", zero, 0)
+        return history.record("breakdown", np.zeros(b.size), 0)
     tol_break = BREAKDOWN_RTOL * beta1
-    v_prev = np.zeros(system.size)
-    v = rhs / beta1
-    d_prev = np.zeros(system.size)
-    d_prev2 = np.zeros(system.size)
-    x = np.zeros(system.size)
+    v_prev = np.zeros(b.size)
+    v = v / beta1
+    # rows [d, A d] of the two previous directions; rows [x, b - A x]
+    dirs_prev, dirs_prev2 = np.zeros((2, b.size)), np.zeros((2, b.size))
+    xr = np.stack((np.zeros(b.size), b))
     phibar = beta1
     c_prev2, s_prev2 = 1.0, 0.0
     c_prev, s_prev = 1.0, 0.0
     beta = 0.0
     reason = "max_iter"
-    for _ in range(rule.max_iter):
-        w = np.ravel(counted.apply(v))
-        alfa = float(np.dot(v, w))
-        w = w - alfa * v - beta * v_prev
-        beta_next = float(np.linalg.norm(w))
+    for k in range(1, rule.max_iter + 1):
+        image, a_dir, s_dir = step(v)
+        alfa = float(np.dot(v, image))
+        # next Lanczos vector in v_prev's buffer: ``image`` may also be ``a_dir``
+        v_prev *= beta
+        np.subtract(image - alfa * v, v_prev, out=v_prev)
+        beta_next = float(np.linalg.norm(v_prev))
         # rotate the new tridiagonal column through the two stored rotations
         eps = s_prev2 * beta
         delta_tmp = c_prev2 * beta
@@ -291,24 +298,28 @@ def _minres_loop(system, rhs, rule, history, *, to_solution, residual_op,
             break
         tau = c * phibar
         phibar = -s * phibar
-        d = (v - delta * d_prev - eps * d_prev2) / gamma
-        x = x + tau * d
-        d_prev2, d_prev = d_prev, d
+        dirs_prev2 *= eps
+        for new, prev, fresh in zip(dirs_prev2, dirs_prev, (s_dir, a_dir)):
+            np.subtract(fresh - delta * prev, new, out=new)
+        dirs_prev2 /= gamma
+        dirs_prev2, dirs_prev = dirs_prev, dirs_prev2
+        del image, a_dir, s_dir, fresh  # not kept alive through the next step
         c_prev2, s_prev2 = c_prev, s_prev
         c_prev, s_prev = c, s
-        sol = x if to_solution is None else to_solution(x)
-        res_true = _true_residual(residual_op, residual_rhs, sol)
-        history.push(sol, res_true, abs(phibar), alpha)
+        xr[0] += tau * dirs_prev[0]
+        xr[1] -= tau * dirs_prev[1]
+        res_true = float(np.linalg.norm(xr[1]))
+        history.push(xr[0], res_true, abs(phibar), alpha)
         if rule.dp_enabled and discrepancy_stop(res_true, rule):
             reason = "discrepancy"
             break
         if beta_next <= tol_break:
             reason = "breakdown"
             break
-        v_prev, v = v, w / beta_next
+        v_prev /= beta_next
+        v_prev, v = v, v_prev
         beta = beta_next
-    x_stop = x if to_solution is None else to_solution(x)
-    return history.record(reason, x_stop, counted.count)
+    return history.record(reason, xr[0], k)  # one A apply per step
 
 
 def minres(A, b, rule: StoppingRule | None = None, x_true=None,
@@ -322,8 +333,12 @@ def minres(A, b, rule: StoppingRule | None = None, x_true=None,
     b = _flat(b, A.size)
     _probe_symmetry(A)
     history = _History(x_true, keep_iterates)
-    return _minres_loop(A, b, rule, history, to_solution=None,
-                        residual_op=A, residual_rhs=b, alpha=None)
+
+    def step(v):
+        av = np.ravel(A.apply(v))
+        return av, av, v
+
+    return _minres_loop(step, b, b, rule, history, None)
 
 
 def minres_sym_prec(A, b, p_half, rule: StoppingRule | None = None,
@@ -333,7 +348,8 @@ def minres_sym_prec(A, b, p_half, rule: StoppingRule | None = None,
     Iterates on ``p_half A p_half z = p_half b`` and returns solutions
     ``x = p_half z``.  The recorded true residuals (and the discrepancy test)
     are those of the ORIGINAL system ``||b - A x||``; the projected residual
-    series belongs to the preconditioned system.
+    series belongs to the preconditioned system.  Each step applies ``p_half``
+    twice and A once; ``x`` and ``b - A x`` follow from those images.
     """
     rule = rule or StoppingRule()
     b = _flat(b, A.size)
@@ -341,19 +357,16 @@ def minres_sym_prec(A, b, p_half, rule: StoppingRule | None = None,
         raise ValueError(
             f"preconditioner size {p_half.size} does not match operator {A.size}"
         )
-    system = LinearMap(
-        A.size,
-        lambda z: np.ravel(p_half.apply(np.ravel(A.apply(np.ravel(p_half.apply(z)))))),
-    )
-    _probe_symmetry(system)
-    rhs = np.ravel(p_half.apply(b))
+
+    def step(z):
+        pz = np.ravel(p_half.apply(z))
+        apz = np.ravel(A.apply(pz))
+        return np.ravel(p_half.apply(apz)), apz, pz
+
+    _probe_symmetry(LinearMap(A.size, lambda z: step(z)[0]))
     history = _History(x_true, keep_iterates)
-    return _minres_loop(
-        system, rhs, rule, history,
-        to_solution=lambda z: np.ravel(p_half.apply(z)),
-        residual_op=A, residual_rhs=b,
-        alpha=getattr(p_half, "alpha", None),
-    )
+    return _minres_loop(step, np.ravel(p_half.apply(b)), b, rule, history,
+                        getattr(p_half, "alpha", None))
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +565,10 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
     """LSQR via Golub-Kahan bidiagonalization, no reorthogonalization.
 
     Needs ``apply_adjoint`` on the operator (and on the right preconditioner
-    if one is given).  One iteration consumes two operator applications.
+    if one is given), which runs the bidiagonalization on ``A P``.  The
+    direction recurrence is carried for ``P w`` and ``-A P w``, so ``x`` and
+    ``b - A x`` are updated, never recomputed.  An iteration applies A and P
+    once forward and once adjoint; ``n_ops`` is ``2k + 1``.
     """
     rule = rule or StoppingRule()
     b = _flat(b, A.size)
@@ -566,7 +582,7 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
     def forward(vec):
         if right_prec is not None:
             vec = np.ravel(right_prec.apply(vec))
-        return np.ravel(counted.apply(vec))
+        return np.ravel(counted.apply(vec)), vec
 
     def adjoint(vec):
         out = np.ravel(counted.apply_adjoint(vec))
@@ -585,22 +601,28 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
     if alfa == 0.0:
         # b is orthogonal to the range: the zero vector already minimizes
         return history.record("breakdown", np.zeros(A.size), counted.count)
+    # operator outputs may be their own input (identity): never update in place
     v = v / alfa
-    w = v.copy()
-    z = np.zeros(A.size)
+    # rows [P w, -A P w]; w_1 = v_1, so they start from zero; rows [x, b - A x]
+    dirs = np.zeros((2, A.size))
+    xr = np.stack((np.zeros(A.size), b))
     phibar = beta1
     rhobar = alfa
     reason = "max_iter"
     for _ in range(rule.max_iter):
-        u = forward(v) - alfa * u
+        apv, pv = forward(v)
+        dirs[0] += pv
+        dirs[1] -= apv
+        u = apv - alfa * u
+        del apv, pv  # not kept alive through the adjoint
         beta = float(np.linalg.norm(u))
         if beta > 0.0:
-            u = u / beta
+            u /= beta
         if beta > tol_break:
             vnew = adjoint(u) - beta * v
             alfa = float(np.linalg.norm(vnew))
             if alfa > 0.0:
-                vnew = vnew / alfa
+                vnew /= alfa
         else:
             vnew, alfa = None, 0.0
         rho, c, s = _sym_ortho(rhobar, beta)
@@ -608,10 +630,9 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
         rhobar = -c * alfa
         phi = c * phibar
         phibar = s * phibar
-        z = z + (phi / rho) * w
-        x = np.ravel(right_prec.apply(z)) if right_prec is not None else z
-        res_true = _true_residual(A, b, x)
-        history.push(x, res_true, abs(phibar), alpha_k)
+        xr += (phi / rho) * dirs
+        res_true = float(np.linalg.norm(xr[1]))
+        history.push(xr[0], res_true, abs(phibar), alpha_k)
         if rule.dp_enabled and discrepancy_stop(res_true, rule):
             reason = "discrepancy"
             break
@@ -619,9 +640,8 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
             reason = "breakdown"
             break
         v = vnew
-        w = v - (theta / rho) * w
-    x_stop = np.ravel(right_prec.apply(z)) if right_prec is not None else z
-    return history.record(reason, x_stop, counted.count)
+        dirs *= -theta / rho
+    return history.record(reason, xr[0], counted.count)
 
 
 def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None, x_true=None,

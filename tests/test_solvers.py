@@ -114,6 +114,23 @@ def test_rhs_size_mismatch():
         gmres(m, np.ones(5), StoppingRule(max_iter=2))
 
 
+@pytest.mark.parametrize("solver", [minres, gmres, fgmres, lsqr, flsqr])
+def test_nonfinite_rhs_rejected(solver):
+    b = _unit_rhs(8, 2)
+    b[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        solver(LinearMap.from_matrix(np.eye(8)), b, rule=StoppingRule(max_iter=2))
+
+
+@pytest.mark.parametrize("solver", [minres, gmres, fgmres, lsqr, flsqr])
+def test_nonfinite_truth_rejected(solver):
+    truth = np.ones(8)
+    truth[0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        solver(LinearMap.from_matrix(np.eye(8)), _unit_rhs(8, 2),
+               rule=StoppingRule(max_iter=2), x_true=truth)
+
+
 # ---------------------------------------------------------------------------
 # MINRES
 
@@ -520,6 +537,87 @@ def test_work_accounting_counts_every_operator_application(method):
     assert rec.iterations == 10
     assert calls["apply"] + calls["apply_adjoint"] == rec.n_ops
     assert calls["apply"] == rec.iterations
+
+
+@pytest.mark.parametrize("method", ["minres", "minres-sym-prec", "lsqr", "lsqr-right-prec"])
+def test_work_accounting_short_recurrences(method):
+    # every loop application of A is charged to n_ops; only the six MINRES
+    # symmetry-probe applies are not, and no step re-applies A or P to
+    # recompute the residual or the iterate
+    k = 10
+    b = _unit_rhs(16, 4)
+    prec, prec_calls = _counting_map(np.diag(0.5 + np.random.default_rng(5).random(16)))
+    if method.startswith("minres"):
+        op, calls = _counting_map(random_symmetric(16, 3))
+        if method == "minres":
+            rec = minres(op, b, StoppingRule(max_iter=k))
+        else:
+            rec = minres_sym_prec(op, b, prec, StoppingRule(max_iter=k))
+        assert rec.iterations == k
+        assert rec.n_ops == k
+        assert calls["apply"] == k + 6
+        assert calls["apply_adjoint"] == 0
+        # two per step, two per probe system apply, one for the right-hand side
+        want_prec = 0 if method == "minres" else 2 * k + 12 + 1
+        assert prec_calls["apply"] == want_prec
+    else:
+        op, calls = _counting_map(random_nonsymmetric(16, 3))
+        right_prec = prec if method == "lsqr-right-prec" else None
+        rec = lsqr(op, b, StoppingRule(max_iter=k), right_prec=right_prec)
+        assert rec.iterations == k
+        assert calls["apply"] + calls["apply_adjoint"] == rec.n_ops == 2 * k + 1
+        assert calls["apply"] == k
+        # one forward and one adjoint per step, plus the startup adjoint
+        want = (k, k + 1) if right_prec is not None else (0, 0)
+        assert (prec_calls["apply"], prec_calls["apply_adjoint"]) == want
+
+
+@pytest.mark.parametrize("method", ["YA MINRES", "YAP MINRES", "A LSQR", "AP LSQR"])
+def test_carried_residual_matches_recomputed_on_star_field(method):
+    # MINRES and LSQR update b - A x by the same recurrence as x; on a long
+    # run it must stay within rounding of the recomputed residual
+    n, alpha = 32, 1e-2
+    psf = make_gaussian_psf(7, 2.0)
+    prob = make_problem(star_field(n, seed=1), psf, "zero", 0.05, 42)
+    b = prob.b.ravel()
+    symbol = bccb_eigenvalues(psf, n)
+    rule = StoppingRule(max_iter=80)
+    fop = FlipComposedOperator(prob.operator)
+    if method == "YA MINRES":
+        rec = minres(fop, apply_flip(b), rule, keep_iterates=True)
+    elif method == "YAP MINRES":
+        half = circulant_sqrt(circulant_abs_tikhonov(symbol, alpha))
+        rec = minres_sym_prec(fop, apply_flip(b), half, rule, keep_iterates=True)
+    elif method == "A LSQR":
+        rec = lsqr(prob.operator, b, rule, keep_iterates=True)
+    else:
+        rec = lsqr(prob.operator, b, rule, right_prec=circulant_tikhonov(symbol, alpha),
+                   keep_iterates=True)
+    assert rec.iterations == 80
+    direct = [np.linalg.norm(b - np.ravel(prob.operator.apply(x))) for x in rec.iterates]
+    gap = np.abs(np.array(rec.res_norm) - direct)
+    assert gap.max() <= 1e-10 * np.linalg.norm(b), f"max gap {gap.max():.3e}"
+
+
+@pytest.mark.parametrize("method", ["minres", "lsqr"])
+def test_carried_residual_matches_recomputed_at_breakdown(method):
+    # the Krylov space is exhausted before max_iter (MINRES: three distinct
+    # eigenvalues; LSQR: rank 5 of 8), and the last recorded residual must
+    # still be that of the returned iterate
+    rng = np.random.default_rng(9)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    b = _unit_rhs(8, 3)
+    if method == "minres":
+        mat = (q * np.array([1.0, -1.5, 2.0, 1.0, -1.5, 2.0, 1.0, 2.0])) @ q.T
+        rec = minres(LinearMap.from_matrix(mat), b, StoppingRule(max_iter=20))
+    else:
+        q2, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        mat = (q * np.array([1.0, 1.5, 2.0, 0.5, 0.8, 0.0, 0.0, 0.0])) @ q2.T
+        rec = lsqr(LinearMap.from_matrix(mat), b, StoppingRule(max_iter=20))
+    assert rec.stop_reason == "breakdown"
+    assert rec.iterations < 20
+    direct = np.linalg.norm(b - mat @ rec.x_stop)
+    assert abs(rec.res_norm[-1] - direct) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_lsqr_projected_residual_nonincreasing():
