@@ -190,18 +190,22 @@ def sample_symbol(psf: Psf, n: int) -> np.ndarray:
     """Sample the PSF's generating trigonometric polynomial on the n-grid.
 
     Entry (i, j) is  sum_{r,c} h[r,c] * exp(1i*(r*2*pi*i/n + c*2*pi*j/n))
-    with (r, c) running over spatial offsets from the center.  The sum is
-    evaluated factorized by kernel rows, which is exact up to roundoff and
-    cheap for the small supports used here.
+    with (r, c) running over spatial offsets from the center.
 
     For a normalized PSF the (0, 0) entry equals 1: the operator preserves
     constant images up to boundary effects.
     """
     _check_support(psf, n)
-    theta = 2.0 * np.pi * np.arange(n) / n
-    col_phase = np.exp(1j * np.outer(psf.col_offsets, theta))   # (kc, n)
-    inner = psf.kernel @ col_phase                              # (kr, n)
-    row_phase = np.exp(1j * np.outer(theta, psf.row_offsets))   # (n, kr)
+    return _evaluate_symbol(psf, 2.0 * np.pi * np.arange(n) / n)
+
+
+def _evaluate_symbol(psf: Psf, theta: np.ndarray) -> np.ndarray:
+    # The generating polynomial at (theta[i], theta[j]) for every pair,
+    # factorized by kernel rows: exact up to roundoff and cheap for the
+    # small supports used here.
+    col_phase = np.exp(1j * np.outer(psf.col_offsets, theta))   # (kc, m)
+    inner = psf.kernel @ col_phase                              # (kr, m)
+    row_phase = np.exp(1j * np.outer(theta, psf.row_offsets))   # (m, kr)
     return row_phase @ inner
 
 

@@ -40,9 +40,7 @@ __all__ = [
     "circulant_abs_tikhonov",
     "circulant_threshold",
     "circulant_sqrt",
-    "alpha_at",
     "sparsity_weights",
-    "compose",
 ]
 
 #: Absolute tolerance for "real and nonnegative" eigenvalue checks.
@@ -145,7 +143,13 @@ class IdentityOperator:
 
 
 class ComposedOperator:
-    """Apply ``first``, then ``second`` (adjoint composes in reverse)."""
+    """Apply ``first``, then ``second`` (adjoint composes in reverse).
+
+    The sparsity-plus-circulant flexible preconditioner is built as
+    ``ComposedOperator(weights, circulant)``: the reweighting acts on the
+    vector entering the circulant map, so the frequency-domain filter smooths
+    the already-reweighted direction.
+    """
 
     def __init__(self, first, second):
         if first.size != second.size:
@@ -165,17 +169,6 @@ class ComposedOperator:
 
     def apply_adjoint(self, y):
         return self.first.apply_adjoint(self.second.apply_adjoint(y))
-
-
-def compose(first, second) -> ComposedOperator:
-    """Composition applying ``first`` then ``second``.
-
-    The sparsity-plus-circulant flexible preconditioner is built as
-    ``compose(weights, circulant)``: the reweighting acts on the vector
-    entering the circulant map, so the frequency-domain filter smooths the
-    already-reweighted direction.
-    """
-    return ComposedOperator(first, second)
 
 
 def _as_grid(symbol) -> np.ndarray:
@@ -307,11 +300,6 @@ class PreconditionerSchedule:
             return circulant_threshold(symbol, alpha)
         grid = _as_grid(symbol)
         return IdentityOperator(grid.shape[0] ** 2)
-
-
-def alpha_at(schedule: PreconditionerSchedule, k: int) -> float:
-    """Regularization parameter at 0-based iteration k."""
-    return schedule.alpha_at(k)
 
 
 def sparsity_weights(x_prev: np.ndarray) -> DiagonalOperator:

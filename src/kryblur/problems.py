@@ -31,7 +31,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .metrics import psnr, rre
 from .operators import (
     BlurOperator,
     BoundaryCondition,
@@ -42,12 +41,12 @@ from .operators import (
     load_psf,
 )
 from .preconditioners import (
+    ComposedOperator,
     IdentityOperator,
     PreconditionerSchedule,
     circulant_abs_tikhonov,
     circulant_sqrt,
     circulant_tikhonov,
-    compose,
     sparsity_weights,
 )
 from . import solvers
@@ -71,8 +70,6 @@ __all__ = [
     "write_pgm",
     "read_pgm",
     "load_image",
-    "rre",
-    "psnr",
 ]
 
 
@@ -525,6 +522,8 @@ def parse_config(path) -> ExperimentConfig:
     ):
         if key in pairs:
             cfg[key] = caster(pairs[key])
+    if cfg["eta"] < 1.0:
+        raise ValueError(f"config key eta must be at least 1, got {cfg['eta']}")
     if "stationary_alpha" in pairs:
         cfg["stationary_alpha"] = _parse_bool("stationary_alpha", pairs["stationary_alpha"])
 
@@ -644,7 +643,7 @@ def _flexible_supplier(spec: MethodSpec, schedule: PreconditionerSchedule, symbo
             weights = IdentityOperator(size)
         if circ is None:
             return weights
-        return compose(weights, circ)
+        return ComposedOperator(weights, circ)
 
     return supplier
 
@@ -669,7 +668,10 @@ def _run_method(label: str, problem: NoisyProblem, cfg: ExperimentConfig) -> tup
         system = op
         rhs = problem.b
     symbol = bccb_eigenvalues(op.psf, op.n)
-    rule = StoppingRule(max_iter=cfg.max_iter)
+    # a noise norm without dp_enabled: the solver keeps the discrepancy
+    # iterate and still runs to the full budget
+    rule = StoppingRule(max_iter=cfg.max_iter, eta=cfg.eta,
+                        noise_norm=problem.noise_norm)
     truth = problem.x_true
 
     variant = "abs_tikhonov" if spec.flip else "tikhonov"
@@ -677,24 +679,18 @@ def _run_method(label: str, problem: NoisyProblem, cfg: ExperimentConfig) -> tup
     if spec.solver == "MINRES":
         if spec.prec:
             half = circulant_sqrt(circulant_abs_tikhonov(symbol, cfg.alpha0))
-            record = solvers.minres_sym_prec(
-                system, rhs, half, rule, x_true=truth, keep_iterates=True
-            )
+            record = solvers.minres_sym_prec(system, rhs, half, rule, x_true=truth)
         else:
-            record = solvers.minres(system, rhs, rule, x_true=truth, keep_iterates=True)
+            record = solvers.minres(system, rhs, rule, x_true=truth)
     elif spec.solver == "GMRES":
         right = None
         if spec.prec:
             builder = circulant_abs_tikhonov if spec.flip else circulant_tikhonov
             right = builder(symbol, cfg.alpha0)
-        record = solvers.gmres(
-            system, rhs, rule, right_prec=right, x_true=truth, keep_iterates=True
-        )
+        record = solvers.gmres(system, rhs, rule, right_prec=right, x_true=truth)
     elif spec.solver == "LSQR":
         right = circulant_tikhonov(symbol, cfg.alpha0) if spec.prec else None
-        record = solvers.lsqr(
-            system, rhs, rule, right_prec=right, x_true=truth, keep_iterates=True
-        )
+        record = solvers.lsqr(system, rhs, rule, right_prec=right, x_true=truth)
     else:
         schedule = PreconditionerSchedule(
             variant, cfg.alpha0, cfg.q, cfg.stationary_alpha
@@ -703,9 +699,7 @@ def _run_method(label: str, problem: NoisyProblem, cfg: ExperimentConfig) -> tup
         if spec.prec or spec.weights:
             supplier = _flexible_supplier(spec, schedule, symbol)
         runner = solvers.fgmres if spec.solver == "FGMRES" else solvers.flsqr
-        record = runner(
-            system, rhs, prec_at=supplier, rule=rule, x_true=truth, keep_iterates=True
-        )
+        record = runner(system, rhs, prec_at=supplier, rule=rule, x_true=truth)
     return record, time.perf_counter() - start
 
 
@@ -744,15 +738,12 @@ def _write_artifacts(
     best_psnr = record.psnr[best_iter - 1]
     write_pgm(directory / "best.pgm", record.x_best.reshape(n, n))
 
-    threshold = cfg.eta * problem.noise_norm
-    dp_iter = next(
-        (i + 1 for i, res in enumerate(record.res_norm) if res <= threshold), None
-    )
+    dp_iter = record.dp_index
     dp_rre = dp_psnr = None
     if dp_iter is not None:
         dp_rre = record.rre[dp_iter - 1]
         dp_psnr = record.psnr[dp_iter - 1]
-        write_pgm(directory / "dp.pgm", record.iterates[dp_iter - 1].reshape(n, n))
+        write_pgm(directory / "dp.pgm", record.x_dp.reshape(n, n))
 
     lines = [
         f"method: {label}",
@@ -765,7 +756,7 @@ def _write_artifacts(
     if dp_iter is None:
         lines.append(
             f"dp: not reached within {record.iterations} iterations"
-            f" (threshold {threshold!r})"
+            f" (threshold {cfg.eta * problem.noise_norm!r})"
         )
     else:
         lines.append(f"dp: iter {dp_iter}  rre {dp_rre!r}  psnr {dp_psnr!r}")
@@ -793,8 +784,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[MethodRun]:
     ``history.csv`` (iter, residual norm, RRE, PSNR, alpha), ``best.pgm``
     (minimum-RRE iterate), ``dp.pgm`` (discrepancy-principle iterate, only
     if the threshold was reached), and ``summary.txt``.  Solvers run to the
-    configured iteration budget; the discrepancy stop is evaluated on the
-    recorded residual history afterwards, so one run yields both readings.
+    configured iteration budget and record the first iterate that meets the
+    discrepancy threshold on the way, so one run yields both readings.
     """
     x_true = _resolve_image(cfg)
     psf = _build_psf(cfg)

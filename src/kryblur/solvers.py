@@ -28,9 +28,11 @@ scalars as the iterate, from images of the directions they already hold.
 
 Each run returns a :class:`SolveRecord` with per-iteration true residual
 norms, recurrence (projected) residual norms, and error metrics when the
-ground truth is available.  ``n_ops`` counts every operator application
-(forward plus adjoint) of the solver loop; only the MINRES symmetry probe
-goes uncharged.
+ground truth is available.  When the stopping rule carries a noise norm, the
+record also holds the discrepancy iterate: the first one with residual at
+most ``eta * noise_norm``, kept whether or not the rule stops there.
+``n_ops`` counts every operator application (forward plus adjoint) of the
+solver loop; only the MINRES symmetry probe goes uncharged.
 """
 
 from __future__ import annotations
@@ -94,7 +96,8 @@ class StoppingRule:
 
     The discrepancy test fires at the first iterate whose residual norm is
     at most ``eta * noise_norm``.  With ``noise_norm == 0`` it can only fire
-    at an exact solve.
+    at an exact solve.  A given ``noise_norm`` makes the solvers record that
+    iterate; ``dp_enabled`` also stops them there.
     """
 
     max_iter: int = 100
@@ -107,23 +110,27 @@ class StoppingRule:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.eta < 1.0:
             raise ValueError(f"eta must be at least 1, got {self.eta}")
-        if self.dp_enabled:
-            if self.noise_norm is None:
-                raise ValueError("dp_enabled requires a noise_norm")
-            if self.noise_norm < 0:
-                raise ValueError(f"noise_norm must be nonnegative, got {self.noise_norm}")
+        if self.dp_enabled and self.noise_norm is None:
+            raise ValueError("dp_enabled requires a noise_norm")
+        if self.noise_norm is not None and self.noise_norm < 0:
+            raise ValueError(f"noise_norm must be nonnegative, got {self.noise_norm}")
 
 
 def discrepancy_stop(residual_norm: float, rule: StoppingRule) -> bool:
-    """True when the discrepancy principle says to stop."""
-    if not rule.dp_enabled:
-        raise ValueError("discrepancy_stop consulted with dp_enabled=False")
+    """True when the residual norm meets the discrepancy principle."""
+    if rule.noise_norm is None:
+        raise ValueError("discrepancy_stop needs a rule with a noise_norm")
     return residual_norm <= rule.eta * rule.noise_norm
 
 
 @dataclass
 class SolveRecord:
-    """Everything a run produced, one list entry per iteration."""
+    """Everything a run produced, one list entry per iteration.
+
+    ``dp_index`` (1-based) and ``x_dp`` are the discrepancy iterate, or None
+    when the rule has no noise norm or no iterate met the threshold.
+    ``iterates`` is always None: no solver keeps every iterate.
+    """
 
     res_norm: list[float] = field(default_factory=list)
     res_norm_projected: list[float] = field(default_factory=list)
@@ -134,6 +141,8 @@ class SolveRecord:
     best_index: int = 0
     x_stop: np.ndarray | None = None
     x_best: np.ndarray | None = None
+    dp_index: int | None = None
+    x_dp: np.ndarray | None = None
     n_ops: int = 0
     skipped: list[int] = field(default_factory=list)
     iterates: list[np.ndarray] | None = None
@@ -160,9 +169,10 @@ class _Counted:
 
 
 class _History:
-    """Per-iteration bookkeeping shared by all solvers."""
+    """Per-iteration bookkeeping shared by all solvers, including the one
+    discrepancy test: the first pushed iterate that meets it is kept."""
 
-    def __init__(self, truth, keep_iterates):
+    def __init__(self, truth, rule):
         self.truth = None if truth is None else np.asarray(truth, float).ravel()
         if self.truth is not None and not np.all(np.isfinite(self.truth)):
             raise ValueError("x_true must be finite")
@@ -171,7 +181,9 @@ class _History:
         self.rre: list[float] | None = [] if truth is not None else None
         self.psnr: list[float] | None = [] if truth is not None else None
         self.alpha: list[float | None] = []
-        self.iterates: list[np.ndarray] | None = [] if keep_iterates else None
+        self.rule = rule
+        self.dp_index: int | None = None
+        self.x_dp: np.ndarray | None = None
         self.best_index = 0
         self._best_key = math.inf
         self.x_best: np.ndarray | None = None
@@ -186,8 +198,10 @@ class _History:
             key = self.rre[-1]
         else:
             key = float(res_true)
-        if self.iterates is not None:
-            self.iterates.append(np.array(x, copy=True))
+        if (self.dp_index is None and self.rule.noise_norm is not None
+                and discrepancy_stop(res_true, self.rule)):
+            self.dp_index = len(self.res_norm)
+            self.x_dp = np.array(x, copy=True)
         if key < self._best_key:
             self._best_key = key
             self.best_index = len(self.res_norm)
@@ -205,9 +219,10 @@ class _History:
             best_index=self.best_index,
             x_stop=x_stop,
             x_best=x_stop if self.x_best is None else self.x_best,
+            dp_index=self.dp_index,
+            x_dp=self.x_dp,
             n_ops=n_ops,
             skipped=list(skipped),
-            iterates=self.iterates,
         )
 
 
@@ -310,7 +325,7 @@ def _minres_loop(step, v, b, rule, history, alpha):
         xr[1] -= tau * dirs_prev[1]
         res_true = float(np.linalg.norm(xr[1]))
         history.push(xr[0], res_true, abs(phibar), alpha)
-        if rule.dp_enabled and discrepancy_stop(res_true, rule):
+        if rule.dp_enabled and history.dp_index is not None:
             reason = "discrepancy"
             break
         if beta_next <= tol_break:
@@ -322,8 +337,7 @@ def _minres_loop(step, v, b, rule, history, alpha):
     return history.record(reason, xr[0], k)  # one A apply per step
 
 
-def minres(A, b, rule: StoppingRule | None = None, x_true=None,
-           keep_iterates: bool = False) -> SolveRecord:
+def minres(A, b, rule: StoppingRule | None = None, x_true=None) -> SolveRecord:
     """MINRES on a symmetric map, from the zero initial guess.
 
     The map is probed for symmetry on three random vector pairs before any
@@ -332,7 +346,7 @@ def minres(A, b, rule: StoppingRule | None = None, x_true=None,
     rule = rule or StoppingRule()
     b = _flat(b, A.size)
     _probe_symmetry(A)
-    history = _History(x_true, keep_iterates)
+    history = _History(x_true, rule)
 
     def step(v):
         av = np.ravel(A.apply(v))
@@ -342,7 +356,7 @@ def minres(A, b, rule: StoppingRule | None = None, x_true=None,
 
 
 def minres_sym_prec(A, b, p_half, rule: StoppingRule | None = None,
-                    x_true=None, keep_iterates: bool = False) -> SolveRecord:
+                    x_true=None) -> SolveRecord:
     """MINRES on the symmetrically preconditioned system.
 
     Iterates on ``p_half A p_half z = p_half b`` and returns solutions
@@ -364,7 +378,7 @@ def minres_sym_prec(A, b, p_half, rule: StoppingRule | None = None,
         return np.ravel(p_half.apply(apz)), apz, pz
 
     _probe_symmetry(LinearMap(A.size, lambda z: step(z)[0]))
-    history = _History(x_true, keep_iterates)
+    history = _History(x_true, rule)
     return _minres_loop(step, np.ravel(p_half.apply(b)), b, rule, history,
                         getattr(p_half, "alpha", None))
 
@@ -506,7 +520,7 @@ def _arnoldi(A, b, rule, history, *, direction, solution=None, flexible=False):
             x = u if solution is None else solution(u)
         res_true = float(np.linalg.norm(r))
         history.push(x, res_true, proj, alpha_k)
-        if rule.dp_enabled and discrepancy_stop(res_true, rule):
+        if rule.dp_enabled and history.dp_index is not None:
             reason = "discrepancy"
             break
         if h_new <= tol_break:
@@ -517,7 +531,7 @@ def _arnoldi(A, b, rule, history, *, direction, solution=None, flexible=False):
 
 
 def gmres(A, b, rule: StoppingRule | None = None, right_prec=None,
-          x_true=None, keep_iterates: bool = False) -> SolveRecord:
+          x_true=None) -> SolveRecord:
     """Full GMRES with an optional stationary right preconditioner.
 
     With right preconditioning the Arnoldi space is built for ``A P`` and the
@@ -530,7 +544,7 @@ def gmres(A, b, rule: StoppingRule | None = None, right_prec=None,
         raise ValueError(
             f"preconditioner size {right_prec.size} does not match operator {A.size}"
         )
-    history = _History(x_true, keep_iterates)
+    history = _History(x_true, rule)
     if right_prec is None:
         return _arnoldi(A, b, rule, history, direction=lambda k, v, x: (v, None))
     alpha = getattr(right_prec, "alpha", None)
@@ -539,8 +553,8 @@ def gmres(A, b, rule: StoppingRule | None = None, right_prec=None,
                     solution=lambda u: np.ravel(right_prec.apply(u)))
 
 
-def fgmres(A, b, prec_at=None, rule: StoppingRule | None = None, x_true=None,
-           keep_iterates: bool = False) -> SolveRecord:
+def fgmres(A, b, prec_at=None, rule: StoppingRule | None = None,
+           x_true=None) -> SolveRecord:
     """Flexible GMRES: ``prec_at(k, x_prev)`` supplies the preconditioner for
     0-based iteration k, given the previous solution estimate.
 
@@ -552,7 +566,7 @@ def fgmres(A, b, prec_at=None, rule: StoppingRule | None = None, x_true=None,
     """
     rule = rule or StoppingRule()
     b = _flat(b, A.size)
-    history = _History(x_true, keep_iterates)
+    history = _History(x_true, rule)
     return _arnoldi(A, b, rule, history, direction=_flexible(prec_at), flexible=True)
 
 
@@ -561,14 +575,16 @@ def fgmres(A, b, prec_at=None, rule: StoppingRule | None = None, x_true=None,
 # ---------------------------------------------------------------------------
 
 def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
-         x_true=None, keep_iterates: bool = False) -> SolveRecord:
+         x_true=None) -> SolveRecord:
     """LSQR via Golub-Kahan bidiagonalization, no reorthogonalization.
 
     Needs ``apply_adjoint`` on the operator (and on the right preconditioner
     if one is given), which runs the bidiagonalization on ``A P``.  The
     direction recurrence is carried for ``P w`` and ``-A P w``, so ``x`` and
     ``b - A x`` are updated, never recomputed.  An iteration applies A and P
-    once forward and once adjoint; ``n_ops`` is ``2k + 1``.
+    once forward and once adjoint: the first adjoint comes before the loop,
+    and none follows the last step, so ``n_ops`` is ``2k`` (``2k + 1`` when
+    the adjoint of step k reveals a breakdown).
     """
     rule = rule or StoppingRule()
     b = _flat(b, A.size)
@@ -577,7 +593,7 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
             f"preconditioner size {right_prec.size} does not match operator {A.size}"
         )
     counted = _Counted(A)
-    history = _History(x_true, keep_iterates)
+    history = _History(x_true, rule)
 
     def forward(vec):
         if right_prec is not None:
@@ -609,7 +625,7 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
     phibar = beta1
     rhobar = alfa
     reason = "max_iter"
-    for _ in range(rule.max_iter):
+    for k in range(1, rule.max_iter + 1):
         apv, pv = forward(v)
         dirs[0] += pv
         dirs[1] -= apv
@@ -618,34 +634,34 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
         beta = float(np.linalg.norm(u))
         if beta > 0.0:
             u /= beta
-        if beta > tol_break:
-            vnew = adjoint(u) - beta * v
-            alfa = float(np.linalg.norm(vnew))
-            if alfa > 0.0:
-                vnew /= alfa
-        else:
-            vnew, alfa = None, 0.0
         rho, c, s = _sym_ortho(rhobar, beta)
-        theta = s * alfa
-        rhobar = -c * alfa
         phi = c * phibar
         phibar = s * phibar
         xr += (phi / rho) * dirs
         res_true = float(np.linalg.norm(xr[1]))
         history.push(xr[0], res_true, abs(phibar), alpha_k)
-        if rule.dp_enabled and discrepancy_stop(res_true, rule):
+        if rule.dp_enabled and history.dp_index is not None:
             reason = "discrepancy"
             break
-        if beta <= tol_break or alfa <= tol_break:
+        if beta <= tol_break:
             reason = "breakdown"
             break
-        v = vnew
+        if k == rule.max_iter:
+            break  # no step follows that would use the next adjoint image
+        v = adjoint(u) - beta * v
+        alfa = float(np.linalg.norm(v))
+        if alfa <= tol_break:
+            reason = "breakdown"
+            break
+        v /= alfa
+        theta = s * alfa
+        rhobar = -c * alfa
         dirs *= -theta / rho
     return history.record(reason, xr[0], counted.count)
 
 
-def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None, x_true=None,
-          keep_iterates: bool = False) -> SolveRecord:
+def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None,
+          x_true=None) -> SolveRecord:
     """Flexible LSQR: Golub-Kahan with an iteration-dependent right
     preconditioner supplied by ``prec_at(k, x_prev)``.
 
@@ -660,7 +676,7 @@ def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None, x_true=None,
     rule = rule or StoppingRule()
     b = _flat(b, A.size)
     counted = _Counted(A)
-    history = _History(x_true, keep_iterates)
+    history = _History(x_true, rule)
     beta1 = float(np.linalg.norm(b))
     if beta1 == 0.0:
         return history.record("breakdown", np.zeros(A.size), 0)
@@ -692,7 +708,7 @@ def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None, x_true=None,
         x = y @ dirs[:k]
         res_true = float(np.linalg.norm(ls.residual_coefficients(y) @ u_basis[:k + 1]))
         history.push(x, res_true, proj, alpha_k)
-        if rule.dp_enabled and discrepancy_stop(res_true, rule):
+        if rule.dp_enabled and history.dp_index is not None:
             reason = "discrepancy"
             break
         if m_new <= tol_break:

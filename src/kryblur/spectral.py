@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as _linalg
 
-from .operators import BlurOperator, Psf, materialize_dense, sample_symbol
+from .operators import BlurOperator, Psf, _evaluate_symbol, materialize_dense, sample_symbol
 from .preconditioners import CirculantOperator, circulant_threshold
 
 __all__ = [
@@ -73,12 +73,6 @@ class ClusterReport:
         return "\n".join(lines)
 
 
-def _dense_circulant(eigs_grid: np.ndarray) -> np.ndarray:
-    op = CirculantOperator(eigs_grid)
-    dense = materialize_dense(op, cap=op.n)
-    return dense
-
-
 def preconditioned_spectrum(psf: Psf, n: int, eps: float | None) -> np.ndarray:
     """Eigenvalues of the threshold-preconditioned flip-symmetrized blur.
 
@@ -103,7 +97,7 @@ def preconditioned_spectrum(psf: Psf, n: int, eps: float | None) -> np.ndarray:
         target = flipped
     else:
         grid = circulant_threshold(sample_symbol(psf, n), eps).eigs.real
-        inv_half = _dense_circulant(grid ** -0.5)
+        inv_half = materialize_dense(CirculantOperator(grid ** -0.5), cap=n)
         target = inv_half @ flipped @ inv_half
     target = 0.5 * (target + target.T)
     return _linalg.eigvalsh(target)
@@ -139,21 +133,6 @@ def cluster_report(eigenvalues, eps: float, delta: float) -> ClusterReport:
     )
 
 
-def _symbol_on_midpoint_grid(psf: Psf, grid_size: int) -> np.ndarray:
-    """The generating function on a midpoint grid of [-pi, pi)^2.
-
-    Factorized over kernel rows; since the symbol is a trigonometric
-    polynomial of tiny degree, averaging over this grid integrates its
-    powers exactly up to roundoff.
-    """
-    theta = -np.pi + (np.arange(grid_size) + 0.5) * (2.0 * np.pi / grid_size)
-    kernel = psf.kernel
-    col_phase = np.exp(1j * np.outer(psf.col_offsets, theta))  # (kc, m)
-    inner = kernel @ col_phase                                 # (kr, m)
-    row_phase = np.exp(1j * np.outer(theta, psf.row_offsets))  # (m, kr)
-    return row_phase @ inner
-
-
 def szego_distribution_check(psf: Psf, n: int, moments: int = 2,
                              grid_size: int = 1024):
     """Compare eigenvalue-power averages with symbol-power integrals.
@@ -180,7 +159,11 @@ def szego_distribution_check(psf: Psf, n: int, moments: int = 2,
     if defect > _SYM_RTOL * max(np.abs(dense).max(), np.finfo(float).tiny):
         raise ValueError(f"operator unexpectedly nonsymmetric (defect {defect:.3e})")
     eigs = _linalg.eigvalsh(0.5 * (dense + dense.T))
-    symbol = _symbol_on_midpoint_grid(psf, grid_size)
+    # the generating function on a midpoint grid of [-pi, pi)^2: the symbol
+    # is a trigonometric polynomial of tiny degree, so averaging over this
+    # grid integrates its powers exactly up to roundoff
+    theta = -np.pi + (np.arange(grid_size) + 0.5) * (2.0 * np.pi / grid_size)
+    symbol = _evaluate_symbol(psf, theta)
     imag_max = np.abs(symbol.imag).max()
     if imag_max > 1e-9:
         raise ValueError(

@@ -10,12 +10,10 @@ from kryblur.preconditioners import (
     DiagonalOperator,
     IdentityOperator,
     PreconditionerSchedule,
-    alpha_at,
     circulant_abs_tikhonov,
     circulant_sqrt,
     circulant_threshold,
     circulant_tikhonov,
-    compose,
     sparsity_weights,
 )
 from kryblur.problems import make_gaussian_psf, make_two_motion_psf
@@ -263,14 +261,14 @@ def test_sqrt_domain_errors():
 
 def test_alpha_at_paper_values():
     sched = PreconditionerSchedule("tikhonov", 0.1, 0.8, False)
-    assert alpha_at(sched, 0) == 0.1
-    assert abs(alpha_at(sched, 1) - 0.08) <= 1e-15
+    assert sched.alpha_at(0) == 0.1
+    assert abs(sched.alpha_at(1) - 0.08) <= 1e-15
 
 
 def test_alpha_at_stationary():
     sched = PreconditionerSchedule("tikhonov", 0.01, 0.8, True)
     for k in (0, 1, 5, 20):
-        assert alpha_at(sched, k) == 0.01
+        assert sched.alpha_at(k) == 0.01
 
 
 def test_alpha_monotone_decreasing_when_q_below_one():
@@ -346,7 +344,7 @@ def test_diagonal_operator_apply_and_validation():
 
 
 # ---------------------------------------------------------------------------
-# compose
+# composition
 
 
 def test_compose_identity_cases():
@@ -356,8 +354,8 @@ def test_compose_identity_cases():
     w = DiagonalOperator(rng.uniform(0.0, 2.0, 64))
     ident = IdentityOperator(64)
     x = rng.standard_normal(64)
-    assert np.abs(compose(ident, p).apply(x) - p.apply(x)).max() <= 1e-14
-    assert np.abs(compose(w, ident).apply(x) - w.apply(x)).max() <= 1e-14
+    assert np.abs(ComposedOperator(ident, p).apply(x) - p.apply(x)).max() <= 1e-14
+    assert np.abs(ComposedOperator(w, ident).apply(x) - w.apply(x)).max() <= 1e-14
 
 
 def test_compose_applies_first_then_second():
@@ -369,22 +367,21 @@ def test_compose_applies_first_then_second():
     dense_p = materialize_dense(p, cap=n)
     dense_w = np.diag(w.weights)
     x = rng.standard_normal(n * n)
-    got = compose(w, p).apply(x)
+    got = ComposedOperator(w, p).apply(x)
     want = dense_p @ (dense_w @ x)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_compose_size_mismatch():
     with pytest.raises(ValueError, match="sizes"):
-        compose(IdentityOperator(4), IdentityOperator(9))
+        ComposedOperator(IdentityOperator(4), IdentityOperator(9))
 
 
 def test_compose_propagates_alpha():
     symbol = bccb_eigenvalues(make_gaussian_psf(5, 2.0), 8)
     p = circulant_abs_tikhonov(symbol, 0.03)
     w = DiagonalOperator(np.ones(64))
-    assert compose(w, p).alpha == 0.03
-    assert isinstance(compose(w, p), ComposedOperator)
+    assert ComposedOperator(w, p).alpha == 0.03
 
 
 # ---------------------------------------------------------------------------

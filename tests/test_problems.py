@@ -363,6 +363,8 @@ def test_parse_config_errors(tmp_path):
         parse_config(path)
     with pytest.raises(ValueError, match=r"n \(required"):
         parse_config(_write_config(tmp_path / "h.cfg", n=None))
+    with pytest.raises(ValueError, match="config key eta"):
+        parse_config(_write_config(tmp_path / "i.cfg", eta=0.99))
 
 
 def test_parse_config_psf_file(tmp_path):
@@ -437,15 +439,17 @@ def test_run_experiment_artifacts_and_histories(tmp_path):
 
 
 def test_run_experiment_deterministic_artifacts(tmp_path):
+    # 20 steps: the threshold is met mid-run (step 16), so dp.pgm is written
     cfg_a = parse_config(_write_config(tmp_path / "a.cfg",
                                        outdir=str(tmp_path / "out_a"),
-                                       methods="YA MINRES"))
+                                       methods="YA MINRES", max_iter=20))
     cfg_b = parse_config(_write_config(tmp_path / "b.cfg",
                                        outdir=str(tmp_path / "out_b"),
-                                       methods="YA MINRES"))
+                                       methods="YA MINRES", max_iter=20))
     (run_a,) = run_experiment(cfg_a)
     (run_b,) = run_experiment(cfg_b)
-    for name in ("history.csv", "best.pgm"):
+    assert run_a.dp_iter is not None and run_a.dp_iter < run_a.record.iterations
+    for name in ("history.csv", "best.pgm", "dp.pgm"):
         assert (run_a.directory / name).read_bytes() == (run_b.directory / name).read_bytes()
 
 

@@ -20,6 +20,7 @@ from kryblur.preconditioners import (
     circulant_tikhonov,
     sparsity_weights,
 )
+from kryblur import solvers
 from kryblur.problems import make_gaussian_psf, make_problem, make_two_motion_psf, natural_scene, phantom, star_field
 from kryblur.solvers import (
     LinearMap,
@@ -52,6 +53,20 @@ def _unit_rhs(size, seed):
     return b / np.linalg.norm(b)
 
 
+@pytest.fixture
+def iterates(monkeypatch):
+    """A copy of every iterate the solvers record, in order."""
+    seen = []
+    push = solvers._History.push
+
+    def recording_push(self, x, *args):
+        seen.append(np.array(x, copy=True))
+        return push(self, x, *args)
+
+    monkeypatch.setattr(solvers._History, "push", recording_push)
+    return seen
+
+
 # ---------------------------------------------------------------------------
 # StoppingRule / SolveRecord / discrepancy_stop
 
@@ -65,13 +80,16 @@ def test_stopping_rule_validation():
         StoppingRule(dp_enabled=True)
     with pytest.raises(ValueError, match="nonnegative"):
         StoppingRule(dp_enabled=True, noise_norm=-1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        StoppingRule(noise_norm=-1.0)
 
 
 def test_discrepancy_stop_examples():
     rule = StoppingRule(dp_enabled=True, eta=1.01, noise_norm=1.0)
     assert discrepancy_stop(1.0, rule)
     assert not discrepancy_stop(1.02, rule)
-    with pytest.raises(ValueError, match="dp_enabled"):
+    assert discrepancy_stop(1.0, StoppingRule(eta=1.01, noise_norm=1.0))
+    with pytest.raises(ValueError, match="noise_norm"):
         discrepancy_stop(1.0, StoppingRule())
 
 
@@ -190,7 +208,7 @@ def test_minres_sym_prec_identity_reduces_to_minres():
     assert np.abs(reduced.x_stop - plain.x_stop).max() <= 1e-9
 
 
-def test_minres_sym_prec_matches_dense_oracle():
+def test_minres_sym_prec_matches_dense_oracle(iterates):
     psf = make_gaussian_psf(3, 1.0)
     n = 8
     prob = make_problem(star_field(8, seed=3), psf, "zero", 0.02, 11)
@@ -198,18 +216,18 @@ def test_minres_sym_prec_matches_dense_oracle():
     yb = apply_flip(prob.b.ravel())
     p_half = circulant_sqrt(circulant_abs_tikhonov(bccb_eigenvalues(psf, n), 0.01))
     iters = 12
-    rec = minres_sym_prec(fop, yb, p_half, StoppingRule(max_iter=iters),
-                          keep_iterates=True)
+    rec = minres_sym_prec(fop, yb, p_half, StoppingRule(max_iter=iters))
 
     dense_s = materialize_dense(prob.operator)[::-1, :]  # flip rows: Y @ T
     dense_half = materialize_dense(p_half, cap=n)
     system = dense_half @ dense_s @ dense_half
     _, zs = reference_minres(system, dense_half @ yb, iters)
-    for got, z in zip(rec.iterates, zs):
+    assert len(iterates) == rec.iterations
+    for got, z in zip(iterates, zs):
         want = dense_half @ z
         assert np.abs(got - want).max() <= 1e-9
     # recorded true residuals belong to the ORIGINAL flipped system
-    for got_res, x in zip(rec.res_norm, rec.iterates):
+    for got_res, x in zip(rec.res_norm, iterates):
         direct = np.linalg.norm(yb - dense_s @ x)
         assert abs(got_res - direct) <= 1e-10 * max(1.0, direct)
 
@@ -289,30 +307,29 @@ def test_gmres_flip_side_improves_best_error():
     assert min(flipped.rre) < min(plain.rre)
 
 
-def _assert_residuals_match_dense(rec, prob):
+def _assert_residuals_match_dense(rec, iterates, prob):
     # Every recorded residual (read from the Arnoldi relation) equals the
     # residual of the unflipped system recomputed with the dense matrix.
     dense = materialize_dense(prob.operator)
     b = prob.b.ravel()
     b_norm = np.linalg.norm(b)
-    assert rec.iterations == len(rec.iterates) > 0
-    for res, x in zip(rec.res_norm, rec.iterates):
+    assert rec.iterations == len(iterates) > 0
+    for res, x in zip(rec.res_norm, iterates):
         direct = np.linalg.norm(b - dense @ x)
         assert abs(res - direct) <= 1e-10 * max(1.0, direct)
         assert abs(res - direct) <= 1e-10 * b_norm
 
 
-def test_gmres_flip_isometry_residuals():
+def test_gmres_flip_isometry_residuals(iterates):
     # On (YA, Yb) the recorded residual equals the unflipped system residual.
     prob = make_problem(star_field(8, seed=3), make_gaussian_psf(3, 1.0), "zero", 0.02, 5)
     fop = FlipComposedOperator(prob.operator)
-    rec = gmres(fop, apply_flip(prob.b.ravel()), StoppingRule(max_iter=15),
-                keep_iterates=True)
-    _assert_residuals_match_dense(rec, prob)
+    rec = gmres(fop, apply_flip(prob.b.ravel()), StoppingRule(max_iter=15))
+    _assert_residuals_match_dense(rec, iterates, prob)
 
 
 @pytest.mark.parametrize("method", ["YA", "YAP", "YAPW", "skip-first"])
-def test_flip_residuals_match_dense_on_reflective_motion_blur(method):
+def test_flip_residuals_match_dense_on_reflective_motion_blur(method, iterates):
     # The paper's setting: two-motion blur, reflective boundaries, 40 steps
     # of the flipped GMRES family, including a skipped degenerate direction.
     psf = make_two_motion_psf(7, 45.0, 135.0)
@@ -330,26 +347,25 @@ def test_flip_residuals_match_dense_on_reflective_motion_blur(method):
         return ComposedOperator(weights, circ)
 
     if method == "YA":
-        rec = gmres(fop, rhs, rule, keep_iterates=True)
+        rec = gmres(fop, rhs, rule)
     elif method == "YAP":
-        rec = gmres(fop, rhs, rule, right_prec=circulant_abs_tikhonov(symbol, 0.1),
-                    keep_iterates=True)
+        rec = gmres(fop, rhs, rule, right_prec=circulant_abs_tikhonov(symbol, 0.1))
     else:
-        rec = fgmres(fop, rhs, supplier, rule, keep_iterates=True)
+        rec = fgmres(fop, rhs, supplier, rule)
     assert rec.skipped == ([1] if method == "skip-first" else [])
     assert rec.iterations == 40
-    _assert_residuals_match_dense(rec, prob)
+    _assert_residuals_match_dense(rec, iterates, prob)
 
 
-def test_gmres_right_preconditioned_residual_identity():
+def test_gmres_right_preconditioned_residual_identity(iterates):
     psf = make_gaussian_psf(3, 1.0)
     prob = make_problem(star_field(8, seed=3), psf, "zero", 0.02, 5)
     dense = materialize_dense(prob.operator)
     b = prob.b.ravel()
     prec = circulant_tikhonov(bccb_eigenvalues(psf, 8), 0.05)
-    rec = gmres(prob.operator, b, StoppingRule(max_iter=15), right_prec=prec,
-                keep_iterates=True)
-    for proj, res, x in zip(rec.res_norm_projected, rec.res_norm, rec.iterates):
+    rec = gmres(prob.operator, b, StoppingRule(max_iter=15), right_prec=prec)
+    assert len(iterates) == rec.iterations
+    for proj, res, x in zip(rec.res_norm_projected, rec.res_norm, iterates):
         direct = np.linalg.norm(b - dense @ x)
         assert abs(proj - direct) <= 1e-8 * max(1.0, direct)
         assert abs(res - direct) <= 1e-8 * max(1.0, direct)
@@ -454,16 +470,17 @@ def test_lsqr_zero_rhs_immediate_stop():
     assert np.all(rec.x_stop == 0.0)
 
 
-def test_lsqr_matches_reference_golub_kahan():
+def test_lsqr_matches_reference_golub_kahan(iterates):
     for size, seed in ((16, 1), (32, 2), (64, 3)):
         mat = random_nonsymmetric(size, seed)
         b = _unit_rhs(size, seed + 100)
         iters = size - 4
-        rec = lsqr(LinearMap.from_matrix(mat), b, StoppingRule(max_iter=iters),
-                   keep_iterates=True)
+        iterates.clear()
+        rec = lsqr(LinearMap.from_matrix(mat), b, StoppingRule(max_iter=iters))
         want_res, want_xs = reference_lsqr(mat, b, iters)
         res_diff = max(abs(a - w) for a, w in zip(rec.res_norm, want_res))
-        x_diff = max(np.abs(x - w).max() for x, w in zip(rec.iterates, want_xs))
+        assert len(iterates) == rec.iterations
+        x_diff = max(np.abs(x - w).max() for x, w in zip(iterates, want_xs))
         assert res_diff <= 1e-9, f"size {size}: residual mismatch {res_diff:.2e}"
         assert x_diff <= 1e-9, f"size {size}: iterate mismatch {x_diff:.2e}"
 
@@ -478,19 +495,19 @@ def test_lsqr_equals_cgls_on_normal_equations():
     assert diff <= 1e-8
 
 
-def test_lsqr_right_preconditioned_equals_reference_on_product():
+def test_lsqr_right_preconditioned_equals_reference_on_product(iterates):
     psf = make_gaussian_psf(3, 1.0)
     prob = make_problem(star_field(8, seed=3), psf, "zero", 0.02, 5)
     b = prob.b.ravel()
     prec = circulant_abs_tikhonov(bccb_eigenvalues(psf, 8), 0.05)
-    rec = lsqr(prob.operator, b, StoppingRule(max_iter=15), right_prec=prec,
-               keep_iterates=True)
+    rec = lsqr(prob.operator, b, StoppingRule(max_iter=15), right_prec=prec)
     dense_ap = materialize_dense(prob.operator) @ materialize_dense(prec, cap=8)
     want_res, want_zs = reference_lsqr(dense_ap, b, 15)
     res_diff = max(abs(a - w) for a, w in zip(rec.res_norm, want_res))
     assert res_diff <= 1e-9
     dense_p = materialize_dense(prec, cap=8)
-    x_diff = max(np.abs(x - dense_p @ z).max() for x, z in zip(rec.iterates, want_zs))
+    assert len(iterates) == rec.iterations
+    x_diff = max(np.abs(x - dense_p @ z).max() for x, z in zip(iterates, want_zs))
     assert x_diff <= 1e-9
 
 
@@ -499,7 +516,7 @@ def test_lsqr_work_accounting_two_applications_per_iteration():
     b = _unit_rhs(16, 4)
     rec = lsqr(LinearMap.from_matrix(mat), b, StoppingRule(max_iter=10))
     assert rec.iterations == 10
-    assert rec.n_ops == 2 * rec.iterations + 1  # one startup adjoint
+    assert rec.n_ops == 2 * rec.iterations  # startup adjoint, none after the last step
     plain = gmres(LinearMap.from_matrix(mat), b, StoppingRule(max_iter=10))
     assert plain.n_ops == plain.iterations
 
@@ -539,7 +556,8 @@ def test_work_accounting_counts_every_operator_application(method):
     assert calls["apply"] == rec.iterations
 
 
-@pytest.mark.parametrize("method", ["minres", "minres-sym-prec", "lsqr", "lsqr-right-prec"])
+@pytest.mark.parametrize("method", ["minres", "minres-sym-prec", "lsqr", "lsqr-right-prec",
+                                    "lsqr-discrepancy"])
 def test_work_accounting_short_recurrences(method):
     # every loop application of A is charged to n_ops; only the six MINRES
     # symmetry-probe applies are not, and no step re-applies A or P to
@@ -561,19 +579,29 @@ def test_work_accounting_short_recurrences(method):
         want_prec = 0 if method == "minres" else 2 * k + 12 + 1
         assert prec_calls["apply"] == want_prec
     else:
-        op, calls = _counting_map(random_nonsymmetric(16, 3))
+        mat = random_nonsymmetric(16, 3)
+        op, calls = _counting_map(mat)
         right_prec = prec if method == "lsqr-right-prec" else None
-        rec = lsqr(op, b, StoppingRule(max_iter=k), right_prec=right_prec)
+        rule = StoppingRule(max_iter=k)
+        if method == "lsqr-discrepancy":
+            # the threshold is met at step 4, so the run stops there
+            full = lsqr(LinearMap.from_matrix(mat), b, rule)
+            rule = StoppingRule(max_iter=k, dp_enabled=True, eta=1.0,
+                                noise_norm=full.res_norm[3])
+            k = 4
+        rec = lsqr(op, b, rule, right_prec=right_prec)
         assert rec.iterations == k
-        assert calls["apply"] + calls["apply_adjoint"] == rec.n_ops == 2 * k + 1
+        assert rec.stop_reason == ("discrepancy" if method == "lsqr-discrepancy" else "max_iter")
+        assert calls["apply"] + calls["apply_adjoint"] == rec.n_ops == 2 * k
         assert calls["apply"] == k
-        # one forward and one adjoint per step, plus the startup adjoint
-        want = (k, k + 1) if right_prec is not None else (0, 0)
+        # one forward and one adjoint per step: the startup adjoint, and none
+        # after the last step
+        want = (k, k) if right_prec is not None else (0, 0)
         assert (prec_calls["apply"], prec_calls["apply_adjoint"]) == want
 
 
 @pytest.mark.parametrize("method", ["YA MINRES", "YAP MINRES", "A LSQR", "AP LSQR"])
-def test_carried_residual_matches_recomputed_on_star_field(method):
+def test_carried_residual_matches_recomputed_on_star_field(method, iterates):
     # MINRES and LSQR update b - A x by the same recurrence as x; on a long
     # run it must stay within rounding of the recomputed residual
     n, alpha = 32, 1e-2
@@ -584,17 +612,16 @@ def test_carried_residual_matches_recomputed_on_star_field(method):
     rule = StoppingRule(max_iter=80)
     fop = FlipComposedOperator(prob.operator)
     if method == "YA MINRES":
-        rec = minres(fop, apply_flip(b), rule, keep_iterates=True)
+        rec = minres(fop, apply_flip(b), rule)
     elif method == "YAP MINRES":
         half = circulant_sqrt(circulant_abs_tikhonov(symbol, alpha))
-        rec = minres_sym_prec(fop, apply_flip(b), half, rule, keep_iterates=True)
+        rec = minres_sym_prec(fop, apply_flip(b), half, rule)
     elif method == "A LSQR":
-        rec = lsqr(prob.operator, b, rule, keep_iterates=True)
+        rec = lsqr(prob.operator, b, rule)
     else:
-        rec = lsqr(prob.operator, b, rule, right_prec=circulant_tikhonov(symbol, alpha),
-                   keep_iterates=True)
-    assert rec.iterations == 80
-    direct = [np.linalg.norm(b - np.ravel(prob.operator.apply(x))) for x in rec.iterates]
+        rec = lsqr(prob.operator, b, rule, right_prec=circulant_tikhonov(symbol, alpha))
+    assert rec.iterations == 80 == len(iterates)
+    direct = [np.linalg.norm(b - np.ravel(prob.operator.apply(x))) for x in iterates]
     gap = np.abs(np.array(rec.res_norm) - direct)
     assert gap.max() <= 1e-10 * np.linalg.norm(b), f"max gap {gap.max():.3e}"
 
@@ -653,7 +680,7 @@ def test_flsqr_none_callback_reduces_to_lsqr():
     assert diff <= 1e-10
 
 
-def test_flsqr_constant_prec_matches_flexible_golub_kahan_oracle():
+def test_flsqr_constant_prec_matches_flexible_golub_kahan_oracle(iterates):
     # A constant preconditioner inside the flexible Golub-Kahan process spans
     # P K_k(A^T A P, A^T b) -- NOT the right-preconditioned space
     # P K_k(P^T A^T A P, P^T A^T b) -- so it is checked against an explicit
@@ -664,13 +691,13 @@ def test_flsqr_constant_prec_matches_flexible_golub_kahan_oracle():
     b = prob.b.ravel()
     prec = circulant_abs_tikhonov(bccb_eigenvalues(psf, 8), 0.05)
     iters = 12
-    rec = flsqr(prob.operator, b, lambda k, x_prev: prec,
-                StoppingRule(max_iter=iters), keep_iterates=True)
+    rec = flsqr(prob.operator, b, lambda k, x_prev: prec, StoppingRule(max_iter=iters))
     dense = materialize_dense(prob.operator)
     dense_p = materialize_dense(prec, cap=8)
     want_res, want_xs = reference_flexible_gk(dense, lambda k: dense_p, b, iters)
     res_diff = max(abs(a - w) for a, w in zip(rec.res_norm, want_res))
-    x_diff = max(np.abs(x - w).max() for x, w in zip(rec.iterates, want_xs))
+    assert len(iterates) == rec.iterations
+    x_diff = max(np.abs(x - w).max() for x, w in zip(iterates, want_xs))
     assert res_diff <= 1e-9
     assert x_diff <= 1e-9
     # documented non-equivalence with right-preconditioned LSQR
@@ -691,7 +718,7 @@ def test_flsqr_zero_direction_skipped_and_recorded():
     assert rec.iterations == 5
 
 
-def test_flsqr_sparsity_weights_concentrate_support():
+def test_flsqr_sparsity_weights_concentrate_support(iterates):
     n = 16
     truth = np.zeros((n, n))
     for (r, c) in ((3, 4), (5, 11), (9, 7), (12, 12), (13, 3)):
@@ -705,15 +732,15 @@ def test_flsqr_sparsity_weights_concentrate_support():
             return sparsity_weights(x_prev)
         return IdentityOperator(size)
 
-    rec = flsqr(prob.operator, prob.b.ravel(), w_only,
-                StoppingRule(max_iter=15), keep_iterates=True)
+    rec = flsqr(prob.operator, prob.b.ravel(), w_only, StoppingRule(max_iter=15))
 
     def support_fraction(x):
         total = float(np.sum(x ** 2))
         return float(np.sum(x[support] ** 2)) / total
 
-    first = support_fraction(rec.iterates[0])
-    last = support_fraction(rec.iterates[-1])
+    assert len(iterates) == rec.iterations
+    first = support_fraction(iterates[0])
+    last = support_fraction(iterates[-1])
     assert first < 0.25
     assert last > 0.8
     assert last > first
@@ -774,3 +801,49 @@ def test_alpha_column_recorded_for_preconditioned_runs():
     assert rec.alpha == [0.1 * 0.8 ** k for k in range(5)]
     plain = gmres(prob.operator, prob.b.ravel(), StoppingRule(max_iter=5))
     assert plain.alpha == [None] * 5
+
+
+@pytest.mark.parametrize("dp_enabled", [False, True], ids=["dp-off", "dp-on"])
+@pytest.mark.parametrize("method", ["minres", "minres_sym_prec", "gmres", "fgmres",
+                                    "lsqr", "flsqr"])
+def test_discrepancy_iterate_recorded(method, dp_enabled, iterates):
+    # The record keeps the first iterate whose residual meets the threshold,
+    # whether or not the rule stops there; without a noise norm there is none.
+    psf = make_gaussian_psf(7, 1.5)
+    prob = make_problem(phantom(32), psf, "zero", 0.05, 21)
+    symbol = bccb_eigenvalues(psf, 32)
+    fop = FlipComposedOperator(prob.operator)
+    rhs = apply_flip(prob.b.ravel())
+
+    def run(rule):
+        if method == "minres":
+            return minres(fop, rhs, rule)
+        if method == "minres_sym_prec":
+            half = circulant_sqrt(circulant_abs_tikhonov(symbol, 1e-2))
+            return minres_sym_prec(fop, rhs, half, rule)
+        if method == "gmres":
+            return gmres(fop, rhs, rule)
+        if method == "fgmres":
+            return fgmres(fop, rhs, lambda k, x: circulant_abs_tikhonov(symbol, 0.1 * 0.8 ** k),
+                          rule)
+        if method == "lsqr":
+            return lsqr(prob.operator, prob.b.ravel(), rule)
+        return flsqr(prob.operator, prob.b.ravel(),
+                     lambda k, x: circulant_abs_tikhonov(symbol, 0.1 * 0.8 ** k), rule)
+
+    budget = 40
+    rec = run(StoppingRule(max_iter=budget, dp_enabled=dp_enabled, eta=1.01,
+                           noise_norm=prob.noise_norm))
+    threshold = 1.01 * prob.noise_norm
+    first = next(i + 1 for i, r in enumerate(rec.res_norm) if r <= threshold)
+    assert rec.dp_index == first
+    assert np.array_equal(rec.x_dp, iterates[first - 1])
+    if dp_enabled:
+        assert rec.stop_reason == "discrepancy" and rec.iterations == first
+        assert np.array_equal(rec.x_stop, rec.x_dp)
+    else:
+        assert rec.iterations == budget > first
+        assert not np.array_equal(rec.x_stop, rec.x_dp)
+
+    plain = run(StoppingRule(max_iter=budget))
+    assert plain.dp_index is None and plain.x_dp is None
