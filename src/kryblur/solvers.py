@@ -20,11 +20,12 @@ Implemented methods:
 * ``flsqr``           flexible Golub-Kahan with iteration-dependent right
   preconditioning and full orthogonalization of both bases.
 
-``gmres`` and ``fgmres`` share one Arnoldi engine.  It and ``flsqr`` keep
-preallocated bases orthonormal by classical Gram-Schmidt applied twice (CGS2)
-and read ``b - A x`` from the Arnoldi (flexible Golub-Kahan) relation.  The
-short recurrences (MINRES and ``lsqr``) update ``b - A x`` with the same
-scalars as the iterate, from images of the directions they already hold.
+``gmres``, ``fgmres`` and ``flsqr`` share one Arnoldi engine.  It keeps
+preallocated bases orthonormal by classical Gram-Schmidt with delayed
+reorthogonalization (DCGS2) in two passes a step, the second of which also
+writes the iterate and ``b - A x`` from the Arnoldi relation.  The short
+recurrences (MINRES and ``lsqr``) update ``b - A x`` with the same scalars as
+the iterate, from images of the directions they already hold.
 
 Each run returns a :class:`SolveRecord` with per-iteration true residual
 norms, recurrence (projected) residual norms, and error metrics when the
@@ -60,10 +61,16 @@ __all__ = [
 
 #: A candidate basis vector with norm below this times ||b|| ends the
 #: iteration (Lanczos/Arnoldi/Golub-Kahan breakdown, including the happy
-#: exact-solve kind).
+#: exact-solve kind); so does a Gram-Schmidt remainder below this times the
+#: image it came from, which is rounding noise.
 BREAKDOWN_RTOL = 1e-14
 
 _SYMMETRY_RTOL = 1e-8
+
+#: MINRES breaks down at a rotated diagonal gamma below this times ||T_k||_F:
+#: T_k is singular and the Krylov space exhausted, to rounding that reaches
+#: 4e-11 on 8x8 maps; on deblurring problems gamma stays above 1e-2 ||T_k||.
+_SINGULAR_RTOL = 1e-8
 
 
 class LinearMap:
@@ -130,6 +137,11 @@ class SolveRecord:
     ``dp_index`` (1-based) and ``x_dp`` are the discrepancy iterate, or None
     when the rule has no noise norm or no iterate met the threshold.
     ``iterates`` is always None: no solver keeps every iterate.
+
+    ``stop_reason`` is ``"max_iter"``, ``"discrepancy"``, ``"breakdown"``
+    (the Krylov space is exhausted, e.g. by an exact solve) or
+    ``"nonfinite"``: a flexible preconditioner gave a non-finite direction,
+    and the run stopped before applying A to it, on the previous iterate.
     """
 
     res_norm: list[float] = field(default_factory=list)
@@ -187,6 +199,7 @@ class _History:
         self.best_index = 0
         self._best_key = math.inf
         self.x_best: np.ndarray | None = None
+        self.skipped: list[int] = []
 
     def push(self, x, res_true, res_proj, alpha=None):
         self.res_norm.append(float(res_true))
@@ -207,7 +220,7 @@ class _History:
             self.best_index = len(self.res_norm)
             self.x_best = np.array(x, copy=True)
 
-    def record(self, reason, x_stop, n_ops, skipped=()) -> SolveRecord:
+    def record(self, reason, x_stop, n_ops) -> SolveRecord:
         x_stop = np.array(x_stop, copy=True)
         return SolveRecord(
             res_norm=self.res_norm,
@@ -222,7 +235,7 @@ class _History:
             dp_index=self.dp_index,
             x_dp=self.x_dp,
             n_ops=n_ops,
-            skipped=list(skipped),
+            skipped=self.skipped,
         )
 
 
@@ -280,7 +293,8 @@ def _minres_loop(step, v, b, rule, history, alpha):
     ``v`` is the system right-hand side.  ``step(v)`` applies A once and
     returns the system image of the Lanczos vector ``v``, the image ``A s`` of
     its solution direction, and ``s``.  ``d`` and ``A d`` share one
-    recurrence, so ``x`` and ``b - A x`` take the same scalars."""
+    recurrence, so ``x`` and ``b - A x`` take the same scalars.  A singular
+    T_k (``_SINGULAR_RTOL``) or a residual at rounding level is a breakdown."""
     beta1 = float(np.linalg.norm(v))
     if beta1 == 0.0:
         return history.record("breakdown", np.zeros(b.size), 0)
@@ -294,6 +308,7 @@ def _minres_loop(step, v, b, rule, history, alpha):
     c_prev2, s_prev2 = 1.0, 0.0
     c_prev, s_prev = 1.0, 0.0
     beta = 0.0
+    t_norm2 = 0.0
     reason = "max_iter"
     for k in range(1, rule.max_iter + 1):
         image, a_dir, s_dir = step(v)
@@ -302,13 +317,14 @@ def _minres_loop(step, v, b, rule, history, alpha):
         v_prev *= beta
         np.subtract(image - alfa * v, v_prev, out=v_prev)
         beta_next = float(np.linalg.norm(v_prev))
+        t_norm2 += alfa * alfa + beta * beta + beta_next * beta_next
         # rotate the new tridiagonal column through the two stored rotations
         eps = s_prev2 * beta
         delta_tmp = c_prev2 * beta
         delta = c_prev * delta_tmp + s_prev * alfa
         gbar = -s_prev * delta_tmp + c_prev * alfa
         gamma, c, s = _sym_ortho(gbar, beta_next)
-        if gamma == 0.0:
+        if gamma <= _SINGULAR_RTOL * math.sqrt(t_norm2):
             reason = "breakdown"
             break
         tau = c * phibar
@@ -328,7 +344,7 @@ def _minres_loop(step, v, b, rule, history, alpha):
         if rule.dp_enabled and history.dp_index is not None:
             reason = "discrepancy"
             break
-        if beta_next <= tol_break:
+        if beta_next <= tol_break or abs(phibar) <= tol_break:
             reason = "breakdown"
             break
         v_prev /= beta_next
@@ -387,147 +403,160 @@ def minres_sym_prec(A, b, p_half, rule: StoppingRule | None = None,
 # GMRES / FGMRES
 # ---------------------------------------------------------------------------
 
-class _HessenbergLS:
-    """Incremental Givens QR of the small Hessenberg least-squares problem
-    ``min ||beta e1 - Hbar y||``; the unrotated columns of ``Hbar`` are kept
-    for the residual."""
+#: Columns per slice of the blocked DCGS2 passes, so a slice stays in cache.
+_BLOCK = 8192
 
-    def __init__(self, beta: float, max_cols: int):
-        self.beta = beta
-        self.h = np.zeros((max_cols + 1, max_cols))
-        self.r = np.zeros((max_cols + 1, max_cols))
-        self.g = np.zeros(max_cols + 1)
-        self.g[0] = beta
-        self.cs: list[float] = []
-        self.sn: list[float] = []
-        self.k = 0
 
-    def push_column(self, col: np.ndarray) -> float:
-        """Add column k (entries for rows 0..k+1); returns the projected
-        residual norm of the enlarged problem."""
+class _Dcgs2:
+    """Classical Gram-Schmidt with delayed reorthogonalization (DCGS2) on the
+    rows of a preallocated basis: two passes over the basis per step
+    (Swirydowicz et al., NLAA 2021; Bielich et al., Parallel Computing 2022).
+
+    At step k, rows ``:k - 1`` are orthonormal, row ``k - 1`` holds the lagged
+    vector ``v`` (projected once, not yet reorthogonalized) and row k the new
+    vector ``w``.  :meth:`reduce` reads the basis once, for ``basis[:k + 1] @
+    [v, w]^T``, which gives ``v' = (v - V s) / gamma`` and ``w' = w - [V, v']
+    c``.  :meth:`update` writes them with one more pass, and with them any
+    combination of ``[V, v', w']``, all linear in the uncorrected rows.
+    """
+
+    def __init__(self, basis: np.ndarray, tol_break: float):
+        self.basis = basis
+        self._tol = self.tol_break = tol_break
+        self._out = np.empty((2, basis.shape[1]))
+
+    def reduce(self, k: int):
+        """Returns ``c`` and the Pythagoras estimate of ``||w'||``.  Keeps
+        ``s``, ``gamma`` and ``tol_break``: below it, relative to ``||b||`` and
+        ``||w||``, ``w'`` is rounding noise that ``gamma`` could not measure."""
+        g = np.zeros((k + 1, 2))
+        for j in range(0, self.basis.shape[1], _BLOCK):
+            blk = self.basis[:k + 1, j:j + _BLOCK]
+            g += blk @ blk[k - 1:].T
+        m = k - 1
+        self.k, self.s = k, g[:m, 0]
+        self.tol_break = max(self._tol, BREAKDOWN_RTOL * math.sqrt(g[k, 1]))
+        self.gamma = math.sqrt(g[m, 0] - self.s @ self.s)
+        # rows of [V, v', w'] as combinations of the uncorrected rows
+        self._lift = np.eye(k + 1)
+        self._lift[m, :k] = np.append(-self.s, 1.0) / self.gamma
+        c = g[:k, 1].copy()
+        c[m] = (g[m, 1] - self.s @ g[:m, 1]) / self.gamma
+        self._lift[k, :k] = -c @ self._lift[:k, :k]
+        return c, math.sqrt(max(g[k, 1] - c @ c, 0.0))
+
+    def update(self, rows=()):
+        """Writes ``v'`` and ``w'`` over rows k - 1 and k, a slice at a time
+        (read before written); returns ``||w'||`` and up to two combinations
+        of ``[V, v', w']``, valid until the next update."""
         k = self.k
-        self.h[:k + 2, k] = col
-        for i, (c, s) in enumerate(zip(self.cs, self.sn)):
-            a, b = col[i], col[i + 1]
-            col[i] = c * a + s * b
-            col[i + 1] = -s * a + c * b
-        rkk, c, s = _sym_ortho(col[k], col[k + 1])
-        self.cs.append(c)
-        self.sn.append(s)
-        col[k] = rkk
-        col[k + 1] = 0.0
-        self.r[:k + 2, k] = col
-        gk = self.g[k]
-        self.g[k] = c * gk
-        self.g[k + 1] = -s * gk
-        self.k += 1
-        return abs(self.g[self.k])
-
-    def solve(self) -> np.ndarray:
-        k = self.k
-        r = self.r[:k, :k]
-        try:
-            return np.linalg.solve(r, self.g[:k])
-        except np.linalg.LinAlgError:
-            return np.linalg.lstsq(r, self.g[:k], rcond=None)[0]
-
-    def residual_coefficients(self, y: np.ndarray) -> np.ndarray:
-        """Coefficients of ``b - A Z_k y = Q_k (beta e1 - H_k y) - y_k w`` on
-        ``[q_1 .. q_k, w]``, ``w`` the new basis vector before normalization:
-        no division, so it holds at breakdown and when ``Q`` loses
-        orthogonality."""
-        k = self.k
-        t = -(self.h[:k, :k] @ y)
-        t[0] += self.beta
-        return np.append(t, -y[-1])
+        coef = np.vstack((self._lift[k - 1:], np.reshape(rows, (-1, k + 1)) @ self._lift))
+        out = self._out[:len(coef) - 2]
+        for j in range(0, self.basis.shape[1], _BLOCK):
+            blk = coef @ self.basis[:k + 1, j:j + _BLOCK]
+            self.basis[k - 1:k + 1, j:j + _BLOCK] = blk[:2]
+            out[:, j:j + _BLOCK] = blk[2:]
+        return float(np.linalg.norm(self.basis[k])), out
 
 
-def _cgs2(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Orthogonalize ``w`` in place against the rows of ``basis`` by classical
-    Gram-Schmidt applied twice ("twice is enough"); returns the summed
-    coefficients."""
-    h = basis @ w
-    w -= h @ basis
-    c = basis @ w
-    w -= c @ basis
-    return h + c
+class _Stop(Exception):
+    """Raised by a direction map to end the run with the given stop reason."""
 
 
-def _flexible(prec_at):
+def _flexible(prec_at, b, history):
     """Direction map of the flexible solvers: ``z = P_k v`` with
     ``P_k = prec_at(k - 1, x_prev)``, or ``v`` when there is no callback or
-    it returns None."""
+    it returns None.  A degenerate ``z`` (e.g. zero weights) is recorded as
+    skipped and ``v`` takes its place; a non-finite one stops the run."""
+    tol_break = BREAKDOWN_RTOL * np.linalg.norm(b)
 
     def direction(k, v, x):
         prec = prec_at(k - 1, x) if prec_at is not None else None
         if prec is None:
             return v, None
-        return np.ravel(prec.apply(v)), getattr(prec, "alpha", None)
+        z = np.ravel(prec.apply(v))
+        z_norm = np.linalg.norm(z)
+        if not np.isfinite(z_norm):
+            raise _Stop("nonfinite")
+        if z_norm <= tol_break:
+            history.skipped.append(k)
+            z = v
+        return z, getattr(prec, "alpha", None)
 
     return direction
 
 
-def _skip_degenerate(z, v, k, tol_break, skipped):
-    """A degenerate preconditioned direction (e.g. zero weights) is skipped
-    and recorded; the plain direction ``v`` takes its place."""
-    if z is not v and np.linalg.norm(z) <= tol_break:
-        skipped.append(k)
-        return v
-    return z
-
-
-def _arnoldi(A, b, rule, history, *, direction, solution=None, flexible=False):
-    """The one Arnoldi engine behind :func:`gmres` and :func:`fgmres`.
+def _arnoldi(counted, b, rule, history, *, direction, solution=None, flexible=False):
+    """The one Arnoldi engine behind :func:`gmres`, :func:`fgmres` and
+    :func:`flsqr`; ``counted`` is the operator wrapped in :class:`_Counted`.
 
     ``direction(k, v, x_prev)`` returns the vector ``z`` the operator is
-    applied to at 1-based step k (``v``, ``P v`` or ``P_k v``) and the alpha
-    to report.  The iterate is ``solution(V y)`` (identity by default), or
-    ``Z y`` in flexible mode, where the directions are stored and degenerate
-    ones skipped.  The basis lives in one preallocated array, is kept
-    orthonormal by CGS2, and the true residual is read from the Arnoldi
-    relation, so the operator is applied exactly once per step.
+    applied to at 1-based step k (``v``, ``P v``, ``P_k v``, or ``P_k`` times
+    an adjoint image of ``v``) and the alpha to report, or raises
+    :class:`_Stop`.  In flexible mode ``A Z = V Hbar`` holds on the stored
+    directions and the iterate is ``Z y``; otherwise ``Z = V`` (times P) and
+    the iterate is ``solution(V y)``.  DCGS2 keeps the preallocated basis
+    orthonormal with two passes a step.  Correcting the lagged vector
+    rewrites the previous column, and as the image is of the uncorrected
+    ``v``, the new column is ``(c - Hbar s) / gamma`` unless flexible.  ``y``
+    comes from a Householder QR that keeps every column, with the estimated
+    subdiagonal, set to the exact ``||w'||`` afterwards.  The update pass
+    also writes ``V y`` (unless flexible) and the true residual ``b - A Z y =
+    V (beta e1 - H y) - omega y_k w'``: no division, so it holds at breakdown.
     """
-    counted = _Counted(A)
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
-        return history.record("breakdown", np.zeros(A.size), 0)
-    tol_break = BREAKDOWN_RTOL * beta
-    basis = np.empty((rule.max_iter + 1, A.size))
+        return history.record("breakdown", np.zeros(b.size), 0)
+    basis = np.empty((rule.max_iter + 1, b.size))
     basis[0] = b / beta
-    dirs = np.empty((rule.max_iter, A.size)) if flexible else None
-    ls = _HessenbergLS(beta, rule.max_iter)
-    x = np.zeros(A.size)
-    skipped: list[int] = []
+    gs = _Dcgs2(basis, BREAKDOWN_RTOL * beta)
+    dirs = np.empty((rule.max_iter, b.size)) if flexible else None
+    h = np.zeros((rule.max_iter + 1, rule.max_iter))
+    x = np.zeros(b.size)
     reason = "max_iter"
     for k in range(1, rule.max_iter + 1):
-        v = basis[k - 1]
-        z, alpha_k = direction(k, v, x)
+        try:
+            z, alpha_k = direction(k, basis[k - 1], x)
+        except _Stop as stop:
+            reason = str(stop)
+            break
         if flexible:
-            z = dirs[k - 1] = _skip_degenerate(z, v, k, tol_break, skipped)
-        w = basis[k]
-        w[:] = np.ravel(counted.apply(z))
-        h = _cgs2(basis[:k], w)
-        h_new = float(np.linalg.norm(w))
-        proj = ls.push_column(np.append(h, h_new))
-        y = ls.solve()
-        t = ls.residual_coefficients(y)
+            dirs[k - 1] = z
+        basis[k] = np.ravel(counted.apply(z))
+        m = k - 1
+        c, estimate = gs.reduce(k)
+        if m:
+            h[:m, m - 1] += h[m, m - 1] * gs.s
+            h[m, m - 1] *= gs.gamma
+        omega = 1.0 if flexible else 1.0 / gs.gamma
+        if not flexible:
+            c = c - h[:k, :m] @ gs.s
+        h[:k, m] = omega * c
+        h[k, m] = omega * estimate
+        q, r = np.linalg.qr(h[:k + 1, :k])
+        try:
+            y = np.linalg.solve(r, beta * q[0])
+        except np.linalg.LinAlgError:
+            y = np.linalg.lstsq(r, beta * q[0], rcond=None)[0]
+        t = -(h[:k, :k] @ y)
+        t[0] += beta
+        residual = np.append(t, -omega * y[m])
+        h_new, rows = gs.update([residual] if flexible else [np.append(y, 0.0), residual])
+        h[k, m] = omega * h_new
+        proj = math.hypot(float(np.linalg.norm(t)), y[m] * h[k, m])
         if flexible:
             x = y @ dirs[:k]
-            r = t @ basis[:k + 1]
         else:
-            # iterate coefficients and residual in one pass over the basis
-            u, r = np.vstack((np.append(y, 0.0), t)) @ basis[:k + 1]
-            x = u if solution is None else solution(u)
-        res_true = float(np.linalg.norm(r))
-        history.push(x, res_true, proj, alpha_k)
+            x = rows[0] if solution is None else solution(rows[0])
+        history.push(x, float(np.linalg.norm(rows[-1])), proj, alpha_k)
         if rule.dp_enabled and history.dp_index is not None:
             reason = "discrepancy"
             break
-        if h_new <= tol_break:
+        if h_new <= gs.tol_break:
             reason = "breakdown"
             break
-        w /= h_new
-    return history.record(reason, x, counted.count, skipped)
+        basis[k] /= h_new
+    return history.record(reason, x, counted.count)
 
 
 def gmres(A, b, rule: StoppingRule | None = None, right_prec=None,
@@ -546,9 +575,9 @@ def gmres(A, b, rule: StoppingRule | None = None, right_prec=None,
         )
     history = _History(x_true, rule)
     if right_prec is None:
-        return _arnoldi(A, b, rule, history, direction=lambda k, v, x: (v, None))
+        return _arnoldi(_Counted(A), b, rule, history, direction=lambda k, v, x: (v, None))
     alpha = getattr(right_prec, "alpha", None)
-    return _arnoldi(A, b, rule, history,
+    return _arnoldi(_Counted(A), b, rule, history,
                     direction=lambda k, v, x: (np.ravel(right_prec.apply(v)), alpha),
                     solution=lambda u: np.ravel(right_prec.apply(u)))
 
@@ -559,15 +588,16 @@ def fgmres(A, b, prec_at=None, rule: StoppingRule | None = None,
     0-based iteration k, given the previous solution estimate.
 
     The preconditioned directions are stored and combined directly, so the
-    preconditioner may change freely.  A constant identity callback runs the
-    same Arnoldi arithmetic as unpreconditioned :func:`gmres`; only the final
-    combinations differ (``Z y`` and the residual as two products instead of
-    one), so the two agree to rounding.
+    preconditioner may change freely; a non-finite direction stops the run.
+    They are taken of the lagged basis vector, which storing them absorbs:
+    with a constant identity callback they span the basis of :func:`gmres`,
+    so the two agree to rounding.
     """
     rule = rule or StoppingRule()
     b = _flat(b, A.size)
     history = _History(x_true, rule)
-    return _arnoldi(A, b, rule, history, direction=_flexible(prec_at), flexible=True)
+    return _arnoldi(_Counted(A), b, rule, history,
+                    direction=_flexible(prec_at, b, history), flexible=True)
 
 
 # ---------------------------------------------------------------------------
@@ -665,64 +695,34 @@ def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None,
     """Flexible LSQR: Golub-Kahan with an iteration-dependent right
     preconditioner supplied by ``prec_at(k, x_prev)``.
 
-    Both generated bases are kept orthonormal by CGS2 (flexibility breaks the
-    bidiagonal short recurrence, so the projected problem is upper
-    Hessenberg).  The true residual is read from the flexible Golub-Kahan
-    relation ``A Z_k = U_{k+1} Mbar_k``, so one iteration costs one forward
-    and one adjoint application.  With a constant identity callback the
-    projected problem is bidiagonal again and the method reduces to
-    :func:`lsqr`.
+    Flexibility breaks the bidiagonal short recurrence, so the projected
+    problem is upper Hessenberg: this is the flexible :func:`_arnoldi` engine
+    on A, whose basis is ``U``, with directions ``P_k v_k``.  Each ``v_k`` is
+    the adjoint image of the latest ``u`` made orthonormal to the earlier
+    ones by DCGS2 as well.  The true residual is read from the flexible
+    Golub-Kahan relation ``A Z_k = U_{k+1} Mbar_k``, so one iteration costs
+    one forward and one adjoint application.  A non-finite preconditioned
+    direction stops the run.  With a constant identity callback the projected
+    problem is bidiagonal again and the method reduces to :func:`lsqr`.
     """
     rule = rule or StoppingRule()
     b = _flat(b, A.size)
     counted = _Counted(A)
     history = _History(x_true, rule)
-    beta1 = float(np.linalg.norm(b))
-    if beta1 == 0.0:
-        return history.record("breakdown", np.zeros(A.size), 0)
-    tol_break = BREAKDOWN_RTOL * beta1
-    u_basis = np.empty((rule.max_iter + 1, A.size))
     v_basis = np.empty((rule.max_iter, A.size))
-    dirs = np.empty((rule.max_iter, A.size))
-    u_basis[0] = b / beta1
-    s0 = np.ravel(counted.apply_adjoint(u_basis[0]))
-    alfa = float(np.linalg.norm(s0))
-    if alfa == 0.0:
-        return history.record("breakdown", np.zeros(A.size), counted.count)
-    v_basis[0] = s0 / alfa
-    direction = _flexible(prec_at)
-    ls = _HessenbergLS(beta1, rule.max_iter)
-    x = np.zeros(A.size)
-    skipped: list[int] = []
-    reason = "max_iter"
-    for k in range(1, rule.max_iter + 1):
-        v = v_basis[k - 1]
-        zdir, alpha_k = direction(k, v, x)
-        zdir = dirs[k - 1] = _skip_degenerate(zdir, v, k, tol_break, skipped)
-        w = u_basis[k]
-        w[:] = np.ravel(counted.apply(zdir))
-        m = _cgs2(u_basis[:k], w)
-        m_new = float(np.linalg.norm(w))
-        proj = ls.push_column(np.append(m, m_new))
-        y = ls.solve()
-        x = y @ dirs[:k]
-        res_true = float(np.linalg.norm(ls.residual_coefficients(y) @ u_basis[:k + 1]))
-        history.push(x, res_true, proj, alpha_k)
-        if rule.dp_enabled and history.dp_index is not None:
-            reason = "discrepancy"
-            break
-        if m_new <= tol_break:
-            reason = "breakdown"
-            break
-        if k == rule.max_iter:
-            break  # no step follows that would use the next adjoint image
-        w /= m_new
-        snew = v_basis[k]
-        snew[:] = np.ravel(counted.apply_adjoint(w))
-        _cgs2(v_basis[:k], snew)
-        s_norm = float(np.linalg.norm(snew))
-        if s_norm <= tol_break:
-            reason = "breakdown"
-            break
-        snew /= s_norm
-    return history.record(reason, x, counted.count, skipped)
+    v_gs = _Dcgs2(v_basis, BREAKDOWN_RTOL * np.linalg.norm(b))
+    preconditioned = _flexible(prec_at, b, history)
+
+    def direction(k, u, x):
+        v_basis[k - 1] = np.ravel(counted.apply_adjoint(u))
+        if k == 1:
+            v_norm = float(np.linalg.norm(v_basis[0]))
+        else:
+            v_gs.reduce(k - 1)
+            v_norm, _ = v_gs.update()
+        if v_norm <= v_gs.tol_break:
+            raise _Stop("breakdown")
+        v_basis[k - 1] /= v_norm
+        return preconditioned(k, v_basis[k - 1], x)
+
+    return _arnoldi(counted, b, rule, history, direction=direction, flexible=True)

@@ -67,6 +67,25 @@ def iterates(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def bases(monkeypatch):
+    """The orthonormal rows of every basis a solver grew by DCGS2, read after
+    the solve: rows ``:k`` are final once the update of step k has run."""
+    last = {}
+    update = solvers._Dcgs2.update
+
+    def recording_update(self, *args):
+        last[id(self.basis)] = (self.basis, self.k)
+        return update(self, *args)
+
+    monkeypatch.setattr(solvers._Dcgs2, "update", recording_update)
+    return lambda: [basis[:k] for basis, k in last.values()]
+
+
+def _orthogonality_loss(rows):
+    return np.linalg.norm(np.eye(len(rows)) - rows @ rows.T, 2)
+
+
 # ---------------------------------------------------------------------------
 # StoppingRule / SolveRecord / discrepancy_stop
 
@@ -187,6 +206,29 @@ def test_minres_flip_blur_residuals_nonincreasing():
     res = rec.res_norm
     assert all(res[i + 1] <= res[i] + 1e-12 * res[0] for i in range(len(res) - 1))
     assert res[-1] <= res[0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("rhs", ["random", "range"])
+def test_minres_singular_map_iterates_stay_bounded(seed, rhs):
+    # eigenvalues (1, -1.5, 2, 0.5, -0.8, 0, 0, 0): T_6 is singular and the
+    # Krylov space exhausted, so gamma at step 6 is rounding noise and the
+    # run must stop on the least-squares iterate of step 5; with b in the
+    # range that iterate is exact and the run must not drift past it
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    mat = (q * np.array([1.0, -1.5, 2.0, 0.5, -0.8, 0.0, 0.0, 0.0])) @ q.T
+    b = _unit_rhs(8, seed + 10)
+    if rhs == "range":
+        b = mat @ np.linalg.lstsq(mat, b, rcond=None)[0]
+    rec = minres(LinearMap.from_matrix(mat), b, StoppingRule(max_iter=20))
+    least = np.linalg.norm(b - mat @ np.linalg.lstsq(mat, b, rcond=None)[0])
+    direct = np.linalg.norm(b - mat @ rec.x_stop)
+    assert rec.stop_reason == "breakdown" and rec.iterations == 5
+    assert np.linalg.norm(rec.x_stop) <= 10.0
+    assert np.linalg.norm(rec.x_best) <= 10.0
+    assert abs(direct - least) <= 1e-12
+    assert abs(rec.res_norm[-1] - direct) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +459,26 @@ def test_fgmres_zero_direction_skipped_and_recorded():
     rec = fgmres(LinearMap.from_matrix(mat), b, supplier, StoppingRule(max_iter=5))
     assert rec.skipped == [1]
     assert rec.iterations == 5  # run continues on the fallback direction
+
+
+@pytest.mark.parametrize("method", ["fgmres", "flsqr"])
+def test_nonfinite_preconditioner_output_stops_run(method):
+    # a NaN direction is caught before A is applied to it; the run keeps the
+    # iterate of the step before
+    mat = np.eye(8) + 0.1 * np.random.default_rng(0).standard_normal((8, 8))
+    b = np.random.default_rng(1).standard_normal(8)
+    op, calls = _counting_map(mat)
+    broken = LinearMap(8, lambda v: np.full(v.size, np.nan))
+
+    def supplier(k, x_prev):
+        return broken if k == 2 else IdentityOperator(8)
+
+    solve = fgmres if method == "fgmres" else flsqr
+    rec = solve(op, b, supplier, StoppingRule(max_iter=6))
+    assert rec.stop_reason == "nonfinite"
+    assert rec.iterations == 2 and calls["apply"] == 2
+    assert np.all(np.isfinite(rec.res_norm)) and np.all(np.isfinite(rec.x_stop))
+    assert abs(rec.res_norm[-1] - np.linalg.norm(b - mat @ rec.x_stop)) <= 1e-12
 
 
 def test_fgmres_sparse_truth_flip_side_converges_plain_side_stalls():
@@ -744,6 +806,93 @@ def test_flsqr_sparsity_weights_concentrate_support(iterates):
     assert first < 0.25
     assert last > 0.8
     assert last > first
+
+
+# ---------------------------------------------------------------------------
+# DCGS2 bases
+
+
+@pytest.mark.parametrize("method", ["YA", "YAP", "YAPW", "FLSQR"])
+def test_dcgs2_bases_orthonormal_after_60_steps(method, bases):
+    # reflective two-motion blur: every basis DCGS2 grows stays orthonormal
+    # to rounding, including both FLSQR bases
+    psf = make_two_motion_psf(9, 45.0, 135.0)
+    prob = make_problem(natural_scene(32, seed=7), psf, "reflective", 0.01, 42)
+    prec = circulant_abs_tikhonov(bccb_eigenvalues(psf, 32), 0.1)
+    fop = FlipComposedOperator(prob.operator)
+    rhs = apply_flip(prob.b.ravel())
+    rule = StoppingRule(max_iter=60)
+
+    def weighted(k, x_prev):
+        return ComposedOperator(sparsity_weights(x_prev), prec) if np.any(x_prev) else prec
+
+    if method == "YA":
+        rec = gmres(fop, rhs, rule)
+    elif method == "YAP":
+        rec = gmres(fop, rhs, rule, right_prec=prec)
+    elif method == "YAPW":
+        rec = fgmres(fop, rhs, weighted, rule)
+    else:
+        rec = flsqr(prob.operator, prob.b.ravel(), weighted, rule)
+    assert rec.iterations == 60
+    final = bases()
+    assert [len(rows) for rows in final] == ([60, 59] if method == "FLSQR" else [60])
+    for rows in final:
+        assert _orthogonality_loss(rows) <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["gmres", "gmres-right-prec", "fgmres", "flsqr"])
+def test_dcgs2_reorthogonalizes_where_one_pass_is_not_enough(method, bases):
+    # On the blur problems one Gram-Schmidt pass alone keeps the basis within
+    # 5e-14 of orthonormal.  Here five eigenvalues near 1e6 are found first,
+    # then each image is dominated by what the basis already holds, so a
+    # basis whose lagged vectors were never corrected loses orthogonality,
+    # and a Hessenberg column left on the uncorrected vector, or on the
+    # estimated subdiagonal, shows in the residual (eps ||A|| ||x|| = 1.5e-10).
+    n = 100
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    mat = (q * np.concatenate((1e6 + np.arange(5.0), np.linspace(1.0, 2.0, n - 5)))) @ q.T
+    b = q @ np.ones(n) / np.sqrt(n)
+    weights = 0.5 + rng.random(n)
+    rule = StoppingRule(max_iter=60)
+    op = LinearMap.from_matrix(mat)
+    if method == "gmres":
+        rec = gmres(op, b, rule)
+    elif method == "gmres-right-prec":
+        rec = gmres(op, b, rule, right_prec=DiagonalOperator(weights))
+    elif method == "fgmres":
+        rec = fgmres(op, b, lambda k, x_prev: DiagonalOperator(weights ** (k % 3)), rule)
+    else:
+        rec = flsqr(op, b, lambda k, x_prev: DiagonalOperator(weights ** (k % 3)), rule)
+    assert rec.iterations == 60
+    assert abs(rec.res_norm[-1] - np.linalg.norm(b - mat @ rec.x_stop)) <= 1e-9
+    for rows in bases():
+        assert _orthogonality_loss(rows) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+@pytest.mark.parametrize("method", ["gmres", "fgmres", "flsqr"])
+def test_dcgs2_breakdown_right_after_lagged_correction(method, scale, bases):
+    # three distinct eigenvalues: step 3 corrects the lagged basis vector and
+    # exhausts the Krylov space.  The remainder is rounding noise relative to
+    # the image, so the run stops there at any operator scale.
+    rng = np.random.default_rng(9)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    mat = scale * (q * np.array([1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0, 2.0])) @ q.T
+    b = _unit_rhs(8, 3)
+    rule = StoppingRule(max_iter=12)
+    if method == "gmres":
+        rec = gmres(LinearMap.from_matrix(mat), b, rule)
+    elif method == "fgmres":
+        rec = fgmres(LinearMap.from_matrix(mat), b, lambda k, x_prev: IdentityOperator(8), rule)
+    else:
+        rec = flsqr(LinearMap.from_matrix(mat), b, None, rule)
+    assert rec.stop_reason == "breakdown" and rec.iterations == 3
+    assert np.linalg.norm(b - mat @ rec.x_stop) <= 1e-12
+    assert abs(rec.res_norm[-1] - np.linalg.norm(b - mat @ rec.x_stop)) <= 1e-12
+    for rows in bases():
+        assert _orthogonality_loss(rows) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
