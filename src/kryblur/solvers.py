@@ -39,6 +39,7 @@ solver loop; only the MINRES symmetry probe goes uncharged.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -248,6 +249,11 @@ def _flat(b, size, what="right-hand side"):
     return b
 
 
+def _check_prec(prec, size):
+    if prec is not None and prec.size != size:
+        raise ValueError(f"preconditioner size {prec.size} does not match operator {size}")
+
+
 def _sym_ortho(a: float, b: float):
     """Stable Givens rotation: returns (r, c, s) with c*a + s*b = r and
     -s*a + c*b = 0."""
@@ -383,10 +389,7 @@ def minres_sym_prec(A, b, p_half, rule: StoppingRule | None = None,
     """
     rule = rule or StoppingRule()
     b = _flat(b, A.size)
-    if p_half.size != A.size:
-        raise ValueError(
-            f"preconditioner size {p_half.size} does not match operator {A.size}"
-        )
+    _check_prec(p_half, A.size)
 
     def step(z):
         pz = np.ravel(p_half.apply(z))
@@ -405,6 +408,18 @@ def minres_sym_prec(A, b, p_half, rule: StoppingRule | None = None,
 
 #: Columns per slice of the blocked DCGS2 passes, so a slice stays in cache.
 _BLOCK = 8192
+
+
+def _mapped(rows: int, n: int) -> np.ndarray:
+    """An uninitialized ``(rows, n)`` float array in an anonymous mapping of
+    its own, unmapped when freed.  From malloc, a freed basis raises the mmap
+    threshold, the next one lands in the heap, and whether it fits the hole
+    decided whether the heap grew: peak memory of the same solves varied from
+    run to run by a basis.  From 4 MiB up, huge pages as numpy asks for them."""
+    buf = mmap.mmap(-1, max(rows * n * 8, 1))
+    if rows * n * 8 >= 1 << 22 and hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, count=rows * n).reshape(rows, n)
 
 
 class _Dcgs2:
@@ -507,10 +522,10 @@ def _arnoldi(counted, b, rule, history, *, direction, solution=None, flexible=Fa
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
         return history.record("breakdown", np.zeros(b.size), 0)
-    basis = np.empty((rule.max_iter + 1, b.size))
+    basis = _mapped(rule.max_iter + 1, b.size)
     basis[0] = b / beta
     gs = _Dcgs2(basis, BREAKDOWN_RTOL * beta)
-    dirs = np.empty((rule.max_iter, b.size)) if flexible else None
+    dirs = _mapped(rule.max_iter, b.size) if flexible else None
     h = np.zeros((rule.max_iter + 1, rule.max_iter))
     x = np.zeros(b.size)
     reason = "max_iter"
@@ -569,10 +584,7 @@ def gmres(A, b, rule: StoppingRule | None = None, right_prec=None,
     """
     rule = rule or StoppingRule()
     b = _flat(b, A.size)
-    if right_prec is not None and right_prec.size != A.size:
-        raise ValueError(
-            f"preconditioner size {right_prec.size} does not match operator {A.size}"
-        )
+    _check_prec(right_prec, A.size)
     history = _History(x_true, rule)
     if right_prec is None:
         return _arnoldi(_Counted(A), b, rule, history, direction=lambda k, v, x: (v, None))
@@ -618,10 +630,7 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
     """
     rule = rule or StoppingRule()
     b = _flat(b, A.size)
-    if right_prec is not None and right_prec.size != A.size:
-        raise ValueError(
-            f"preconditioner size {right_prec.size} does not match operator {A.size}"
-        )
+    _check_prec(right_prec, A.size)
     counted = _Counted(A)
     history = _History(x_true, rule)
 
@@ -709,7 +718,7 @@ def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None,
     b = _flat(b, A.size)
     counted = _Counted(A)
     history = _History(x_true, rule)
-    v_basis = np.empty((rule.max_iter, A.size))
+    v_basis = _mapped(rule.max_iter, A.size)
     v_gs = _Dcgs2(v_basis, BREAKDOWN_RTOL * np.linalg.norm(b))
     preconditioned = _flexible(prec_at, b, history)
 
