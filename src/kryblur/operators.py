@@ -9,11 +9,13 @@ symmetric) conditions it picks up Toeplitz-plus-Hankel corrections.  All three
 are applied through one code path: pad the image according to the boundary
 rule, circularly convolve on the padded grid with real FFTs (the image and the
 kernel are real, so only half of each spectrum is formed), and crop back to
-the field of view.
+the field of view.  The circulant preconditioners apply their eigenvalue grids
+through the same real-FFT filter, and both reject complex images.
 
 The trigonometric polynomial generated by the PSF (its "symbol") ties the
 operator to its circulant relatives: sampled on the uniform n-by-n frequency
 grid it gives exactly the eigenvalues of the periodic-boundary operator.
+:func:`bccb_eigenvalues` is the one evaluator of that grid.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "Psf",
     "BlurOperator",
     "FlipComposedOperator",
-    "sample_symbol",
     "bccb_eigenvalues",
     "apply_flip",
     "materialize_dense",
@@ -186,29 +187,6 @@ def _check_support(psf: Psf, n: int):
         raise ValueError("image side must be positive")
 
 
-def sample_symbol(psf: Psf, n: int) -> np.ndarray:
-    """Sample the PSF's generating trigonometric polynomial on the n-grid.
-
-    Entry (i, j) is  sum_{r,c} h[r,c] * exp(1i*(r*2*pi*i/n + c*2*pi*j/n))
-    with (r, c) running over spatial offsets from the center.
-
-    For a normalized PSF the (0, 0) entry equals 1: the operator preserves
-    constant images up to boundary effects.
-    """
-    _check_support(psf, n)
-    return _evaluate_symbol(psf, 2.0 * np.pi * np.arange(n) / n)
-
-
-def _evaluate_symbol(psf: Psf, theta: np.ndarray) -> np.ndarray:
-    # The generating polynomial at (theta[i], theta[j]) for every pair,
-    # factorized by kernel rows: exact up to roundoff and cheap for the
-    # small supports used here.
-    col_phase = np.exp(1j * np.outer(psf.col_offsets, theta))   # (kc, m)
-    inner = psf.kernel @ col_phase                              # (kr, m)
-    row_phase = np.exp(1j * np.outer(theta, psf.row_offsets))   # (m, kr)
-    return row_phase @ inner
-
-
 def _first_circulant_column(psf: Psf, shape: tuple[int, int]) -> np.ndarray:
     # Kernel entries spread on a grid of the given shape at their offsets
     # taken modulo the grid: the first column of the periodic-boundary
@@ -220,22 +198,28 @@ def _first_circulant_column(psf: Psf, shape: tuple[int, int]) -> np.ndarray:
 
 
 def bccb_eigenvalues(psf: Psf, n: int) -> np.ndarray:
-    """Eigenvalue grid of the periodic-boundary operator.
+    """The PSF symbol on the uniform n-by-n frequency grid: the eigenvalue
+    grid of the periodic-boundary operator, and the one symbol evaluator.
 
-    Computed as the (conjugated) 2-D DFT of the first circulant column, i.e.
-    the circularly shifted PSF; entry (i, j) equals the symbol sampled at
-    frequency (2*pi*i/n, 2*pi*j/n), so this agrees elementwise with
-    :func:`sample_symbol`.
+    Entry (i, j) is  sum_{r,c} h[r,c] * exp(1i*(r*2*pi*i/n + c*2*pi*j/n))
+    with (r, c) running over spatial offsets from the center, computed as
+    the conjugated 2-D DFT of the first circulant column (the circularly
+    shifted PSF), so the cost does not grow with the PSF support.  The grid
+    of a real PSF is conjugate-symmetric; for a normalized PSF the (0, 0)
+    entry is 1.
     """
     _check_support(psf, n)
     return np.conj(_fft.fft2(_first_circulant_column(psf, (n, n))))
 
 
-def _image_stack(x, n: int, dtype=None) -> tuple[np.ndarray, np.ndarray]:
-    # Accept an n-by-n image or a flat length-n^2 vector, batched along any
-    # leading axes.  Returns the array and its view as a stack of images;
-    # results are reshaped back to the array's shape.
-    arr = np.asarray(x, dtype=dtype)
+def _image_stack(x, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # Accept a real n-by-n image or a flat length-n^2 vector, batched along
+    # any leading axes.  Returns the float array and its view as a stack of
+    # images; results are reshaped back to the array's shape.
+    arr = np.asarray(x)
+    if np.iscomplexobj(arr):
+        raise ValueError("expected real image(s), got complex input")
+    arr = arr.astype(float, copy=False)
     if arr.shape[-1:] == (n * n,):
         return arr, arr.reshape(arr.shape[:-1] + (n, n))
     if arr.shape[-2:] == (n, n):
@@ -244,6 +228,14 @@ def _image_stack(x, n: int, dtype=None) -> tuple[np.ndarray, np.ndarray]:
         f"expected image(s) of shape {(n, n)} or stacked vectors of length "
         f"{n * n}, got shape {arr.shape}"
     )
+
+
+def _rfft_filter(images: np.ndarray, half: np.ndarray) -> np.ndarray:
+    # Multiply a stack of real images by a conjugate-symmetric frequency grid
+    # given as its half spectrum; s= restores the last axis, whose length may
+    # be odd.
+    return _fft.irfft2(_fft.rfft2(images, axes=(-2, -1)) * half,
+                       s=images.shape[-2:], axes=(-2, -1))
 
 
 def apply_flip(x: np.ndarray) -> np.ndarray:
@@ -290,18 +282,15 @@ class BlurOperator:
         return self.n * self.n
 
     def _convolve(self, x, kernel_hat):
-        arr, work = _image_stack(x, self.n, float)
+        arr, work = _image_stack(x, self.n)
         (pr, ar), (pc, ac) = self._pad
         pad_width = [(0, 0)] * (work.ndim - 2) + [(pr, ar), (pc, ac)]
         padded = np.pad(work, pad_width, mode=_PAD_MODE[self.bc])
-        # s= restores the last axis, whose length may be odd
-        out = _fft.irfft2(_fft.rfft2(padded, axes=(-2, -1)) * kernel_hat,
-                          s=padded.shape[-2:], axes=(-2, -1))
-        out = out[..., pr:pr + self.n, pc:pc + self.n]
+        out = _rfft_filter(padded, kernel_hat)[..., pr:pr + self.n, pc:pc + self.n]
         return np.ascontiguousarray(out).reshape(arr.shape)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Blur. Accepts an n-by-n image or a flat length-n^2 vector (also
+        """Blur. Accepts a real n-by-n image or a flat length-n^2 vector (also
         batched along leading axes); returns the same shape."""
         return self._convolve(x, self._kernel_hat)
 

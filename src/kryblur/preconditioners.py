@@ -1,10 +1,12 @@
 """Circulant and diagonal preconditioners built from the blur symbol.
 
 A circulant operator is fixed by its eigenvalue grid on the uniform n-by-n
-frequency grid; application is one DFT, an elementwise scale, and one inverse
-DFT, taken over half the spectrum for a real image and a conjugate-symmetric
-grid (as a real PSF gives).  The constructors below turn the sampled blur
-symbol into filter-style eigenvalue grids:
+frequency grid; application is one real DFT, an elementwise scale, and one
+inverse real DFT over half the spectrum, the filter the blur uses too.  It
+acts on real images only, so the grid must be conjugate-symmetric, as the
+symbol of a real PSF (``bccb_eigenvalues``) and every grid derived from it
+below are.  The constructors below turn that symbol grid into filter-style
+eigenvalue grids:
 
 * ``circulant_tikhonov``      conj(s) / (|s|^2 + alpha), the circulant whose
   application IS the Tikhonov-regularized deconvolution for periodic
@@ -26,9 +28,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
 
-from .operators import _image_stack
+from .operators import _image_stack, _rfft_filter
 
 __all__ = [
     "CirculantOperator",
@@ -51,13 +52,14 @@ _IMAG_RTOL = 1e-10
 
 
 class CirculantOperator:
-    """Block-circulant operator defined by its eigenvalue grid.
+    """Block-circulant operator on real images, defined by its eigenvalue grid.
 
-    The eigenvectors are the 2-D Fourier vectors; applying the operator to an
-    image is ``fft2(ifft2(x) * eigs)``.  Real input with a conjugate-symmetric
-    grid (``eigs[i, j] == conj(eigs[-i, -j])`` within 1e-10 of max |eigs|)
-    takes the half-spectrum path ``irfft2(rfft2(x) * conj(eigs[:, :n//2+1]))``,
-    whose result is real.  Other input and grids return the complex result.
+    The Fourier mode ``exp(-2j*pi*(p*i + q*j)/n)`` has eigenvalue
+    ``eigs[p, q]``, so the operator is ``fft2(ifft2(x) * eigs)``.  It is
+    applied as the real-FFT filter with half grid ``conj(eigs[:, :n//2+1])``,
+    which is exact when the grid is conjugate-symmetric: ``eigs[i, j] ==
+    conj(eigs[-i, -j])`` within 1e-10 of max |eigs|.  Any other grid raises
+    ``ValueError`` on the first apply, and so does complex input.
 
     ``alpha`` is bookkeeping only: constructors record the regularization
     parameter they were built with so solver histories can log it.
@@ -76,26 +78,21 @@ class CirculantOperator:
         return self.n * self.n
 
     @functools.cached_property
-    def _half_spectrum(self) -> np.ndarray | None:
-        # conj(eigs) on the half grid, or None for a grid that is not
-        # conjugate-symmetric; checked lazily, on the first real apply.
+    def _half_spectrum(self) -> np.ndarray:
+        # conj(eigs) on the half grid; checked lazily, on the first apply.
         mirrored = np.roll(self.eigs[::-1, ::-1], 1, axis=(0, 1))
         defect = np.abs(self.eigs - np.conj(mirrored)).max(initial=0.0)
         if not defect <= _IMAG_RTOL * np.abs(self.eigs).max(initial=0.0):
-            return None
+            raise ValueError(
+                "circulant eigenvalue grid is not conjugate-symmetric (defect "
+                f"{defect:.3e}); only grids of real operators are supported"
+            )
         return np.conj(self.eigs[:, :self.n // 2 + 1])
 
     def _scale(self, x, adjoint: bool):
         arr, work = _image_stack(x, self.n)
-        half = None if np.iscomplexobj(arr) else self._half_spectrum
-        if half is not None:
-            out = _fft.irfft2(_fft.rfft2(work, axes=(-2, -1))
-                              * (np.conj(half) if adjoint else half),
-                              s=(self.n, self.n), axes=(-2, -1))
-        else:
-            eigs = np.conj(self.eigs) if adjoint else self.eigs
-            out = _fft.fft2(_fft.ifft2(work, axes=(-2, -1)) * eigs, axes=(-2, -1))
-        return out.reshape(arr.shape)
+        half = self._half_spectrum
+        return _rfft_filter(work, np.conj(half) if adjoint else half).reshape(arr.shape)
 
     def apply(self, x):
         return self._scale(x, adjoint=False)
@@ -171,13 +168,6 @@ class ComposedOperator:
         return self.first.apply_adjoint(self.second.apply_adjoint(y))
 
 
-def _as_grid(symbol) -> np.ndarray:
-    grid = np.asarray(getattr(symbol, "eigs", symbol))
-    if grid.ndim != 2 or grid.shape[0] != grid.shape[1]:
-        raise ValueError(f"symbol grid must be square 2-D, got {grid.shape}")
-    return grid.astype(complex)
-
-
 def circulant_tikhonov(symbol, alpha: float) -> CirculantOperator:
     """Circulant Tikhonov filter: eigenvalues conj(s) / (|s|^2 + alpha).
 
@@ -186,7 +176,7 @@ def circulant_tikhonov(symbol, alpha: float) -> CirculantOperator:
     ``alpha == 0`` it degenerates to plain inversion, which is only allowed
     when no symbol sample vanishes.
     """
-    grid = _as_grid(symbol)
+    grid = np.asarray(symbol)
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     power = np.abs(grid) ** 2
@@ -209,7 +199,7 @@ def circulant_abs_tikhonov(symbol, alpha: float) -> CirculantOperator:
     a normalized PSF; under zero boundaries O(n) boundary eigenvalues of the
     preconditioned flipped matrix exceed it.
     """
-    grid = _as_grid(symbol)
+    grid = np.asarray(symbol)
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     mag = np.abs(grid)
@@ -224,7 +214,7 @@ def circulant_threshold(symbol, eps: float) -> CirculantOperator:
     reciprocals.  Samples with |s| exactly eps fall in the "noise" branch and
     map to 1.
     """
-    grid = _as_grid(symbol)
+    grid = np.asarray(symbol)
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     mag = np.abs(grid)
@@ -298,8 +288,7 @@ class PreconditionerSchedule:
             return circulant_abs_tikhonov(symbol, alpha)
         if self.variant == "threshold":
             return circulant_threshold(symbol, alpha)
-        grid = _as_grid(symbol)
-        return IdentityOperator(grid.shape[0] ** 2)
+        return IdentityOperator(np.size(symbol))
 
 
 def sparsity_weights(x_prev: np.ndarray) -> DiagonalOperator:

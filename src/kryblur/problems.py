@@ -703,17 +703,8 @@ def _run_method(label: str, problem: NoisyProblem, cfg: ExperimentConfig) -> tup
     return record, time.perf_counter() - start
 
 
-def _alpha_column(spec: MethodSpec, cfg: ExperimentConfig, record: SolveRecord) -> list[float | None]:
-    if spec.solver in _FLEXIBLE:
-        return list(record.alpha)
-    if spec.prec:
-        return [cfg.alpha0] * record.iterations
-    return [None] * record.iterations
-
-
 def _write_artifacts(
     label: str,
-    spec: MethodSpec,
     record: SolveRecord,
     problem: NoisyProblem,
     cfg: ExperimentConfig,
@@ -722,11 +713,9 @@ def _write_artifacts(
 ) -> MethodRun:
     directory.mkdir(parents=True, exist_ok=True)
     n = problem.operator.n
-    alphas = _alpha_column(spec, cfg, record)
-
     rows = ["iter,res_norm,rre,psnr,alpha"]
     for i in range(record.iterations):
-        alpha = "" if alphas[i] is None else repr(float(alphas[i]))
+        alpha = "" if record.alpha[i] is None else repr(float(record.alpha[i]))
         rows.append(
             f"{i + 1},{record.res_norm[i]!r},{record.rre[i]!r},"
             f"{record.psnr[i]!r},{alpha}"
@@ -793,10 +782,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[MethodRun]:
     outdir = Path(cfg.outdir)
     runs = []
     for label in cfg.methods:
-        spec = parse_method_label(label)
         record, wall = _run_method(label, problem, cfg)
         directory = outdir / label.replace(" ", "-")
         runs.append(
-            _write_artifacts(label, spec, record, problem, cfg, directory, wall)
+            _write_artifacts(label, record, problem, cfg, directory, wall)
         )
     return runs

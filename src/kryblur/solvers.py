@@ -60,10 +60,14 @@ __all__ = [
     "discrepancy_stop",
 ]
 
-#: A candidate basis vector with norm below this times ||b|| ends the
-#: iteration (Lanczos/Arnoldi/Golub-Kahan breakdown, including the happy
-#: exact-solve kind); so does a Gram-Schmidt remainder below this times the
-#: image it came from, which is rounding noise.
+#: A new basis vector with norm below this times the norm of the image it
+#: came from ends the iteration: the Krylov space is exhausted to rounding
+#: (Lanczos/Arnoldi/Golub-Kahan breakdown, including the happy exact-solve
+#: kind).  The image is ``A v`` for MINRES and LSQR (and ``A^T u``), and the
+#: vector before Gram-Schmidt for the Arnoldi engine, so the test does not
+#: depend on the scale of A or b.  A flexible direction ``P_k v`` with norm
+#: below this (``v`` is a unit vector) is skipped.  MINRES also stops at a
+#: residual below this times ``||b||``.
 BREAKDOWN_RTOL = 1e-14
 
 _SYMMETRY_RTOL = 1e-8
@@ -304,7 +308,6 @@ def _minres_loop(step, v, b, rule, history, alpha):
     beta1 = float(np.linalg.norm(v))
     if beta1 == 0.0:
         return history.record("breakdown", np.zeros(b.size), 0)
-    tol_break = BREAKDOWN_RTOL * beta1
     v_prev = np.zeros(b.size)
     v = v / beta1
     # rows [d, A d] of the two previous directions; rows [x, b - A x]
@@ -323,7 +326,8 @@ def _minres_loop(step, v, b, rule, history, alpha):
         v_prev *= beta
         np.subtract(image - alfa * v, v_prev, out=v_prev)
         beta_next = float(np.linalg.norm(v_prev))
-        t_norm2 += alfa * alfa + beta * beta + beta_next * beta_next
+        image_norm2 = alfa * alfa + beta * beta + beta_next * beta_next  # ||A v||^2
+        t_norm2 += image_norm2
         # rotate the new tridiagonal column through the two stored rotations
         eps = s_prev2 * beta
         delta_tmp = c_prev2 * beta
@@ -350,7 +354,8 @@ def _minres_loop(step, v, b, rule, history, alpha):
         if rule.dp_enabled and history.dp_index is not None:
             reason = "discrepancy"
             break
-        if beta_next <= tol_break or abs(phibar) <= tol_break:
+        if (beta_next <= BREAKDOWN_RTOL * math.sqrt(image_norm2)
+                or abs(phibar) <= BREAKDOWN_RTOL * beta1):
             reason = "breakdown"
             break
         v_prev /= beta_next
@@ -435,22 +440,22 @@ class _Dcgs2:
     combination of ``[V, v', w']``, all linear in the uncorrected rows.
     """
 
-    def __init__(self, basis: np.ndarray, tol_break: float):
+    def __init__(self, basis: np.ndarray):
         self.basis = basis
-        self._tol = self.tol_break = tol_break
+        self.tol_break = 0.0
         self._out = np.empty((2, basis.shape[1]))
 
     def reduce(self, k: int):
         """Returns ``c`` and the Pythagoras estimate of ``||w'||``.  Keeps
-        ``s``, ``gamma`` and ``tol_break``: below it, relative to ``||b||`` and
-        ``||w||``, ``w'`` is rounding noise that ``gamma`` could not measure."""
+        ``s``, ``gamma`` and ``tol_break``: below it, relative to ``||w||``,
+        ``w'`` is rounding noise.  ``tol_break`` is 0 until the first call."""
         g = np.zeros((k + 1, 2))
         for j in range(0, self.basis.shape[1], _BLOCK):
             blk = self.basis[:k + 1, j:j + _BLOCK]
             g += blk @ blk[k - 1:].T
         m = k - 1
         self.k, self.s = k, g[:m, 0]
-        self.tol_break = max(self._tol, BREAKDOWN_RTOL * math.sqrt(g[k, 1]))
+        self.tol_break = BREAKDOWN_RTOL * math.sqrt(g[k, 1])
         self.gamma = math.sqrt(g[m, 0] - self.s @ self.s)
         # rows of [V, v', w'] as combinations of the uncorrected rows
         self._lift = np.eye(k + 1)
@@ -478,12 +483,12 @@ class _Stop(Exception):
     """Raised by a direction map to end the run with the given stop reason."""
 
 
-def _flexible(prec_at, b, history):
+def _flexible(prec_at, history):
     """Direction map of the flexible solvers: ``z = P_k v`` with
     ``P_k = prec_at(k - 1, x_prev)``, or ``v`` when there is no callback or
-    it returns None.  A degenerate ``z`` (e.g. zero weights) is recorded as
-    skipped and ``v`` takes its place; a non-finite one stops the run."""
-    tol_break = BREAKDOWN_RTOL * np.linalg.norm(b)
+    it returns None.  A degenerate ``z`` (e.g. zero weights: ``||z||`` at
+    most ``BREAKDOWN_RTOL`` times the unit ``||v||``) is recorded as skipped
+    and ``v`` takes its place; a non-finite one stops the run."""
 
     def direction(k, v, x):
         prec = prec_at(k - 1, x) if prec_at is not None else None
@@ -493,7 +498,7 @@ def _flexible(prec_at, b, history):
         z_norm = np.linalg.norm(z)
         if not np.isfinite(z_norm):
             raise _Stop("nonfinite")
-        if z_norm <= tol_break:
+        if z_norm <= BREAKDOWN_RTOL:
             history.skipped.append(k)
             z = v
         return z, getattr(prec, "alpha", None)
@@ -524,7 +529,7 @@ def _arnoldi(counted, b, rule, history, *, direction, solution=None, flexible=Fa
         return history.record("breakdown", np.zeros(b.size), 0)
     basis = _mapped(rule.max_iter + 1, b.size)
     basis[0] = b / beta
-    gs = _Dcgs2(basis, BREAKDOWN_RTOL * beta)
+    gs = _Dcgs2(basis)
     dirs = _mapped(rule.max_iter, b.size) if flexible else None
     h = np.zeros((rule.max_iter + 1, rule.max_iter))
     x = np.zeros(b.size)
@@ -609,7 +614,7 @@ def fgmres(A, b, prec_at=None, rule: StoppingRule | None = None,
     b = _flat(b, A.size)
     history = _History(x_true, rule)
     return _arnoldi(_Counted(A), b, rule, history,
-                    direction=_flexible(prec_at, b, history), flexible=True)
+                    direction=_flexible(prec_at, history), flexible=True)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +654,6 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
     beta1 = float(np.linalg.norm(b))
     if beta1 == 0.0:
         return history.record("breakdown", np.zeros(A.size), 0)
-    tol_break = BREAKDOWN_RTOL * beta1
     u = b / beta1
     v = adjoint(u)
     alfa = float(np.linalg.norm(v))
@@ -682,14 +686,14 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
         if rule.dp_enabled and history.dp_index is not None:
             reason = "discrepancy"
             break
-        if beta <= tol_break:
+        if beta <= BREAKDOWN_RTOL * math.hypot(alfa, beta):  # ||A P v||
             reason = "breakdown"
             break
         if k == rule.max_iter:
             break  # no step follows that would use the next adjoint image
         v = adjoint(u) - beta * v
         alfa = float(np.linalg.norm(v))
-        if alfa <= tol_break:
+        if alfa <= BREAKDOWN_RTOL * math.hypot(beta, alfa):  # ||P^T A^T u||
             reason = "breakdown"
             break
         v /= alfa
@@ -719,8 +723,8 @@ def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None,
     counted = _Counted(A)
     history = _History(x_true, rule)
     v_basis = _mapped(rule.max_iter, A.size)
-    v_gs = _Dcgs2(v_basis, BREAKDOWN_RTOL * np.linalg.norm(b))
-    preconditioned = _flexible(prec_at, b, history)
+    v_gs = _Dcgs2(v_basis)
+    preconditioned = _flexible(prec_at, history)
 
     def direction(k, u, x):
         v_basis[k - 1] = np.ravel(counted.apply_adjoint(u))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as _linalg
 
-from .operators import BlurOperator, Psf, _evaluate_symbol, materialize_dense, sample_symbol
+from .operators import BlurOperator, Psf, bccb_eigenvalues, materialize_dense
 from .preconditioners import CirculantOperator, circulant_threshold
 
 __all__ = [
@@ -96,7 +96,7 @@ def preconditioned_spectrum(psf: Psf, n: int, eps: float | None) -> np.ndarray:
     if eps is None:
         target = flipped
     else:
-        grid = circulant_threshold(sample_symbol(psf, n), eps).eigs.real
+        grid = circulant_threshold(bccb_eigenvalues(psf, n), eps).eigs.real
         inv_half = materialize_dense(CirculantOperator(grid ** -0.5), cap=n)
         target = inv_half @ flipped @ inv_half
     target = 0.5 * (target + target.T)
@@ -159,11 +159,10 @@ def szego_distribution_check(psf: Psf, n: int, moments: int = 2,
     if defect > _SYM_RTOL * max(np.abs(dense).max(), np.finfo(float).tiny):
         raise ValueError(f"operator unexpectedly nonsymmetric (defect {defect:.3e})")
     eigs = _linalg.eigvalsh(0.5 * (dense + dense.T))
-    # the generating function on a midpoint grid of [-pi, pi)^2: the symbol
-    # is a trigonometric polynomial of tiny degree, so averaging over this
-    # grid integrates its powers exactly up to roundoff
-    theta = -np.pi + (np.arange(grid_size) + 0.5) * (2.0 * np.pi / grid_size)
-    symbol = _evaluate_symbol(psf, theta)
+    # the symbol is a trigonometric polynomial of degree far below
+    # grid_size, so averaging its low powers over any equispaced grid
+    # integrates them exactly up to roundoff
+    symbol = bccb_eigenvalues(psf, grid_size)
     imag_max = np.abs(symbol.imag).max()
     if imag_max > 1e-9:
         raise ValueError(

@@ -14,7 +14,6 @@ from kryblur.operators import (
     bccb_eigenvalues,
     load_psf,
     materialize_dense,
-    sample_symbol,
     save_psf,
 )
 from kryblur.preconditioners import CirculantOperator
@@ -79,36 +78,36 @@ def test_psf_pad_extents_even_support():
 
 
 # ---------------------------------------------------------------------------
-# sample_symbol
+# bccb_eigenvalues: the symbol on the uniform grid
 
 
 def test_symbol_delta_is_all_ones():
-    np.testing.assert_allclose(sample_symbol(DELTA, 8), np.ones((8, 8)),
+    np.testing.assert_allclose(bccb_eigenvalues(DELTA, 8), np.ones((8, 8)),
                                rtol=0.0, atol=1e-14)
 
 
 def test_symbol_row_average_entry():
     # f(0, pi/2) = (1 + 2 cos(pi/2)) / 3 = 1/3
-    grid = sample_symbol(ROW_AVG, 4)
+    grid = bccb_eigenvalues(ROW_AVG, 4)
     assert abs(grid[0, 1] - 1.0 / 3.0) <= 1e-13
 
 
 def test_symbol_normalized_psf_dc_entry_is_one():
     for psf in (AVG3, make_gaussian_psf(9, 2.0), make_motion_psf(5, 30.0)):
-        grid = sample_symbol(psf, 16)
+        grid = bccb_eigenvalues(psf, 16)
         assert abs(grid[0, 0] - 1.0) <= 1e-12
 
 
 def test_symbol_matches_direct_summation():
     rng = np.random.default_rng(3)
     psf = Psf(rng.standard_normal((3, 4)), (1, 2))
-    got = sample_symbol(psf, 8)
+    got = bccb_eigenvalues(psf, 8)
     want = symbol_direct(psf, 8)
     assert np.abs(got - want).max() <= 1e-12
 
 
 def test_symbol_conjugate_symmetry():
-    grid = sample_symbol(make_motion_psf(5, 30.0), 8)
+    grid = bccb_eigenvalues(make_motion_psf(5, 30.0), 8)
     idx = np.arange(8)
     mirrored = grid[np.ix_((8 - idx) % 8, (8 - idx) % 8)]
     assert np.abs(grid - np.conj(mirrored)).max() <= 1e-12
@@ -116,11 +115,7 @@ def test_symbol_conjugate_symmetry():
 
 def test_symbol_rejects_oversized_support():
     with pytest.raises(ValueError, match="does not fit"):
-        sample_symbol(make_gaussian_psf(9, 2.0), 8)
-
-
-# ---------------------------------------------------------------------------
-# bccb_eigenvalues
+        bccb_eigenvalues(make_gaussian_psf(9, 2.0), 8)
 
 
 def test_bccb_delta_all_ones():
@@ -130,11 +125,7 @@ def test_bccb_delta_all_ones():
 
 def test_bccb_matches_symbol_gaussian():
     psf = make_gaussian_psf(5, 2.0)
-    got = bccb_eigenvalues(psf, 8)
-    want = sample_symbol(psf, 8)
-    assert np.abs(got - want).max() <= 1e-12
-    # and against the independent direct summation too
-    assert np.abs(got - symbol_direct(psf, 8)).max() <= 1e-12
+    assert np.abs(bccb_eigenvalues(psf, 8) - symbol_direct(psf, 8)).max() <= 1e-12
 
 
 def test_bccb_pure_shift():
@@ -183,6 +174,18 @@ def test_apply_size_mismatch_rejected():
         op.apply(np.ones((4, 4)))
     with pytest.raises(ValueError, match="shape"):
         op.apply(np.ones(17))
+
+
+@pytest.mark.parametrize("bc", ["zero", "periodic", "reflective"])
+def test_apply_rejects_complex_input(bc):
+    # the imaginary part is not dropped with a warning: complex input fails
+    op = BlurOperator(make_motion_psf(5, 30.0), bc, 8)
+    rng = np.random.default_rng(12)
+    for x in (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)),
+              np.ones(64, dtype=complex)):
+        for apply in (op.apply, op.apply_adjoint):
+            with pytest.raises(ValueError, match="complex"):
+                apply(x)
 
 
 def test_adjoint_zero_bc_matches_dense_transpose():

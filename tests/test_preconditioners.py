@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kryblur.operators import BlurOperator, Psf, bccb_eigenvalues, materialize_dense, sample_symbol
+from kryblur.operators import BlurOperator, Psf, bccb_eigenvalues, materialize_dense
 from kryblur.preconditioners import (
     CirculantOperator,
     ComposedOperator,
@@ -32,25 +32,35 @@ def _delta_symbol(n):
 # CirculantOperator
 
 
+def _hermitian_grid(rng, n):
+    # the DFT of a real first column: a conjugate-symmetric, complex grid
+    return np.fft.fft2(rng.standard_normal((n, n)))
+
+
 def test_circulant_fourier_diagonalization():
     n = 8
     rng = np.random.default_rng(5)
-    grid = rng.uniform(0.5, 2.0, (n, n)) + 0.3j * rng.standard_normal((n, n))
+    grid = _hermitian_grid(rng, n)
     c = CirculantOperator(grid)
     rows, cols = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    for (p, q) in ((0, 0), (1, 3), (5, 2), (7, 7)):
+    for (p, q) in ((0, 0), (1, 3), (5, 2), (7, 7), (4, 4)):
         e = np.exp(-2j * np.pi * (p * rows + q * cols) / n)  # Fourier basis vector
-        defect = np.linalg.norm((c.apply(e) - grid[p, q] * e).ravel())
-        assert defect <= 1e-10
+        # a real operator maps the real and imaginary parts of e separately
+        for part in (np.real, np.imag):
+            defect = np.linalg.norm((c.apply(part(e)) - part(grid[p, q] * e)).ravel())
+            assert defect <= 1e-10
 
 
 def test_circulant_adjoint_conjugates_eigenvalues():
     rng = np.random.default_rng(6)
-    grid = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    grid = _hermitian_grid(rng, 4)
     c = CirculantOperator(grid)
-    x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    x = rng.standard_normal((4, 4))
+    y = rng.standard_normal((4, 4))
     want = CirculantOperator(np.conj(grid)).apply(x)
     np.testing.assert_allclose(c.apply_adjoint(x), want, rtol=0.0, atol=1e-13)
+    # and it is the transpose: <C x, y> = <x, C^T y>
+    assert abs(np.vdot(c.apply(x), y) - np.vdot(x, c.apply_adjoint(y))) <= 1e-12
 
 
 def test_circulant_real_output_for_symmetric_grid():
@@ -86,17 +96,24 @@ def test_circulant_real_path_matches_complex_formula(build, n):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(x)
 
 
-def test_circulant_non_hermitian_grid_on_real_input_stays_complex():
+def test_circulant_rejects_non_hermitian_grid():
     n = 8
     rng = np.random.default_rng(11)
     grid = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     c = CirculantOperator(grid)
-    for x in (rng.standard_normal(n * n), rng.standard_normal((2, n, n))):
-        for got, eigs in ((c.apply(x), grid), (c.apply_adjoint(x), np.conj(grid))):
-            want = _complex_formula(x, eigs)
-            assert np.iscomplexobj(got) and got.shape == x.shape
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(x)
-            assert np.linalg.norm(want.imag) > 1e-3 * np.linalg.norm(x)
+    for apply in (c.apply, c.apply_adjoint):
+        with pytest.raises(ValueError, match="conjugate-symmetric"):
+            apply(rng.standard_normal(n * n))
+
+
+def test_circulant_rejects_complex_input():
+    n = 8
+    rng = np.random.default_rng(13)
+    c = CirculantOperator(_hermitian_grid(rng, n))
+    x = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    for apply in (c.apply, c.apply_adjoint):
+        with pytest.raises(ValueError, match="complex"):
+            apply(x)
 
 
 def test_circulant_inverse_and_singularity():

@@ -895,6 +895,52 @@ def test_dcgs2_breakdown_right_after_lagged_correction(method, scale, bases):
         assert _orthogonality_loss(rows) <= 1e-12
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+def test_lsqr_stops_on_exhausted_space_at_any_scale(scale):
+    # the map of the DCGS2 breakdown test: A^T A has three distinct
+    # eigenvalues, so Golub-Kahan exhausts its space at step 3
+    rng = np.random.default_rng(9)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    mat = scale * (q * np.array([1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0, 2.0])) @ q.T
+    b = _unit_rhs(8, 3)
+    rec = lsqr(LinearMap.from_matrix(mat), b, StoppingRule(max_iter=20))
+    assert rec.stop_reason == "breakdown" and rec.iterations == 3
+    assert np.linalg.norm(b - mat @ rec.x_stop) <= 1e-12
+
+
+def _scaled_solve(method, mat, b, rule):
+    op = LinearMap.from_matrix(mat)
+    prec = DiagonalOperator(0.01 * np.linspace(1.0, 2.0, 8))
+    if method == "gmres":
+        return gmres(op, b, rule)
+    if method == "minres":
+        return minres(op, b, rule)
+    if method == "lsqr":
+        return lsqr(op, b, rule)
+    runner = fgmres if method == "fgmres" else flsqr
+    return runner(op, b, lambda k, x_prev: prec, rule)
+
+
+@pytest.mark.parametrize("b_scale", [1.0, 1e13, 1e15])
+@pytest.mark.parametrize("a_scale", [1e-20, 1.0, 1e6])
+@pytest.mark.parametrize("method", ["gmres", "fgmres", "minres", "lsqr", "flsqr"])
+def test_solvers_invariant_to_scale(method, a_scale, b_scale):
+    # Breakdown and skip tests compare each norm with the image it came
+    # from, so scaling A by a and b by s scales the iterate by s / a and
+    # changes nothing else: no step ends early or is skipped.
+    rng = np.random.default_rng(17)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    mat = (q * rng.uniform(1.0, 2.0, 8)) @ q.T
+    b = _unit_rhs(8, 5)
+    rule = StoppingRule(max_iter=6)
+    ref = _scaled_solve(method, mat, b, rule)
+    rec = _scaled_solve(method, a_scale * mat, b_scale * b, rule)
+    for r in (ref, rec):
+        assert (r.iterations, r.stop_reason, r.skipped) == (6, "max_iter", [])
+    x = rec.x_stop * (a_scale / b_scale)
+    assert np.linalg.norm(x - ref.x_stop) <= 1e-12 * np.linalg.norm(ref.x_stop)
+
+
 # ---------------------------------------------------------------------------
 # cross-cutting invariants
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kryblur.operators import BlurOperator, Psf, materialize_dense, sample_symbol
+from kryblur.operators import BlurOperator, Psf, bccb_eigenvalues, materialize_dense
 from kryblur.preconditioners import circulant_abs_tikhonov, circulant_threshold
 from kryblur.problems import make_gaussian_psf, make_motion_psf
 from kryblur.spectral import (
@@ -40,9 +40,9 @@ def test_spectrum_matches_nonsymmetric_dense_oracle():
 
     dense_t = materialize_dense(BlurOperator(psf, "zero", n))
     flipped = dense_t[::-1, :]
-    grid = circulant_threshold(sample_symbol(psf, n), 0.1).eigs.real
+    grid = circulant_threshold(bccb_eigenvalues(psf, n), 0.1).eigs.real
     c_inv = materialize_dense(
-        circulant_threshold(sample_symbol(psf, n), 0.1).inverse(), cap=n
+        circulant_threshold(bccb_eigenvalues(psf, n), 0.1).inverse(), cap=n
     )
     raw = np.linalg.eigvals(c_inv @ flipped)
     assert np.abs(raw.imag).max() <= 1e-8
@@ -67,7 +67,7 @@ def test_unpreconditioned_spectrum_approximates_symbol_distribution():
     for n in (8, 16, 32):
         vals = preconditioned_spectrum(psf, n, None)
         got = np.sort(np.abs(vals))
-        want = np.sort(np.abs(sample_symbol(psf, n)).ravel())
+        want = np.sort(np.abs(bccb_eigenvalues(psf, n)).ravel())
         mads.append(float(np.mean(np.abs(got - want))))
     assert mads[0] > mads[1] > mads[2]
     assert mads[2] < 0.01
@@ -77,8 +77,8 @@ def test_spectrum_norm_bound_from_symbol():
     psf = make_gaussian_psf(5, 2.0)
     for n in (8, 16):
         vals = preconditioned_spectrum(psf, n, 0.1)
-        grid = circulant_threshold(sample_symbol(psf, n), 0.1).eigs.real
-        sup_f = np.abs(sample_symbol(psf, 256)).max()
+        grid = circulant_threshold(bccb_eigenvalues(psf, n), 0.1).eigs.real
+        sup_f = np.abs(bccb_eigenvalues(psf, 256)).max()
         bound = max(1.0, float(sup_f / grid.min()))
         assert np.abs(vals).max() <= bound + 1e-9
 
@@ -163,7 +163,7 @@ def test_abs_tikhonov_top_eigenvalues_approach_one():
     psf = make_gaussian_psf(9, 2.0)
     n, alpha = 32, 1e-3
     dense_t = materialize_dense(BlurOperator(psf, "zero", n))
-    filt = circulant_abs_tikhonov(sample_symbol(psf, n), alpha)
+    filt = circulant_abs_tikhonov(bccb_eigenvalues(psf, n), alpha)
     dense_c = materialize_dense(filt, cap=n)
     raw = np.linalg.eigvals(dense_c @ dense_t[::-1, :])
     mags = np.sort(np.abs(raw))
