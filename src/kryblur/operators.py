@@ -38,9 +38,8 @@ __all__ = [
     "save_psf",
 ]
 
-#: |sum(kernel) - 1| tolerance for a PSF to count as normalized (an averaging
-#: kernel), and the tolerance used by the kernel symmetry predicates.
-NORMALIZATION_ATOL = 1e-12
+#: Entry tolerance of the kernel symmetry predicate.
+_SYMMETRY_ATOL = 1e-12
 
 #: Largest n for which dense materialization is allowed by default.
 DENSE_CAP = 64
@@ -81,15 +80,10 @@ class Psf:
     (i, j) of the kernel sits at spatial offset (i - center[0], j - center[1]).
     An explicit center keeps even-extent kernels (e.g. rasterized motion
     smears) unambiguous.
-
-    ``normalized`` may be passed explicitly; by default it is detected from
-    the kernel sum.  Passing ``normalized=True`` for a kernel whose entries do
-    not sum to 1 (within 1e-12) is an error.
     """
 
     kernel: np.ndarray
     center: tuple[int, int]
-    normalized: bool | None = None
 
     def __post_init__(self):
         kernel = np.array(self.kernel, dtype=float)
@@ -103,19 +97,8 @@ class Psf:
             raise ValueError(
                 f"PSF center {(cr, cc)} outside kernel of shape {kernel.shape}"
             )
-        is_unit_sum = abs(kernel.sum() - 1.0) <= NORMALIZATION_ATOL
-        if self.normalized is None:
-            normalized = is_unit_sum
-        elif self.normalized and not is_unit_sum:
-            raise ValueError(
-                "PSF declared normalized but kernel entries sum to "
-                f"{kernel.sum()!r}, not 1"
-            )
-        else:
-            normalized = bool(self.normalized)
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "center", (cr, cc))
-        object.__setattr__(self, "normalized", normalized)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -136,45 +119,17 @@ class Psf:
         cr, cc = self.center
         return max(cr, kr - 1 - cr), max(cc, kc - 1 - cc)
 
-    def rotated(self) -> "Psf":
-        """The kernel rotated 180 degrees about its center.
-
-        Blurring with the rotated PSF under the same boundary rule is how the
-        adjoint-like companion operator is realized.
-        """
-        kr, kc = self.kernel.shape
-        cr, cc = self.center
-        return Psf(self.kernel[::-1, ::-1], (kr - 1 - cr, kc - 1 - cc),
-                   normalized=self.normalized)
-
-    def _on_canvas(self, flip_rows: bool, flip_cols: bool) -> np.ndarray:
-        # Embed the kernel (optionally axis-flipped about the center) in the
-        # smallest canvas symmetric about the center, so kernels with the
-        # same entries but different trailing zeros compare equal.
-        pr, pc = self.pad_extents
-        canvas = np.zeros((2 * pr + 1, 2 * pc + 1))
-        rows = self.row_offsets * (-1 if flip_rows else 1) + pr
-        cols = self.col_offsets * (-1 if flip_cols else 1) + pc
-        canvas[np.ix_(rows, cols)] = self.kernel
-        return canvas
-
     @property
     def centrally_symmetric(self) -> bool:
         """True when the kernel equals its 180-degree rotation."""
-        a = self._on_canvas(False, False)
-        b = self._on_canvas(True, True)
-        return bool(np.allclose(a, b, rtol=0.0, atol=NORMALIZATION_ATOL))
-
-    @property
-    def quadrantally_symmetric(self) -> bool:
-        """True when the kernel is even in each axis separately."""
-        a = self._on_canvas(False, False)
-        return bool(
-            np.allclose(a, self._on_canvas(True, False), rtol=0.0,
-                        atol=NORMALIZATION_ATOL)
-            and np.allclose(a, self._on_canvas(False, True), rtol=0.0,
-                            atol=NORMALIZATION_ATOL)
-        )
+        # The kernel on the smallest canvas symmetric about the center, so
+        # kernels with the same entries but different trailing zeros compare
+        # equal; the canvas reversed is the rotated kernel.
+        pr, pc = self.pad_extents
+        canvas = np.zeros((2 * pr + 1, 2 * pc + 1))
+        canvas[np.ix_(self.row_offsets + pr, self.col_offsets + pc)] = self.kernel
+        return bool(np.allclose(canvas, canvas[::-1, ::-1], rtol=0.0,
+                                atol=_SYMMETRY_ATOL))
 
 
 def _check_support(psf: Psf, n: int):

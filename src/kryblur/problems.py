@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 import re
 import time
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -413,25 +414,11 @@ def load_image(path) -> np.ndarray:
 _PSF_KINDS = ("gaussian", "motion", "motion2")
 _BUILTIN_IMAGES = ("phantom", "edges")
 
-_CONFIG_DEFAULTS = {
-    "n": None,
-    "psf_support": 9,
-    "psf_std": 2.0,
-    "psf_length": 5,
-    "psf_angle": 0.0,
-    "psf_angle2": 90.0,
-    "alpha0": 0.1,
-    "q": 0.8,
-    "stationary_alpha": False,
-    "eta": 1.01,
-    "max_iter": 50,
-}
-_REQUIRED_KEYS = ("image", "psf", "bc", "sigma", "seed", "methods", "outdir")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated contents of a flat ``key = value`` experiment file."""
+    """Validated contents of a flat ``key = value`` experiment file: the
+    fields without a default are the required keys."""
 
     image: str
     psf: str
@@ -453,20 +440,43 @@ class ExperimentConfig:
     max_iter: int = 50
 
 
-def _parse_bool(key: str, value: str) -> bool:
-    lowered = value.lower()
+#: The type of each config key, by field name.
+_CONFIG_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
+def _method_labels(text: str) -> tuple[str, ...]:
+    labels = tuple(m.strip() for m in text.split(",") if m.strip())
+    if not labels:
+        raise ValueError("lists no method labels")
+    for label in labels:
+        parse_method_label(label)
+    return labels
+
+
+def _boolean(text: str) -> bool:
+    lowered = text.lower()
     if lowered in ("true", "yes", "1", "on"):
         return True
     if lowered in ("false", "no", "0", "off"):
         return False
-    raise ValueError(f"config key {key} expects a boolean, got {value!r}")
+    raise ValueError(f"expects a boolean, got {text!r}")
+
+
+def _config_value(key: str, kind, text: str):
+    """The value of config key ``key`` cast to its field type ``kind``."""
+    cast = {bool: _boolean, BoundaryCondition: BoundaryCondition.coerce,
+            tuple[str, ...]: _method_labels, int | None: int}.get(kind, kind)
+    try:
+        return cast(text)
+    except ValueError as exc:
+        raise ValueError(f"config key {key}: {exc}") from None
 
 
 def parse_config(path) -> ExperimentConfig:
     """Parse an experiment file of ``key = value`` lines.
 
-    Unknown keys and missing required keys are reported by name; ``#``
-    starts a comment.
+    Unknown keys, missing required keys and values that do not cast to
+    their field type are reported by name; ``#`` starts a comment.
     """
     text = Path(path).read_text(encoding="utf-8")
     pairs: dict[str, str] = {}
@@ -483,63 +493,28 @@ def parse_config(path) -> ExperimentConfig:
             raise ValueError(f"{path}:{lineno}: duplicate config key {key}")
         pairs[key] = value
 
-    known = set(_REQUIRED_KEYS) | set(_CONFIG_DEFAULTS)
     for key in pairs:
-        if key not in known:
+        if key not in _CONFIG_TYPES:
             raise ValueError(f"unknown config key {key}")
-    for key in _REQUIRED_KEYS:
-        if key not in pairs:
-            raise ValueError(f"missing config key: {key}")
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and f.name not in pairs:
+            raise ValueError(f"missing config key: {f.name}")
 
-    image = pairs["image"]
-    psf = pairs["psf"]
-    if psf not in _PSF_KINDS and not psf.startswith("file:"):
+    cfg = ExperimentConfig(**{key: _config_value(key, _CONFIG_TYPES[key], value)
+                              for key, value in pairs.items()})
+    if cfg.psf not in _PSF_KINDS and not cfg.psf.startswith("file:"):
         raise ValueError(
-            f"config key psf expects one of {_PSF_KINDS} or file:PATH, got {psf!r}"
+            f"config key psf expects one of {_PSF_KINDS} or file:PATH, got {cfg.psf!r}"
         )
-    bc = BoundaryCondition.coerce(pairs["bc"])
-    sigma = float(pairs["sigma"])
-    if sigma < 0:
-        raise ValueError(f"config key sigma must be nonnegative, got {sigma}")
-    methods = tuple(m.strip() for m in pairs["methods"].split(",") if m.strip())
-    if not methods:
-        raise ValueError("config key methods lists no method labels")
-    for label in methods:
-        parse_method_label(label)
-
-    cfg = dict(_CONFIG_DEFAULTS)
-    cfg["n"] = int(pairs["n"]) if "n" in pairs else None
-    for key, caster in (
-        ("psf_support", int),
-        ("psf_length", int),
-        ("max_iter", int),
-        ("psf_std", float),
-        ("psf_angle", float),
-        ("psf_angle2", float),
-        ("alpha0", float),
-        ("q", float),
-        ("eta", float),
-    ):
-        if key in pairs:
-            cfg[key] = caster(pairs[key])
-    if cfg["eta"] < 1.0:
-        raise ValueError(f"config key eta must be at least 1, got {cfg['eta']}")
-    if "stationary_alpha" in pairs:
-        cfg["stationary_alpha"] = _parse_bool("stationary_alpha", pairs["stationary_alpha"])
-
-    if image in _BUILTIN_IMAGES and cfg["n"] is None:
-        raise ValueError(f"missing config key: n (required for image = {image})")
-
-    return ExperimentConfig(
-        image=image,
-        psf=psf,
-        bc=bc,
-        sigma=sigma,
-        seed=int(pairs["seed"]),
-        methods=methods,
-        outdir=pairs["outdir"],
-        **cfg,
-    )
+    if cfg.sigma < 0:
+        raise ValueError(f"config key sigma must be nonnegative, got {cfg.sigma}")
+    if cfg.eta < 1.0:
+        raise ValueError(f"config key eta must be at least 1, got {cfg.eta}")
+    if cfg.max_iter < 1:
+        raise ValueError(f"config key max_iter must be at least 1, got {cfg.max_iter}")
+    if cfg.image in _BUILTIN_IMAGES and cfg.n is None:
+        raise ValueError(f"missing config key: n (required for image = {cfg.image})")
+    return cfg
 
 
 def _resolve_image(cfg: ExperimentConfig) -> np.ndarray:

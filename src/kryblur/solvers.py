@@ -20,12 +20,16 @@ Implemented methods:
 * ``flsqr``           flexible Golub-Kahan with iteration-dependent right
   preconditioning and full orthogonalization of both bases.
 
-``gmres``, ``fgmres`` and ``flsqr`` share one Arnoldi engine.  It keeps
-preallocated bases orthonormal by classical Gram-Schmidt with delayed
-reorthogonalization (DCGS2) in two passes a step, the second of which also
-writes the iterate and ``b - A x`` from the Arnoldi relation.  The short
-recurrences (MINRES and ``lsqr``) update ``b - A x`` with the same scalars as
-the iterate, from images of the directions they already hold.
+There are two engines.  ``gmres``, ``fgmres`` and ``flsqr`` share one
+Arnoldi engine.  It keeps preallocated bases orthonormal by classical
+Gram-Schmidt with delayed reorthogonalization (DCGS2) in two passes a step,
+the second of which also writes the iterate and ``b - A x`` from the Arnoldi
+relation.  ``minres``, ``minres_sym_prec`` and ``lsqr`` share one Givens
+loop: it minimizes the residual through a Givens QR of a banded projected
+matrix, the Lanczos tridiagonal or the Golub-Kahan bidiagonal (the same band
+with a zero above the diagonal), one column a step.  It updates ``b - A x``
+with the same scalars as the iterate, from images of the directions the
+column map hands it, and stops on a singular R.
 
 Each run returns a :class:`SolveRecord` with per-iteration true residual
 norms, recurrence (projected) residual norms, and error metrics when the
@@ -66,15 +70,16 @@ __all__ = [
 #: kind).  The image is ``A v`` for MINRES and LSQR (and ``A^T u``), and the
 #: vector before Gram-Schmidt for the Arnoldi engine, so the test does not
 #: depend on the scale of A or b.  A flexible direction ``P_k v`` with norm
-#: below this (``v`` is a unit vector) is skipped.  MINRES also stops at a
-#: residual below this times ``||b||``.
+#: below this (``v`` is a unit vector) is skipped.  MINRES and LSQR also
+#: stop at a projected residual below this times its starting value.
 BREAKDOWN_RTOL = 1e-14
 
 _SYMMETRY_RTOL = 1e-8
 
-#: MINRES breaks down at a rotated diagonal gamma below this times ||T_k||_F:
-#: T_k is singular and the Krylov space exhausted, to rounding that reaches
-#: 4e-11 on 8x8 maps; on deblurring problems gamma stays above 1e-2 ||T_k||.
+#: The Givens loop breaks down at a rotated diagonal gamma below this times
+#: the Frobenius norm of the projected matrix (T_k or B_k): it is singular
+#: and the Krylov space exhausted, to rounding that reaches 4e-11 on 8x8
+#: maps; on deblurring problems gamma stays above 1e-2 ||T_k||.
 _SINGULAR_RTOL = 1e-8
 
 
@@ -139,9 +144,10 @@ def discrepancy_stop(residual_norm: float, rule: StoppingRule) -> bool:
 class SolveRecord:
     """Everything a run produced, one list entry per iteration.
 
-    ``dp_index`` (1-based) and ``x_dp`` are the discrepancy iterate, or None
-    when the rule has no noise norm or no iterate met the threshold.
-    ``iterates`` is always None: no solver keeps every iterate.
+    A solver's bookkeeping appends to the record as it runs, and the run
+    returns it.  ``dp_index`` (1-based) and ``x_dp`` are the discrepancy
+    iterate, or None when the rule has no noise norm or no iterate met the
+    threshold.  ``iterates`` is always None: no solver keeps every iterate.
 
     ``stop_reason`` is ``"max_iter"``, ``"discrepancy"``, ``"breakdown"``
     (the Krylov space is exhausted, e.g. by an exact solve) or
@@ -186,62 +192,47 @@ class _Counted:
 
 
 class _History:
-    """Per-iteration bookkeeping shared by all solvers, including the one
-    discrepancy test: the first pushed iterate that meets it is kept."""
+    """Per-iteration bookkeeping shared by all solvers, appended to the one
+    :class:`SolveRecord` ``rec``, including the one discrepancy test: the
+    first pushed iterate that meets it is kept."""
 
     def __init__(self, truth, rule):
         self.truth = None if truth is None else np.asarray(truth, float).ravel()
         if self.truth is not None and not np.all(np.isfinite(self.truth)):
             raise ValueError("x_true must be finite")
-        self.res_norm: list[float] = []
-        self.res_proj: list[float] = []
-        self.rre: list[float] | None = [] if truth is not None else None
-        self.psnr: list[float] | None = [] if truth is not None else None
-        self.alpha: list[float | None] = []
         self.rule = rule
-        self.dp_index: int | None = None
-        self.x_dp: np.ndarray | None = None
-        self.best_index = 0
+        self.rec = SolveRecord()
+        if self.truth is not None:
+            self.rec.rre, self.rec.psnr = [], []
         self._best_key = math.inf
-        self.x_best: np.ndarray | None = None
-        self.skipped: list[int] = []
 
     def push(self, x, res_true, res_proj, alpha=None):
-        self.res_norm.append(float(res_true))
-        self.res_proj.append(float(res_proj))
-        self.alpha.append(alpha)
+        rec = self.rec
+        rec.res_norm.append(float(res_true))
+        rec.res_norm_projected.append(float(res_proj))
+        rec.alpha.append(alpha)
         if self.truth is not None:
-            self.rre.append(_rre(x, self.truth))
-            self.psnr.append(_psnr(x, self.truth))
-            key = self.rre[-1]
+            rec.rre.append(_rre(x, self.truth))
+            rec.psnr.append(_psnr(x, self.truth))
+            key = rec.rre[-1]
         else:
             key = float(res_true)
-        if (self.dp_index is None and self.rule.noise_norm is not None
+        if (rec.dp_index is None and self.rule.noise_norm is not None
                 and discrepancy_stop(res_true, self.rule)):
-            self.dp_index = len(self.res_norm)
-            self.x_dp = np.array(x, copy=True)
+            rec.dp_index = rec.iterations
+            rec.x_dp = np.array(x, copy=True)
         if key < self._best_key:
             self._best_key = key
-            self.best_index = len(self.res_norm)
-            self.x_best = np.array(x, copy=True)
+            rec.best_index = rec.iterations
+            rec.x_best = np.array(x, copy=True)
 
     def record(self, reason, x_stop, n_ops) -> SolveRecord:
-        x_stop = np.array(x_stop, copy=True)
-        return SolveRecord(
-            res_norm=self.res_norm,
-            res_norm_projected=self.res_proj,
-            rre=self.rre,
-            psnr=self.psnr,
-            alpha=self.alpha,
-            stop_reason=reason,
-            best_index=self.best_index,
-            x_stop=x_stop,
-            x_best=x_stop if self.x_best is None else self.x_best,
-            dp_index=self.dp_index,
-            x_dp=self.x_dp,
-            n_ops=n_ops,
-            skipped=self.skipped,
-        )
+        rec = self.rec
+        rec.stop_reason, rec.n_ops = reason, n_ops
+        rec.x_stop = np.array(x_stop, copy=True)
+        if rec.x_best is None:
+            rec.x_best = rec.x_stop
+        return rec
 
 
 def _flat(b, size, what="right-hand side"):
@@ -293,47 +284,52 @@ def _probe_symmetry(op):
             )
 
 
+class _Stop(Exception):
+    """Raised by a direction or column map to end the run with the given
+    stop reason."""
+
+
 # ---------------------------------------------------------------------------
-# MINRES
+# MINRES / LSQR: the Givens short recurrence
 # ---------------------------------------------------------------------------
 
-def _minres_loop(step, v, b, rule, history, alpha):
-    """The MINRES recurrence behind :func:`minres` and :func:`minres_sym_prec`.
+def _givens_loop(column, beta1, b, rule, history, counted, alpha):
+    """The one short-recurrence loop behind :func:`minres`,
+    :func:`minres_sym_prec` and :func:`lsqr`: the Givens QR of a banded
+    projected matrix, the Lanczos tridiagonal T_k or the Golub-Kahan
+    bidiagonal B_k, minimizes ``||beta1 e1 - T y||``.
 
-    ``v`` is the system right-hand side.  ``step(v)`` applies A once and
-    returns the system image of the Lanczos vector ``v``, the image ``A s`` of
-    its solution direction, and ``s``.  ``d`` and ``A d`` share one
+    ``column(k)`` returns the new column ``(upper, diag, sub)`` on rows
+    k - 1, k and k + 1, the solution direction ``s`` and its image ``A s``,
+    or raises :class:`_Stop`.  The directions ``d`` and ``A d`` share one
     recurrence, so ``x`` and ``b - A x`` take the same scalars.  A singular
-    T_k (``_SINGULAR_RTOL``) or a residual at rounding level is a breakdown."""
-    beta1 = float(np.linalg.norm(v))
+    R (``_SINGULAR_RTOL``), a subdiagonal at rounding level against its
+    column, or a residual at rounding level against ``beta1`` is a breakdown.
+    ``counted`` is the operator wrapped in :class:`_Counted`."""
     if beta1 == 0.0:
-        return history.record("breakdown", np.zeros(b.size), 0)
-    v_prev = np.zeros(b.size)
-    v = v / beta1
+        return history.record("breakdown", np.zeros(b.size), counted.count)
     # rows [d, A d] of the two previous directions; rows [x, b - A x]
     dirs_prev, dirs_prev2 = np.zeros((2, b.size)), np.zeros((2, b.size))
     xr = np.stack((np.zeros(b.size), b))
     phibar = beta1
     c_prev2, s_prev2 = 1.0, 0.0
     c_prev, s_prev = 1.0, 0.0
-    beta = 0.0
     t_norm2 = 0.0
     reason = "max_iter"
     for k in range(1, rule.max_iter + 1):
-        image, a_dir, s_dir = step(v)
-        alfa = float(np.dot(v, image))
-        # next Lanczos vector in v_prev's buffer: ``image`` may also be ``a_dir``
-        v_prev *= beta
-        np.subtract(image - alfa * v, v_prev, out=v_prev)
-        beta_next = float(np.linalg.norm(v_prev))
-        image_norm2 = alfa * alfa + beta * beta + beta_next * beta_next  # ||A v||^2
-        t_norm2 += image_norm2
-        # rotate the new tridiagonal column through the two stored rotations
-        eps = s_prev2 * beta
-        delta_tmp = c_prev2 * beta
-        delta = c_prev * delta_tmp + s_prev * alfa
-        gbar = -s_prev * delta_tmp + c_prev * alfa
-        gamma, c, s = _sym_ortho(gbar, beta_next)
+        try:
+            (upper, diag, sub), s_dir, a_dir = column(k)
+        except _Stop as stop:
+            reason = str(stop)
+            break
+        col_norm2 = upper * upper + diag * diag + sub * sub
+        t_norm2 += col_norm2
+        # rotate the new column through the two stored rotations
+        eps = s_prev2 * upper
+        delta_tmp = c_prev2 * upper
+        delta = c_prev * delta_tmp + s_prev * diag
+        gbar = -s_prev * delta_tmp + c_prev * diag
+        gamma, c, s = _sym_ortho(gbar, sub)
         if gamma <= _SINGULAR_RTOL * math.sqrt(t_norm2):
             reason = "breakdown"
             break
@@ -344,24 +340,46 @@ def _minres_loop(step, v, b, rule, history, alpha):
             np.subtract(fresh - delta * prev, new, out=new)
         dirs_prev2 /= gamma
         dirs_prev2, dirs_prev = dirs_prev, dirs_prev2
-        del image, a_dir, s_dir, fresh  # not kept alive through the next step
+        del s_dir, a_dir, fresh  # not kept alive through the next step
         c_prev2, s_prev2 = c_prev, s_prev
         c_prev, s_prev = c, s
         xr[0] += tau * dirs_prev[0]
         xr[1] -= tau * dirs_prev[1]
-        res_true = float(np.linalg.norm(xr[1]))
-        history.push(xr[0], res_true, abs(phibar), alpha)
-        if rule.dp_enabled and history.dp_index is not None:
+        history.push(xr[0], float(np.linalg.norm(xr[1])), abs(phibar), alpha)
+        if rule.dp_enabled and history.rec.dp_index is not None:
             reason = "discrepancy"
             break
-        if (beta_next <= BREAKDOWN_RTOL * math.sqrt(image_norm2)
+        if (sub <= BREAKDOWN_RTOL * math.sqrt(col_norm2)
                 or abs(phibar) <= BREAKDOWN_RTOL * beta1):
             reason = "breakdown"
             break
-        v_prev /= beta_next
-        v_prev, v = v, v_prev
-        beta = beta_next
-    return history.record(reason, xr[0], k)  # one A apply per step
+    return history.record(reason, xr[0], counted.count)
+
+
+def _lanczos(step, rhs):
+    """The Lanczos column map of MINRES for the right-hand side ``rhs``, and
+    ``||rhs||``.  ``step(v)`` applies A once and returns the system image of
+    the Lanczos vector ``v``, its solution direction ``s`` and ``A s``."""
+    beta1 = float(np.linalg.norm(rhs))
+    v = rhs / beta1 if beta1 else rhs
+    v_next = np.zeros(rhs.size)
+    beta = 0.0
+
+    def column(k):
+        nonlocal v, v_next, beta
+        if k > 1:
+            v_next /= beta
+            v, v_next = v_next, v
+        image, s_dir, a_dir = step(v)
+        alfa = float(np.dot(v, image))
+        # next Lanczos vector in the previous one's buffer: ``image`` may
+        # also be ``a_dir``
+        v_next *= beta
+        np.subtract(image - alfa * v, v_next, out=v_next)
+        upper, beta = beta, float(np.linalg.norm(v_next))
+        return (upper, alfa, beta), s_dir, a_dir
+
+    return column, beta1
 
 
 def minres(A, b, rule: StoppingRule | None = None, x_true=None) -> SolveRecord:
@@ -373,13 +391,15 @@ def minres(A, b, rule: StoppingRule | None = None, x_true=None) -> SolveRecord:
     rule = rule or StoppingRule()
     b = _flat(b, A.size)
     _probe_symmetry(A)
+    counted = _Counted(A)
     history = _History(x_true, rule)
 
     def step(v):
-        av = np.ravel(A.apply(v))
-        return av, av, v
+        av = np.ravel(counted.apply(v))
+        return av, v, av
 
-    return _minres_loop(step, b, b, rule, history, None)
+    column, beta1 = _lanczos(step, b)
+    return _givens_loop(column, beta1, b, rule, history, counted, None)
 
 
 def minres_sym_prec(A, b, p_half, rule: StoppingRule | None = None,
@@ -396,14 +416,16 @@ def minres_sym_prec(A, b, p_half, rule: StoppingRule | None = None,
     b = _flat(b, A.size)
     _check_prec(p_half, A.size)
 
-    def step(z):
+    def step(z, op):
         pz = np.ravel(p_half.apply(z))
-        apz = np.ravel(A.apply(pz))
-        return np.ravel(p_half.apply(apz)), apz, pz
+        apz = np.ravel(op.apply(pz))
+        return np.ravel(p_half.apply(apz)), pz, apz
 
-    _probe_symmetry(LinearMap(A.size, lambda z: step(z)[0]))
+    _probe_symmetry(LinearMap(A.size, lambda z: step(z, A)[0]))
+    counted = _Counted(A)
     history = _History(x_true, rule)
-    return _minres_loop(step, np.ravel(p_half.apply(b)), b, rule, history,
+    column, beta1 = _lanczos(lambda z: step(z, counted), np.ravel(p_half.apply(b)))
+    return _givens_loop(column, beta1, b, rule, history, counted,
                         getattr(p_half, "alpha", None))
 
 
@@ -479,10 +501,6 @@ class _Dcgs2:
         return float(np.linalg.norm(self.basis[k])), out
 
 
-class _Stop(Exception):
-    """Raised by a direction map to end the run with the given stop reason."""
-
-
 def _flexible(prec_at, history):
     """Direction map of the flexible solvers: ``z = P_k v`` with
     ``P_k = prec_at(k - 1, x_prev)``, or ``v`` when there is no callback or
@@ -499,7 +517,7 @@ def _flexible(prec_at, history):
         if not np.isfinite(z_norm):
             raise _Stop("nonfinite")
         if z_norm <= BREAKDOWN_RTOL:
-            history.skipped.append(k)
+            history.rec.skipped.append(k)
             z = v
         return z, getattr(prec, "alpha", None)
 
@@ -569,7 +587,7 @@ def _arnoldi(counted, b, rule, history, *, direction, solution=None, flexible=Fa
         else:
             x = rows[0] if solution is None else solution(rows[0])
         history.push(x, float(np.linalg.norm(rows[-1])), proj, alpha_k)
-        if rule.dp_enabled and history.dp_index is not None:
+        if rule.dp_enabled and history.rec.dp_index is not None:
             reason = "discrepancy"
             break
         if h_new <= gs.tol_break:
@@ -626,81 +644,48 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
     """LSQR via Golub-Kahan bidiagonalization, no reorthogonalization.
 
     Needs ``apply_adjoint`` on the operator (and on the right preconditioner
-    if one is given), which runs the bidiagonalization on ``A P``.  The
-    direction recurrence is carried for ``P w`` and ``-A P w``, so ``x`` and
-    ``b - A x`` are updated, never recomputed.  An iteration applies A and P
-    once forward and once adjoint: the first adjoint comes before the loop,
-    and none follows the last step, so ``n_ops`` is ``2k`` (``2k + 1`` when
-    the adjoint of step k reveals a breakdown).
+    if one is given), which runs the bidiagonalization on ``A P``.  This is
+    the Givens loop of :func:`minres` on the bidiagonal B_k, whose column k
+    is ``(0, alpha_k, beta_{k+1})``, with solution direction ``P v_k``, so
+    ``x`` and ``b - A x`` are updated, never recomputed.  Step k applies the
+    adjoint for ``v_k`` and then A and P forward, and none follows the last
+    step: k iterations cost ``2k`` applications, one more when the adjoint
+    of the next step reveals a breakdown (``alpha`` at rounding level), and
+    two more when the next column makes R singular.
     """
     rule = rule or StoppingRule()
     b = _flat(b, A.size)
     _check_prec(right_prec, A.size)
     counted = _Counted(A)
     history = _History(x_true, rule)
-
-    def forward(vec):
-        if right_prec is not None:
-            vec = np.ravel(right_prec.apply(vec))
-        return np.ravel(counted.apply(vec)), vec
-
-    def adjoint(vec):
-        out = np.ravel(counted.apply_adjoint(vec))
-        if right_prec is not None:
-            out = np.ravel(right_prec.apply_adjoint(out))
-        return out
-
-    alpha_k = None if right_prec is None else getattr(right_prec, "alpha", None)
     beta1 = float(np.linalg.norm(b))
-    if beta1 == 0.0:
-        return history.record("breakdown", np.zeros(A.size), 0)
-    u = b / beta1
-    v = adjoint(u)
-    alfa = float(np.linalg.norm(v))
-    if alfa == 0.0:
-        # b is orthogonal to the range: the zero vector already minimizes
-        return history.record("breakdown", np.zeros(A.size), counted.count)
-    # operator outputs may be their own input (identity): never update in place
-    v = v / alfa
-    # rows [P w, -A P w]; w_1 = v_1, so they start from zero; rows [x, b - A x]
-    dirs = np.zeros((2, A.size))
-    xr = np.stack((np.zeros(A.size), b))
-    phibar = beta1
-    rhobar = alfa
-    reason = "max_iter"
-    for k in range(1, rule.max_iter + 1):
-        apv, pv = forward(v)
-        dirs[0] += pv
-        dirs[1] -= apv
-        u = apv - alfa * u
-        del apv, pv  # not kept alive through the adjoint
+    u = b / beta1 if beta1 else b
+    v = np.zeros(A.size)
+    beta = 0.0
+
+    def column(k):
+        nonlocal u, v, beta
+        # alpha_k v_k = P^T A^T u_k - beta_k v_{k-1}; operator outputs may be
+        # their own input (identity), so none is updated in place
+        w = np.ravel(counted.apply_adjoint(u))
+        if right_prec is not None:
+            w = np.ravel(right_prec.apply_adjoint(w))
+        v = w - beta * v
+        del w  # not kept alive through the forward apply
+        alfa = float(np.linalg.norm(v))
+        if alfa <= BREAKDOWN_RTOL * math.hypot(beta, alfa):  # ||P^T A^T u||
+            raise _Stop("breakdown")
+        v /= alfa
+        s_dir = v if right_prec is None else np.ravel(right_prec.apply(v))
+        a_dir = np.ravel(counted.apply(s_dir))
+        u = a_dir - alfa * u
         beta = float(np.linalg.norm(u))
         if beta > 0.0:
             u /= beta
-        rho, c, s = _sym_ortho(rhobar, beta)
-        phi = c * phibar
-        phibar = s * phibar
-        xr += (phi / rho) * dirs
-        res_true = float(np.linalg.norm(xr[1]))
-        history.push(xr[0], res_true, abs(phibar), alpha_k)
-        if rule.dp_enabled and history.dp_index is not None:
-            reason = "discrepancy"
-            break
-        if beta <= BREAKDOWN_RTOL * math.hypot(alfa, beta):  # ||A P v||
-            reason = "breakdown"
-            break
-        if k == rule.max_iter:
-            break  # no step follows that would use the next adjoint image
-        v = adjoint(u) - beta * v
-        alfa = float(np.linalg.norm(v))
-        if alfa <= BREAKDOWN_RTOL * math.hypot(beta, alfa):  # ||P^T A^T u||
-            reason = "breakdown"
-            break
-        v /= alfa
-        theta = s * alfa
-        rhobar = -c * alfa
-        dirs *= -theta / rho
-    return history.record(reason, xr[0], counted.count)
+        return (0.0, alfa, beta), s_dir, a_dir
+
+    return _givens_loop(column, beta1, b, rule, history, counted,
+                        getattr(right_prec, "alpha", None))
 
 
 def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None,

@@ -39,37 +39,18 @@ def test_psf_validation():
         Psf(np.array([[np.nan]]), (0, 0))
     with pytest.raises(ValueError, match="center"):
         Psf(np.ones((3, 3)) / 9.0, (3, 0))
-    with pytest.raises(ValueError, match="normalized"):
-        Psf(np.ones((2, 2)), (0, 0), normalized=True)
-
-
-def test_psf_normalized_autodetect():
-    assert AVG3.normalized
-    assert not Psf(np.ones((2, 2)), (0, 0)).normalized
-    assert Psf(np.ones((2, 2)) / 4.0, (1, 1)).normalized
-
-
-def test_psf_rotated_is_180_degrees():
-    kernel = np.arange(6.0).reshape(2, 3)
-    psf = Psf(kernel, (0, 1))
-    rot = psf.rotated()
-    np.testing.assert_array_equal(rot.kernel, kernel[::-1, ::-1])
-    # the center must track the same physical offset, negated
-    assert tuple(rot.row_offsets) == tuple(-psf.row_offsets[::-1])
-    assert tuple(rot.col_offsets) == tuple(-psf.col_offsets[::-1])
-    np.testing.assert_array_equal(rot.rotated().kernel, psf.kernel)
 
 
 def test_psf_symmetry_flags():
-    assert AVG3.centrally_symmetric and AVG3.quadrantally_symmetric
+    assert AVG3.centrally_symmetric
     motion = make_motion_psf(5, 45.0)
     assert not motion.centrally_symmetric
-    # even in each axis separately => also centrally symmetric
+    # even in each axis separately, so centrally symmetric
     quad = Psf(np.array([[0.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 0.0]]) / 6.0, (1, 1))
-    assert quad.quadrantally_symmetric and quad.centrally_symmetric
-    # centrally but NOT quadrantally symmetric (diagonal ridge)
+    assert quad.centrally_symmetric
+    # centrally but not evenly in each axis (diagonal ridge)
     diag = Psf(np.diag([1.0, 2.0, 1.0]) / 4.0, (1, 1))
-    assert diag.centrally_symmetric and not diag.quadrantally_symmetric
+    assert diag.centrally_symmetric
 
 
 def test_psf_pad_extents_even_support():
@@ -421,7 +402,6 @@ def test_psf_file_round_trip(tmp_path):
     loaded = load_psf(path)
     np.testing.assert_allclose(loaded.kernel, psf.kernel, rtol=0.0, atol=1e-15)
     assert loaded.center == psf.center
-    assert loaded.normalized == psf.normalized
 
 
 def test_psf_file_rejects_garbage(tmp_path):

@@ -41,7 +41,6 @@ def test_gaussian_psf_normalized_and_symmetric():
     assert abs(psf.kernel.sum() - 1.0) <= 1e-12
     np.testing.assert_allclose(psf.kernel, psf.kernel[::-1, :], rtol=0.0, atol=0.0)
     np.testing.assert_allclose(psf.kernel, psf.kernel[:, ::-1], rtol=0.0, atol=0.0)
-    assert psf.quadrantally_symmetric
     assert psf.center == (4, 4)
 
 
@@ -365,6 +364,16 @@ def test_parse_config_errors(tmp_path):
         parse_config(_write_config(tmp_path / "h.cfg", n=None))
     with pytest.raises(ValueError, match="config key eta"):
         parse_config(_write_config(tmp_path / "i.cfg", eta=0.99))
+    with pytest.raises(ValueError, match="config key seed: invalid literal for int"):
+        parse_config(_write_config(tmp_path / "j.cfg", seed="abc"))
+    with pytest.raises(ValueError, match="config key sigma: could not convert"):
+        parse_config(_write_config(tmp_path / "k.cfg", sigma="x"))
+    with pytest.raises(ValueError, match="config key max_iter must be at least 1"):
+        parse_config(_write_config(tmp_path / "l.cfg", max_iter=0))
+    with pytest.raises(ValueError, match="config key bc: unknown boundary"):
+        parse_config(_write_config(tmp_path / "m.cfg", bc="antireflective"))
+    with pytest.raises(ValueError, match="config key stationary_alpha: expects a boolean"):
+        parse_config(_write_config(tmp_path / "o.cfg", stationary_alpha="maybe"))
 
 
 def test_parse_config_psf_file(tmp_path):

@@ -208,23 +208,32 @@ def test_minres_flip_blur_residuals_nonincreasing():
     assert res[-1] <= res[0]
 
 
-@pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("rhs", ["random", "range"])
-def test_minres_singular_map_iterates_stay_bounded(seed, rhs):
+@pytest.mark.parametrize("solver, rhs, seed", [
+    pytest.param(solver, rhs, seed, id=f"{prefix}{rhs}-{seed}")
+    for solver, prefix in ((minres, ""), (lsqr, "lsqr-"))
+    for rhs in ("random", "range") for seed in range(6)
+])
+def test_minres_singular_map_iterates_stay_bounded(solver, rhs, seed):
     # eigenvalues (1, -1.5, 2, 0.5, -0.8, 0, 0, 0): T_6 is singular and the
-    # Krylov space exhausted, so gamma at step 6 is rounding noise and the
-    # run must stop on the least-squares iterate of step 5; with b in the
-    # range that iterate is exact and the run must not drift past it
+    # Krylov space exhausted, so gamma at step 6 is rounding noise and MINRES
+    # must stop on the least-squares iterate of step 5; with b in the range
+    # that iterate is exact and the run must not drift past it.  LSQR must
+    # stop by breakdown too, on the minimum-norm least-squares solution.
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
     mat = (q * np.array([1.0, -1.5, 2.0, 0.5, -0.8, 0.0, 0.0, 0.0])) @ q.T
     b = _unit_rhs(8, seed + 10)
     if rhs == "range":
         b = mat @ np.linalg.lstsq(mat, b, rcond=None)[0]
-    rec = minres(LinearMap.from_matrix(mat), b, StoppingRule(max_iter=20))
-    least = np.linalg.norm(b - mat @ np.linalg.lstsq(mat, b, rcond=None)[0])
+    rec = solver(LinearMap.from_matrix(mat), b, StoppingRule(max_iter=20))
+    x_min = np.linalg.lstsq(mat, b, rcond=None)[0]
+    least = np.linalg.norm(b - mat @ x_min)
     direct = np.linalg.norm(b - mat @ rec.x_stop)
-    assert rec.stop_reason == "breakdown" and rec.iterations == 5
+    assert rec.stop_reason == "breakdown"
+    if solver is minres:
+        assert rec.iterations == 5
+    else:
+        assert np.linalg.norm(rec.x_stop - x_min) <= 1e-10
     assert np.linalg.norm(rec.x_stop) <= 10.0
     assert np.linalg.norm(rec.x_best) <= 10.0
     assert abs(direct - least) <= 1e-12
