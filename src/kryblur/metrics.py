@@ -1,4 +1,9 @@
-"""Reconstruction quality metrics."""
+"""Reconstruction quality metrics.
+
+Each formula is defined once, on the squared error norm, so a solver that
+already holds ``||x - x_true||^2`` (from one dot product) and the cached
+reference scalars evaluates both without forming another error vector.
+"""
 
 from __future__ import annotations
 
@@ -6,17 +11,31 @@ import math
 
 import numpy as np
 
-__all__ = ["rre", "psnr"]
+__all__ = ["rre", "psnr", "rre_from_error", "psnr_from_error"]
+
+
+def rre_from_error(err2: float, ref_norm: float) -> float:
+    """Relative reconstruction error from ``||x - x_true||^2`` and
+    ``||x_true||``."""
+    if ref_norm == 0.0:
+        raise ValueError("RRE is undefined for an all-zero reference image")
+    return math.sqrt(err2) / ref_norm
+
+
+def psnr_from_error(err2: float, peak: float, size: int) -> float:
+    """PSNR in dB from ``||x - x_true||^2``, the reference peak
+    ``max(x_true)`` and the pixel count: 10*log10(peak^2 * size / err2), and
+    ``math.inf`` for a perfect reconstruction."""
+    if err2 == 0.0:
+        return math.inf
+    return 10.0 * math.log10(peak * peak * size / err2)
 
 
 def rre(x: np.ndarray, x_true: np.ndarray) -> float:
     """Relative reconstruction error ||x - x_true|| / ||x_true||."""
     xt = np.asarray(x_true, dtype=float).ravel()
-    scale = np.linalg.norm(xt)
-    if scale == 0.0:
-        raise ValueError("RRE is undefined for an all-zero reference image")
     err = np.asarray(x, dtype=float).ravel() - xt
-    return float(np.linalg.norm(err) / scale)
+    return rre_from_error(float(np.dot(err, err)), float(np.linalg.norm(xt)))
 
 
 def psnr(x: np.ndarray, x_true: np.ndarray) -> float:
@@ -26,8 +45,5 @@ def psnr(x: np.ndarray, x_true: np.ndarray) -> float:
     reconstruction has infinite PSNR, returned as ``math.inf``.
     """
     xt = np.asarray(x_true, dtype=float).ravel()
-    err2 = float(np.sum((np.asarray(x, dtype=float).ravel() - xt) ** 2))
-    if err2 == 0.0:
-        return math.inf
-    peak = float(xt.max())
-    return 10.0 * math.log10(peak * peak * xt.size / err2)
+    err = np.asarray(x, dtype=float).ravel() - xt
+    return psnr_from_error(float(np.dot(err, err)), float(xt.max()), xt.size)

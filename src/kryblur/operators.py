@@ -12,6 +12,14 @@ kernel are real, so only half of each spectrum is formed), and crop back to
 the field of view.  The circulant preconditioners apply their eigenvalue grids
 through the same real-FFT filter, and both reject complex images.
 
+The filter of a single image runs in one workspace per thread: one real grid
+and one half spectrum, grown to the largest grid seen and reused by every
+blur and circulant apply, so a steady-state Krylov step allocates no
+image-size temporaries.  The filter is not re-entrant: the grid it leaves
+behind is overwritten by the next apply, so operators hand their callers a
+copy of it, never the workspace.  A stack of images (dense materialization)
+gets buffers of its own.
+
 The trigonometric polynomial generated by the PSF (its "symbol") ties the
 operator to its circulant relatives: sampled on the uniform n-by-n frequency
 grid it gives exactly the eigenvalues of the periodic-boundary operator.
@@ -20,6 +28,7 @@ grid it gives exactly the eigenvalues of the periodic-boundary operator.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -63,13 +72,6 @@ class BoundaryCondition(Enum):
             raise ValueError(
                 f"unknown boundary condition {value!r}; expected one of {names}"
             ) from None
-
-
-_PAD_MODE = {
-    BoundaryCondition.ZERO: "constant",
-    BoundaryCondition.PERIODIC: "wrap",
-    BoundaryCondition.REFLECTIVE: "symmetric",
-}
 
 
 @dataclass(frozen=True)
@@ -185,12 +187,58 @@ def _image_stack(x, n: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _rfft_filter(images: np.ndarray, half: np.ndarray) -> np.ndarray:
-    # Multiply a stack of real images by a conjugate-symmetric frequency grid
-    # given as its half spectrum; s= restores the last axis, whose length may
-    # be odd.
-    return _fft.irfft2(_fft.rfft2(images, axes=(-2, -1)) * half,
-                       s=images.shape[-2:], axes=(-2, -1))
+class _Workspace(threading.local):
+    """One real and one complex buffer per thread, grown to the largest
+    single-image grid seen."""
+
+    def __init__(self):
+        self._buffers = {float: np.empty(0), complex: np.empty(0, complex)}
+
+    def grid(self, shape, dtype=float) -> np.ndarray:
+        """An uninitialized array of ``shape``: for one image a view of the
+        buffer of ``dtype``, valid until the next call; for a stack a new
+        array."""
+        if len(shape) != 2:
+            return np.empty(shape, dtype)
+        size = shape[0] * shape[1]
+        if self._buffers[dtype].size < size:
+            self._buffers[dtype] = np.empty(size, dtype)
+        return self._buffers[dtype][:size].reshape(shape)
+
+
+_WORKSPACE = _Workspace()
+
+
+def _rfft_filter(grid: np.ndarray, half: np.ndarray, adjoint: bool):
+    # Multiply the real images of ``grid`` in place by a conjugate-symmetric
+    # frequency grid given as its half spectrum ``half``, or by its conjugate.
+    # numpy.fft writes every transform into the workspace spectrum; n= restores
+    # the last axis, whose length may be odd.
+    spec = _WORKSPACE.grid(grid.shape[:-1] + (grid.shape[-1] // 2 + 1,), complex)
+    np.fft.rfft2(grid, out=spec)
+    if adjoint:  # conj(conj(S) H) = S conj(H), without a conjugated copy of H
+        np.conjugate(spec, out=spec)
+    np.multiply(spec, half, out=spec)
+    if adjoint:
+        np.conjugate(spec, out=spec)
+    np.fft.ifft(spec, axis=-2, out=spec)
+    np.fft.irfft(spec, n=grid.shape[-1], axis=-1, out=grid)
+
+
+def _pad_sources(n: int, before: int, after: int, bc: BoundaryCondition):
+    # The pad positions of one axis with the field-of-view index each copies
+    # (None for a zero), as np.pad's constant, wrap and symmetric modes do.
+    sources = []
+    for t in [*range(before), *range(before + n, before + n + after)]:
+        k = t - before
+        if bc is BoundaryCondition.ZERO:
+            sources.append((t, None))
+        elif bc is BoundaryCondition.PERIODIC:
+            sources.append((t, k % n))
+        else:
+            k %= 2 * n
+            sources.append((t, min(k, 2 * n - 1 - k)))
+    return sources
 
 
 def apply_flip(x: np.ndarray) -> np.ndarray:
@@ -206,12 +254,13 @@ def apply_flip(x: np.ndarray) -> np.ndarray:
 class BlurOperator:
     """Blur of n-by-n images by a PSF under a fixed boundary condition.
 
-    Application pads the image per the boundary rule, multiplies its real-FFT
-    half spectrum by the cached half spectrum of the kernel, transforms back
-    (the result is real by construction), and crops the field of view.  The
-    padded grid is rounded up to an FFT-friendly length; extra padding follows
-    the same boundary rule and cannot reach the field of view, so results are
-    independent of the rounding.
+    Application pads the image per the boundary rule into the workspace grid,
+    multiplies its real-FFT half spectrum by the cached half spectrum of the
+    kernel, transforms back (the result is real by construction), and returns
+    a copy of the field of view.  The padded grid is rounded up to an
+    FFT-friendly length; extra padding follows the same boundary rule and
+    cannot reach the field of view, so results are independent of the
+    rounding.
 
     ``apply_adjoint`` blurs with the 180-degree-rotated PSF under the same
     boundary rule.  For zero and periodic boundaries that is exactly the
@@ -228,7 +277,10 @@ class BlurOperator:
         pr, pc = psf.pad_extents
         mr = _fft.next_fast_len(n + 2 * pr)
         mc = _fft.next_fast_len(n + 2 * pc)
-        self._pad = ((pr, mr - n - pr), (pc, mc - n - pc))
+        self._grid_shape = (mr, mc)
+        self._view = (slice(pr, pr + n), slice(pc, pc + n))
+        self._row_pads = _pad_sources(n, pr, mr - n - pr, bc)
+        self._col_pads = _pad_sources(n, pc, mc - n - pc, bc)
         self._kernel_hat = _fft.rfft2(_first_circulant_column(psf, (mr, mc)))
 
     @property
@@ -236,22 +288,28 @@ class BlurOperator:
         """Length of the stacked image vectors this operator acts on."""
         return self.n * self.n
 
-    def _convolve(self, x, kernel_hat):
+    def _convolve(self, x, adjoint: bool):
         arr, work = _image_stack(x, self.n)
-        (pr, ar), (pc, ac) = self._pad
-        pad_width = [(0, 0)] * (work.ndim - 2) + [(pr, ar), (pc, ac)]
-        padded = np.pad(work, pad_width, mode=_PAD_MODE[self.bc])
-        out = _rfft_filter(padded, kernel_hat)[..., pr:pr + self.n, pc:pc + self.n]
-        return np.ascontiguousarray(out).reshape(arr.shape)
+        grid = _WORKSPACE.grid(work.shape[:-2] + self._grid_shape)
+        rows, cols = self._view
+        grid[..., rows, cols] = work
+        # pad as np.pad does, one axis after the other, from inside the grid
+        for t, s in self._col_pads:
+            grid[..., rows, t] = 0.0 if s is None else grid[..., rows, cols.start + s]
+        for t, s in self._row_pads:
+            grid[..., t, :] = 0.0 if s is None else grid[..., rows.start + s, :]
+        _rfft_filter(grid, self._kernel_hat, adjoint)
+        # a copy: the field of view can be the whole grid, the workspace itself
+        return grid[..., rows, cols].copy().reshape(arr.shape)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Blur. Accepts a real n-by-n image or a flat length-n^2 vector (also
-        batched along leading axes); returns the same shape."""
-        return self._convolve(x, self._kernel_hat)
+        batched along leading axes); returns a new array of the same shape."""
+        return self._convolve(x, adjoint=False)
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         """Blur with the rotated PSF (exact transpose for zero/periodic)."""
-        return self._convolve(y, np.conj(self._kernel_hat))
+        return self._convolve(y, adjoint=True)
 
 
 class FlipComposedOperator:

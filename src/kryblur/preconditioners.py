@@ -2,11 +2,12 @@
 
 A circulant operator is fixed by its eigenvalue grid on the uniform n-by-n
 frequency grid; application is one real DFT, an elementwise scale, and one
-inverse real DFT over half the spectrum, the filter the blur uses too.  It
-acts on real images only, so the grid must be conjugate-symmetric, as the
-symbol of a real PSF (``bccb_eigenvalues``) and every grid derived from it
-below are.  The constructors below turn that symbol grid into filter-style
-eigenvalue grids:
+inverse real DFT over half the spectrum, the filter the blur uses too, run in
+the same per-thread workspace; each apply returns a new array.  It acts on
+real images only, so the grid must be conjugate-symmetric, as the symbol of a
+real PSF (``bccb_eigenvalues``) and every grid derived from it below are; the
+constructor checks that.  The constructors below turn that symbol grid into
+filter-style eigenvalue grids:
 
 * ``circulant_tikhonov``      conj(s) / (|s|^2 + alpha), the circulant whose
   application IS the Tikhonov-regularized deconvolution for periodic
@@ -24,12 +25,11 @@ for sparsity, diagonal reweighting from the previous iterate.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _image_stack, _rfft_filter
+from .operators import _WORKSPACE, _image_stack, _rfft_filter
 
 __all__ = [
     "CirculantOperator",
@@ -58,8 +58,10 @@ class CirculantOperator:
     ``eigs[p, q]``, so the operator is ``fft2(ifft2(x) * eigs)``.  It is
     applied as the real-FFT filter with half grid ``conj(eigs[:, :n//2+1])``,
     which is exact when the grid is conjugate-symmetric: ``eigs[i, j] ==
-    conj(eigs[-i, -j])`` within 1e-10 of max |eigs|.  Any other grid raises
-    ``ValueError`` on the first apply, and so does complex input.
+    conj(eigs[-i, -j])`` within 1e-10 of max |eigs| (checked on the half grid,
+    which meets every such pair).  The constructor raises ``ValueError`` for
+    any other grid, and the applies for complex input.  Each apply returns a
+    new array, never the filter's workspace.
 
     ``alpha`` is bookkeeping only: constructors record the regularization
     parameter they were built with so solver histories can log it.
@@ -67,32 +69,38 @@ class CirculantOperator:
 
     def __init__(self, eigs: np.ndarray, alpha: float | None = None):
         eigs = np.asarray(eigs)
-        if eigs.ndim != 2 or eigs.shape[0] != eigs.shape[1]:
+        if eigs.ndim != 2 or eigs.shape[0] != eigs.shape[1] or eigs.size == 0:
             raise ValueError(f"eigenvalue grid must be square 2-D, got {eigs.shape}")
         self.eigs = eigs.astype(complex)
         self.n = eigs.shape[0]
         self.alpha = alpha
+        n, m = self.n, self.n // 2 + 1
+        self._half = np.conj(self.eigs[:, :m])
+        # each pair (i, j), (-i, -j) meets the half grid: compare it with eigs
+        # at the mirrored frequencies, in the filter's workspace.  Columns are
+        # gathered; row -i is row 0 for i = 0 and row n - i otherwise.
+        diff = np.take(self.eigs, -np.arange(m), axis=1, mode="wrap",
+                       out=_WORKSPACE.grid((n, m), complex))
+        for rows, mirrored in ((slice(0, 1), slice(0, 1)), (slice(1, n), slice(None, 0, -1))):
+            np.subtract(self._half[rows], diff[mirrored], out=diff[mirrored])
+        magnitude = _WORKSPACE.grid((n, m))
+        defect = np.abs(diff, out=magnitude).max(initial=0.0)
+        if not defect <= _IMAG_RTOL * np.abs(self._half, out=magnitude).max(initial=0.0):
+            raise ValueError(
+                "circulant eigenvalue grid is not conjugate-symmetric (defect "
+                f"{defect:.3e}); only grids of real operators are supported"
+            )
 
     @property
     def size(self) -> int:
         return self.n * self.n
 
-    @functools.cached_property
-    def _half_spectrum(self) -> np.ndarray:
-        # conj(eigs) on the half grid; checked lazily, on the first apply.
-        mirrored = np.roll(self.eigs[::-1, ::-1], 1, axis=(0, 1))
-        defect = np.abs(self.eigs - np.conj(mirrored)).max(initial=0.0)
-        if not defect <= _IMAG_RTOL * np.abs(self.eigs).max(initial=0.0):
-            raise ValueError(
-                "circulant eigenvalue grid is not conjugate-symmetric (defect "
-                f"{defect:.3e}); only grids of real operators are supported"
-            )
-        return np.conj(self.eigs[:, :self.n // 2 + 1])
-
     def _scale(self, x, adjoint: bool):
         arr, work = _image_stack(x, self.n)
-        half = self._half_spectrum
-        return _rfft_filter(work, np.conj(half) if adjoint else half).reshape(arr.shape)
+        grid = _WORKSPACE.grid(work.shape)
+        grid[...] = work
+        _rfft_filter(grid, self._half, adjoint)
+        return grid.copy().reshape(arr.shape)
 
     def apply(self, x):
         return self._scale(x, adjoint=False)

@@ -4,7 +4,9 @@ import time
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
+from kryblur import operators
 from kryblur.operators import (
     BlurOperator,
     BoundaryCondition,
@@ -16,7 +18,7 @@ from kryblur.operators import (
     materialize_dense,
     save_psf,
 )
-from kryblur.preconditioners import CirculantOperator
+from kryblur.preconditioners import CirculantOperator, circulant_tikhonov
 from kryblur.problems import make_gaussian_psf, make_motion_psf, make_two_motion_psf
 
 from oracles import blur_matrix_direct, flip_matrix, symbol_direct
@@ -289,6 +291,74 @@ def test_apply_wall_time_scaling_sanity():
 
     ratio = best_of(op128, x128) / best_of(op64, x64)
     assert ratio <= 5.0, f"doubling n scaled apply time by {ratio:.2f} (> 5)"
+
+
+# ---------------------------------------------------------------------------
+# the real-FFT filter and its workspace
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (7, 9), (3, 6, 5)], ids=["8x8", "7x9", "stack"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_rfft_filter_matches_scipy(shape, adjoint):
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal(shape)
+    half = sfft.rfft2(rng.standard_normal(shape[-2:]))  # a real kernel's half spectrum
+    grid = x.copy()
+    operators._rfft_filter(grid, half, adjoint)
+    want = sfft.irfft2(sfft.rfft2(x) * (np.conj(half) if adjoint else half), s=shape[-2:])
+    assert np.abs(grid - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition))
+def test_pad_sources_reproduce_np_pad(bc):
+    # pads wider than the axis too, which np.pad repeats
+    mode = {"zero": "constant", "periodic": "wrap", "reflective": "symmetric"}[bc.value]
+    rng = np.random.default_rng(37)
+    for n in (1, 2, 5):
+        for before, after in ((0, 0), (1, 3), (4, 0), (7, 12)):
+            line = rng.standard_normal((2, n))
+            got = np.full((2, n + before + after), np.nan)
+            got[:, before:before + n] = line
+            for target, source in operators._pad_sources(n, before, after, bc):
+                got[:, target] = 0.0 if source is None else line[:, source]
+            np.testing.assert_array_equal(got, np.pad(line, ((0, 0), (before, after)), mode=mode))
+
+
+def _apply_cases():
+    n = 8
+    circ = circulant_tikhonov(bccb_eigenvalues(make_two_motion_psf(4, 45.0, 135.0), n), 0.05)
+    cases = {}
+    for bc in BoundaryCondition:
+        # a 1x1 PSF pads nothing: the grid is the field of view
+        for name, psf in (("gauss3", make_gaussian_psf(3, 1.0)), ("1x1", DELTA)):
+            op = BlurOperator(psf, bc, n)
+            cases[f"blur-{bc.value}-{name}"] = (op.apply, (n * n,))
+            cases[f"blur-{bc.value}-{name}-adjoint"] = (op.apply_adjoint, (n, n))
+    flip = FlipComposedOperator(BlurOperator(DELTA, "zero", n))
+    cases.update({
+        "circulant": (circ.apply, (n * n,)),
+        "circulant-adjoint": (circ.apply_adjoint, (n, n)),
+        "flip": (flip.apply, (n * n,)),
+        "flip-adjoint": (flip.apply_adjoint, (n * n,)),
+        "blur-stack": (BlurOperator(DELTA, "periodic", n).apply, (3, n, n)),
+        "circulant-stack": (circ.apply, (2, n * n)),
+    })
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_apply_cases()))
+def test_applies_return_arrays_of_their_own(case):
+    # the filter reuses one workspace; a returned array that aliased it would
+    # change under the next apply
+    apply, shape = _apply_cases()[case]
+    rng = np.random.default_rng(41)
+    first = apply(rng.standard_normal(shape))
+    kept = first.copy()
+    second = apply(rng.standard_normal(shape))
+    np.testing.assert_array_equal(first, kept)
+    assert not np.shares_memory(first, second)
+    for buffer in operators._WORKSPACE._buffers.values():
+        assert not np.shares_memory(second, buffer)
 
 
 # ---------------------------------------------------------------------------

@@ -100,10 +100,9 @@ def test_circulant_rejects_non_hermitian_grid():
     n = 8
     rng = np.random.default_rng(11)
     grid = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    c = CirculantOperator(grid)
-    for apply in (c.apply, c.apply_adjoint):
-        with pytest.raises(ValueError, match="conjugate-symmetric"):
-            apply(rng.standard_normal(n * n))
+    # checked at construction, not on the first apply inside a solver loop
+    with pytest.raises(ValueError, match="conjugate-symmetric"):
+        CirculantOperator(grid)
 
 
 def test_circulant_rejects_complex_input():
@@ -121,7 +120,7 @@ def test_circulant_inverse_and_singularity():
     inv = CirculantOperator(grid).inverse()
     np.testing.assert_allclose(inv.eigs, np.full((4, 4), 0.5), rtol=0.0, atol=0.0)
     singular = grid.copy()
-    singular[1, 2] = 0.0
+    singular[1, 2] = singular[3, 2] = 0.0  # a mirrored pair: still a real operator
     with pytest.raises(ValueError, match="singular"):
         CirculantOperator(singular).inverse()
 
@@ -129,6 +128,8 @@ def test_circulant_inverse_and_singularity():
 def test_circulant_validation():
     with pytest.raises(ValueError, match="square"):
         CirculantOperator(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        CirculantOperator(np.ones((0, 0)))
     c = CirculantOperator(np.ones((3, 3)))
     with pytest.raises(ValueError, match="shape"):
         c.apply(np.ones(5))
@@ -266,8 +267,12 @@ def test_sqrt_of_sqrt_fourth_power():
 
 
 def test_sqrt_domain_errors():
+    # the DFT of a shifted delta: conjugate-symmetric, not real (every
+    # conjugate-symmetric 2x2 grid is real)
+    shifted = np.fft.fft2(np.roll(np.eye(1, 16).reshape(4, 4), 1, axis=1))
+    assert np.abs(shifted.imag).max() > 0.5
     with pytest.raises(ValueError, match="imaginary"):
-        circulant_sqrt(CirculantOperator(np.full((2, 2), 1.0 + 1.0j)))
+        circulant_sqrt(CirculantOperator(shifted))
     with pytest.raises(ValueError, match="nonnegative"):
         circulant_sqrt(CirculantOperator(np.full((2, 2), -1.0)))
 

@@ -21,6 +21,7 @@ from kryblur.preconditioners import (
     sparsity_weights,
 )
 from kryblur import solvers
+from kryblur.metrics import psnr, rre
 from kryblur.problems import make_gaussian_psf, make_problem, make_two_motion_psf, natural_scene, phantom, star_field
 from kryblur.solvers import (
     LinearMap,
@@ -130,6 +131,18 @@ def test_record_series_lengths_and_best_index():
     assert rec.rre[rec.best_index - 1] == min(rec.rre)
 
 
+def test_record_metrics_and_best_iterate_past_semiconvergence(iterates):
+    # the one-pass RRE and PSNR agree with the metrics module, and the best
+    # iterate's buffer holds that iterate, not a later one
+    prob = make_problem(star_field(16, seed=3), make_gaussian_psf(5, 1.5), "zero", 0.05, 5)
+    rec = lsqr(prob.operator, prob.b, StoppingRule(max_iter=40), x_true=prob.x_true)
+    assert rec.best_index < rec.iterations == len(iterates)
+    for x, got_rre, got_psnr in zip(iterates, rec.rre, rec.psnr):
+        assert abs(got_rre - rre(x, prob.x_true)) <= 1e-14 * got_rre
+        assert abs(got_psnr - psnr(x, prob.x_true)) <= 1e-12
+    np.testing.assert_array_equal(rec.x_best, iterates[rec.best_index - 1])
+
+
 # ---------------------------------------------------------------------------
 # LinearMap plumbing
 
@@ -218,7 +231,8 @@ def test_minres_singular_map_iterates_stay_bounded(solver, rhs, seed):
     # Krylov space exhausted, so gamma at step 6 is rounding noise and MINRES
     # must stop on the least-squares iterate of step 5; with b in the range
     # that iterate is exact and the run must not drift past it.  LSQR must
-    # stop by breakdown too, on the minimum-norm least-squares solution.
+    # stop by breakdown at step 6 too (alpha_6 is rounding noise against
+    # ||B_5||_F), on the minimum-norm least-squares solution.
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
     mat = (q * np.array([1.0, -1.5, 2.0, 0.5, -0.8, 0.0, 0.0, 0.0])) @ q.T
@@ -230,9 +244,8 @@ def test_minres_singular_map_iterates_stay_bounded(solver, rhs, seed):
     least = np.linalg.norm(b - mat @ x_min)
     direct = np.linalg.norm(b - mat @ rec.x_stop)
     assert rec.stop_reason == "breakdown"
-    if solver is minres:
-        assert rec.iterations == 5
-    else:
+    assert rec.iterations == 5
+    if solver is lsqr:
         assert np.linalg.norm(rec.x_stop - x_min) <= 1e-10
     assert np.linalg.norm(rec.x_stop) <= 10.0
     assert np.linalg.norm(rec.x_best) <= 10.0
