@@ -22,9 +22,13 @@ Implemented methods:
 
 There are two engines.  ``gmres``, ``fgmres`` and ``flsqr`` share one
 Arnoldi engine.  It keeps preallocated bases orthonormal by classical
-Gram-Schmidt with delayed reorthogonalization (DCGS2) in two passes a step,
-the second of which also writes the iterate and ``b - A x`` from the Arnoldi
-relation.  ``minres``, ``minres_sym_prec`` and ``lsqr`` share one Givens
+Gram-Schmidt with delayed reorthogonalization (DCGS2): two passes over the
+basis per step for the flexible solvers, which need the iterate of every
+step, and two per block of ``_S_STEP`` (four) steps for stationary GMRES,
+which applies the operator to a scaled monomial block first (s-step GMRES).
+The second pass also writes the iterate and ``b - A x`` from the Arnoldi
+relation, or for a block each step's iterate and the norm of its residual.
+``minres``, ``minres_sym_prec`` and ``lsqr`` share one Givens
 loop: it minimizes the residual through a Givens QR of a banded projected
 matrix, the Lanczos tridiagonal or the Golub-Kahan bidiagonal (the same band
 with a zero above the diagonal), one column a step.  It updates ``b - A x``
@@ -41,7 +45,10 @@ ground truth is available.  When the stopping rule carries a noise norm, the
 record also holds the discrepancy iterate: the first one with residual at
 most ``eta * noise_norm``, kept whether or not the rule stops there.
 ``n_ops`` counts every operator application (forward plus adjoint) of the
-solver loop; only the MINRES symmetry probe goes uncharged.
+solver loop; only the MINRES symmetry probe goes uncharged.  That includes
+the applications of a GMRES block left unused: those after a stop inside the
+block, and those of a near rank-deficient block, which takes its first step
+only.
 """
 
 from __future__ import annotations
@@ -454,7 +461,29 @@ def minres_sym_prec(A, b, p_half, rule: StoppingRule | None = None,
 # GMRES / FGMRES
 # ---------------------------------------------------------------------------
 
-#: Columns per slice of the blocked DCGS2 passes, so a slice stays in cache.
+#: Steps per block of stationary GMRES (s-step Arnoldi): the operator is
+#: applied to a scaled monomial block of this many vectors, which one
+#: reduction pass and one update pass over the basis then orthogonalize.  The
+#: flexible solvers need the iterate of every step, so they take one at a time.
+_S_STEP = 4
+
+#: A block takes its first step only when ``||W^T W||_2`` over the smallest
+#: eigenvalue of its Pythagoras Gram ``W^T W - C^T C`` (W the scaled monomial
+#: images, C their coefficients on the basis) exceeds this bound: the
+#: projection is then too close to rank deficient to be read from the Gram,
+#: and the defect of the Arnoldi relation grows like eps times this ratio.
+#: The ratio is infinite on identity maps, at an exhausted Krylov space and
+#: when n < s; it reads 1.5e5 to 1.8e8 on acceptance 2's random maps, 2e5 to
+#: 5e6 on a 7x7 Gaussian blur with zero boundaries, and 2.6e2 to 5.1e2 on the
+#: flipped 512x512 reflective two-motion blur, apart from its first block
+#: (1.7e5, 2.8e5 with the preconditioner), whose smooth start vector makes
+#: the first monomials nearly parallel.
+_BLOCK_COND = 1e4
+
+#: Columns per slice of the blocked DCGS2 passes, so a slice stays in cache
+#: (8192 by 61 rows is 4 MB).  For the block passes at 512x512, 4096 measured
+#: within the spread of 8192; the slices fix the summation order of the
+#: one-step passes, whose results the flexible solvers' artifacts pin.
 _BLOCK = 8192
 
 
@@ -472,21 +501,37 @@ def _mapped(rows: int, n: int) -> np.ndarray:
 
 class _Dcgs2:
     """Classical Gram-Schmidt with delayed reorthogonalization (DCGS2) on the
-    rows of a preallocated basis: two passes over the basis per step
-    (Swirydowicz et al., NLAA 2021; Bielich et al., Parallel Computing 2022).
+    rows of a preallocated basis, one vector or one block of vectors at a
+    time, in two passes over the basis each (Swirydowicz et al., NLAA 2021;
+    Bielich et al., Parallel Computing 2022; for blocks, Carson, Lund,
+    Rozloznik & Thomas, LAA 2022).  ``h`` is the Arnoldi matrix Hbar on the
+    basis (the block steps keep it up to date), and ``out_rows`` the number
+    of combination rows an update may return.
 
-    At step k, rows ``:k - 1`` are orthonormal, row ``k - 1`` holds the lagged
-    vector ``v`` (projected once, not yet reorthogonalized) and row k the new
-    vector ``w``.  :meth:`reduce` reads the basis once, for ``basis[:k + 1] @
-    [v, w]^T``, which gives ``v' = (v - V s) / gamma`` and ``w' = w - [V, v']
-    c``.  :meth:`update` writes them with one more pass, and with them any
+    One vector (:meth:`reduce`, :meth:`update`): at step k, rows ``:k - 1``
+    are orthonormal, row ``k - 1`` holds the lagged vector ``v`` (projected
+    once, not yet reorthogonalized) and row k the new vector ``w``.
+    :meth:`reduce` reads the basis once, for ``basis[:k + 1] @ [v, w]^T``,
+    which gives ``v' = (v - V s) / gamma`` and ``w' = w - [V, v'] c``.
+    :meth:`update` writes them with one more pass, and with them any
     combination of ``[V, v', w']``, all linear in the uncorrected rows.
+
+    One block (:meth:`reduce_block`, :meth:`update_block`): after k steps,
+    rows ``:m`` are orthonormal, rows ``m:k + 1`` hold the lagged block ``L``
+    (projected once, not yet reorthogonalized) and the next t rows the new
+    block ``W``.  One pass gives ``basis[:k + 1 + t] @ [L, W]^T``, hence
+    ``L = V S + L' R`` with R the Cholesky factor of ``L^T L - S^T S``, and
+    ``W = [V, L'] C + W' R_w`` with ``R_w`` that of the Pythagoras Gram
+    ``W^T W - C^T C``.  The other pass writes ``L'`` and ``W'`` (orthonormal
+    as far as the Gram is exact; the next block corrects it) and
+    combinations of ``[V, L', W']``.
     """
 
-    def __init__(self, basis: np.ndarray):
+    def __init__(self, basis: np.ndarray, out_rows: int, h=None):
         self.basis = basis
+        self.h = h
         self.tol_break = 0.0
-        self._out = np.empty((2, basis.shape[1]))
+        self._out = np.empty((out_rows, basis.shape[1]))
 
     def reduce(self, k: int):
         """Returns ``c`` and the Pythagoras estimate of ``||w'||``.  Keeps
@@ -510,8 +555,8 @@ class _Dcgs2:
 
     def update(self, rows=()):
         """Writes ``v'`` and ``w'`` over rows k - 1 and k, a slice at a time
-        (read before written); returns ``||w'||`` and up to two combinations
-        of ``[V, v', w']``, valid until the next update."""
+        (read before written); returns ``||w'||`` and up to ``out_rows``
+        combinations of ``[V, v', w']``, valid until the next update."""
         k = self.k
         coef = np.vstack((self._lift[k - 1:], np.reshape(rows, (-1, k + 1)) @ self._lift))
         out = self._out[:len(coef) - 2]
@@ -520,6 +565,80 @@ class _Dcgs2:
             self.basis[k - 1:k + 1, j:j + _BLOCK] = blk[:2]
             out[:, j:j + _BLOCK] = blk[2:]
         return float(np.linalg.norm(self.basis[k])), out
+
+    def reduce_block(self, k: int, lagged: int, sigma: np.ndarray) -> int:
+        """The reduction pass of the block after k steps: ``lagged`` lagged
+        rows, and in row ``k + 1 + j`` the image of row ``k + j`` divided by
+        ``sigma[j]``.  Returns the number t of steps the block takes: all of
+        them, or only the first when it is near rank deficient
+        (``_BLOCK_COND``).  Rewrites Hbar on ``L'`` for ``L``, rows and
+        columns, and fills its columns ``k:k + t`` from the change of basis.
+        Keeps ``r_w`` and ``tol_break``: below it, relative to the image, a
+        one-step block's ``||w'||`` is rounding noise.  Its ``r_w`` is the
+        Pythagoras estimate of ``||w'||``, at least ``tol_break``, so that a
+        row lost to rounding is not divided by 0."""
+        m, t = k + 1 - lagged, len(sigma)
+        g = np.zeros((k + 1 + t, lagged + t))
+        for j in range(0, self.basis.shape[1], _BLOCK):
+            blk = self.basis[:k + 1 + t, j:j + _BLOCK]
+            g += blk @ blk[m:].T
+        s = g[:m, :lagged]
+        r_lag = np.linalg.cholesky(g[m:k + 1, :lagged] - s.T @ s, upper=True)
+        c = g[:k + 1, lagged:].copy()
+        c[m:] = np.linalg.solve(r_lag.T, c[m:] - s.T @ c[:m])
+        gram = g[k + 1:, lagged:]
+        pyth = gram - c.T @ c
+        if t > 1 and not np.linalg.eigvalsh(pyth)[0] * _BLOCK_COND > np.linalg.norm(gram, 2):
+            t, c, gram, pyth = 1, c[:, :1], gram[:1, :1], pyth[:1, :1]
+        n = k + 1 + t
+        self.k, self.m, self.t = k, m, t
+        self.tol_break = BREAKDOWN_RTOL * math.sqrt(gram[0, 0])
+        if t > 1:
+            r_w = np.linalg.cholesky(pyth, upper=True)
+        else:  # 1 for a zero image
+            r_w = np.array([[max(math.sqrt(max(pyth[0, 0], 0.0)), self.tol_break) or 1.0]])
+        self.r_w = r_w
+        # rows of [V, L', W'] as combinations of the uncorrected rows
+        self._lift = np.eye(n)
+        self._lift[m:k + 1, :k + 1] = np.linalg.solve(r_lag.T, np.hstack((-s.T, np.eye(lagged))))
+        self._lift[k + 1:, :m] = -c[:m].T
+        self._lift[k + 1:] -= c[m:].T @ self._lift[m:k + 1]
+        self._lift[k + 1:] = np.linalg.solve(r_w.T, self._lift[k + 1:])
+        # Hbar on L': its rows times [S; R], its columns (images of L) times
+        # the inverse.  The block's columns follow from A X = W diag(sigma),
+        # where X = [L e_last, W[:-1]] = [V, L', W'] T_X and W = [V, L', W']
+        # T_W: with U = T_X[k:] (triangular), (T_W diag(sigma) - Hbar T_X[:k])
+        # U^-1.
+        h = self.h
+        h[:m, :k] += s @ h[m:k + 1, :k]
+        h[m:k + 1, :k] = r_lag @ h[m:k + 1, :k]
+        h[:k + 1, m:k] -= h[:k + 1, :m] @ s[:, :-1]
+        h[:k + 1, m:k] = np.linalg.solve(r_lag[:-1, :-1].T, h[:k + 1, m:k].T).T
+        t_w = np.vstack((c, r_w))
+        t_x = np.zeros((n, t))
+        t_x[:m, 0], t_x[m:k + 1, 0] = s[:, -1], r_lag[:, -1]
+        t_x[:, 1:] = t_w[:, :-1]
+        cols = t_w * sigma[:t] - h[:n, :k] @ t_x[:k]
+        h[:n, k:n - 1] = np.linalg.solve(t_x[k:n - 1].T, cols.T).T
+        return t
+
+    def update_block(self, combos: np.ndarray):
+        """The update pass: writes ``L'`` and ``W'`` over rows ``m:k + 1 +
+        t``, a slice at a time (read before written).  ``combos`` holds 2t
+        rows of coefficients on ``[V, L', W']``: returns the first t
+        combinations (valid until the next update), the norms of the last t,
+        summed slice by slice and never stored, and ``W'^T W'`` as written."""
+        m, t, n = self.m, self.t, self.k + 1 + self.t
+        coef = np.vstack((self._lift[m:], combos @ self._lift))
+        out, sq, gram = self._out[:t], np.zeros(t), np.zeros((t, t))
+        for j in range(0, self.basis.shape[1], _BLOCK):
+            blk = coef @ self.basis[:n, j:j + _BLOCK]
+            self.basis[m:n, j:j + _BLOCK] = blk[:n - m]
+            new = blk[n - m - t:n - m]
+            gram += new @ new.T
+            out[:, j:j + _BLOCK] = blk[n - m:n - m + t]
+            sq += np.vecdot(blk[n - m + t:], blk[n - m + t:])
+        return out, np.sqrt(sq), gram
 
 
 def _flexible(prec_at, history):
@@ -545,6 +664,13 @@ def _flexible(prec_at, history):
     return direction
 
 
+def _least_squares(r, rhs):
+    try:
+        return np.linalg.solve(r, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(r, rhs, rcond=None)[0]
+
+
 def _arnoldi(counted, b, rule, history, *, direction, solution=None, flexible=False):
     """The one Arnoldi engine behind :func:`gmres`, :func:`fgmres` and
     :func:`flsqr`; ``counted`` is the operator wrapped in :class:`_Counted`.
@@ -554,31 +680,47 @@ def _arnoldi(counted, b, rule, history, *, direction, solution=None, flexible=Fa
     an adjoint image of ``v``) and the alpha to report, or raises
     :class:`_Stop`.  In flexible mode ``A Z = V Hbar`` holds on the stored
     directions and the iterate is ``Z y``; otherwise ``Z = V`` (times P) and
-    the iterate is ``solution(V y)``.  DCGS2 keeps the preallocated basis
-    orthonormal with two passes a step.  Correcting the lagged vector
-    rewrites the previous column, and as the image is of the uncorrected
-    ``v``, the new column is ``(c - Hbar s) / gamma`` unless flexible.  ``y``
-    comes from a Householder QR that keeps every column, with the estimated
-    subdiagonal, set to the exact ``||w'||`` afterwards.  The update pass
-    also writes ``V y`` (unless flexible) and the true residual ``b - A Z y =
-    V (beta e1 - H y) - omega y_k w'``: no division, so it holds at breakdown.
+    the iterate is ``solution(V y)``: P is applied to each iterate, as
+    storing ``Z = P V`` too would double the memory of the basis.  The
+    flexible solvers take one step at a time (:func:`_single_steps`), and so
+    does GMRES when ``_S_STEP`` is 1; otherwise it takes blocks of
+    ``_S_STEP`` steps (:func:`_block_steps`).
     """
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
         return history.record("breakdown", np.zeros(b.size), 0)
     basis = _mapped(rule.max_iter + 1, b.size)
     basis[0] = b / beta
-    gs = _Dcgs2(basis)
-    dirs = _mapped(rule.max_iter, b.size) if flexible else None
     h = np.zeros((rule.max_iter + 1, rule.max_iter))
-    x = np.zeros(b.size)
-    reason = "max_iter"
+    if flexible or _S_STEP == 1:
+        reason, x = _single_steps(_Dcgs2(basis, 1 if flexible else 2, h), beta, counted,
+                                  rule, history, direction, solution, flexible)
+    else:
+        reason, x = _block_steps(_Dcgs2(basis, _S_STEP, h), beta, counted, rule, history,
+                                 direction, solution)
+    return history.record(reason, x, counted.count)
+
+
+def _single_steps(gs, beta, counted, rule, history, direction, solution, flexible):
+    """Arnoldi one step at a time; returns the stop reason and the iterate.
+
+    DCGS2 keeps the basis orthonormal with two passes a step.  Correcting the
+    lagged vector rewrites the previous column, and as the image is of the
+    uncorrected ``v``, the new column is ``(c - Hbar s) / gamma`` unless
+    flexible.  ``y`` comes from a Householder QR that keeps every column,
+    with the estimated subdiagonal, set to the exact ``||w'||`` afterwards.
+    The update pass also writes ``V y`` (unless flexible) and the true
+    residual ``b - A Z y = V (beta e1 - H y) - omega y_k w'``: no division,
+    so it holds at breakdown.
+    """
+    basis, h = gs.basis, gs.h
+    dirs = _mapped(rule.max_iter, basis.shape[1]) if flexible else None
+    x = np.zeros(basis.shape[1])
     for k in range(1, rule.max_iter + 1):
         try:
             z, alpha_k = direction(k, basis[k - 1], x)
         except _Stop as stop:
-            reason = str(stop)
-            break
+            return str(stop), x
         if flexible:
             dirs[k - 1] = z
         basis[k] = np.reshape(counted.apply(z), -1)
@@ -593,10 +735,7 @@ def _arnoldi(counted, b, rule, history, *, direction, solution=None, flexible=Fa
         h[:k, m] = omega * c
         h[k, m] = omega * estimate
         q, r = np.linalg.qr(h[:k + 1, :k])
-        try:
-            y = np.linalg.solve(r, beta * q[0])
-        except np.linalg.LinAlgError:
-            y = np.linalg.lstsq(r, beta * q[0], rcond=None)[0]
+        y = _least_squares(r, beta * q[0])
         t = -(h[:k, :k] @ y)
         t[0] += beta
         residual = np.append(t, -omega * y[m])
@@ -609,13 +748,71 @@ def _arnoldi(counted, b, rule, history, *, direction, solution=None, flexible=Fa
             x = rows[0] if solution is None else solution(rows[0])
         history.push(x, float(np.linalg.norm(rows[-1])), proj, alpha_k)
         if rule.dp_enabled and history.rec.dp_index is not None:
-            reason = "discrepancy"
-            break
+            return "discrepancy", x
         if h_new <= gs.tol_break:
-            reason = "breakdown"
-            break
+            return "breakdown", x
         basis[k] /= h_new
-    return history.record(reason, x, counted.count)
+    return "max_iter", x
+
+
+def _block_steps(gs, beta, counted, rule, history, direction, solution):
+    """s-step Arnoldi for stationary GMRES (Hoemmen, PhD thesis, Berkeley
+    2010); returns the stop reason and the iterate.
+
+    A block applies the operator to the last lagged row and then to each
+    image in turn, divided by its norm, and takes the steps of all of them
+    with one reduction and one update pass (:class:`_Dcgs2`).  A near
+    rank-deficient block takes its first step only and the next
+    ``_S_STEP - 1`` steps go one at a time; after two such blocks in a row,
+    every step does.  Breakdown shows in a one-step block, whose exact
+    ``||w'||`` is then rounding noise.  One Householder QR of Hbar, which
+    keeps every column, gives ``y`` of every step of the block, and the
+    update pass writes each ``V y`` and the norm of each true residual
+    ``V (beta e1 - Hbar y)``, so each step is recorded as if taken alone.  A
+    stop inside a block leaves its later applications unused; ``n_ops``
+    counts them.
+    """
+    basis, h = gs.basis, gs.h
+    x = np.zeros(basis.shape[1])
+    k, lagged, single, failed = 0, 1, 0, False
+    while k < rule.max_iter:
+        sigma = np.ones(1 if single else min(_S_STEP, rule.max_iter - k))
+        alphas = []
+        for j in range(len(sigma)):
+            z, alpha = direction(k + j + 1, basis[k + j], x)
+            w = np.reshape(counted.apply(z), -1)
+            sigma[j] = np.linalg.norm(w) or 1.0
+            np.divide(w, sigma[j], out=basis[k + j + 1])
+            alphas.append(alpha)
+        del z, w  # not kept alive through the passes
+        t = gs.reduce_block(k, lagged, sigma)
+        if t < len(sigma):
+            single = rule.max_iter if failed else _S_STEP - 1
+        elif single:
+            single -= 1
+        if len(sigma) > 1:
+            failed = t < len(sigma)
+        n = k + 1 + t
+        q, r = np.linalg.qr(h[:n, :n - 1])
+        combos = np.zeros((2 * t, n))
+        for j in range(1, t + 1):
+            y = _least_squares(r[:k + j, :k + j], beta * q[0, :k + j])
+            combos[j - 1, :k + j] = y
+            combos[t + j - 1, :k + j + 1] = -(h[:k + j + 1, :k + j] @ y)
+            combos[t + j - 1, 0] += beta
+        rows, res_norms, gram = gs.update_block(combos)
+        for j in range(t):
+            res = combos[t + j]
+            proj = math.sqrt(res[:k + 1] @ res[:k + 1]
+                             + res[k + 1:k + j + 2] @ gram[:j + 1, :j + 1] @ res[k + 1:k + j + 2])
+            x = rows[j] if solution is None else solution(rows[j])
+            history.push(x, res_norms[j], proj, alphas[j])
+            if rule.dp_enabled and history.rec.dp_index is not None:
+                return "discrepancy", x
+        if t == 1 and math.sqrt(gram[0, 0]) * gs.r_w[0, 0] <= gs.tol_break:
+            return "breakdown", x
+        k, lagged = n - 1, t
+    return "max_iter", x
 
 
 def gmres(A, b, rule: StoppingRule | None = None, right_prec=None,
@@ -736,7 +933,7 @@ def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None,
     counted = _Counted(A)
     history = _History(x_true, rule)
     v_basis = _mapped(rule.max_iter, A.size)
-    v_gs = _Dcgs2(v_basis)
+    v_gs = _Dcgs2(v_basis, 0)
     preconditioned = _flexible(prec_at, history)
 
     def direction(k, u, x):

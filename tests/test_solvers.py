@@ -71,16 +71,41 @@ def iterates(monkeypatch):
 @pytest.fixture
 def bases(monkeypatch):
     """The orthonormal rows of every basis a solver grew by DCGS2, read after
-    the solve: rows ``:k`` are final once the update of step k has run."""
+    the solve, each with its Hbar (``A V = V Hbar``, or ``A Z = V Hbar`` for
+    the flexible solvers; None for the FLSQR basis V): rows ``:k`` are final
+    once the update of step k has run, and rows ``:k + 1`` once that of the
+    block after step k has run."""
     last = {}
-    update = solvers._Dcgs2.update
+    update, update_block = solvers._Dcgs2.update, solvers._Dcgs2.update_block
 
     def recording_update(self, *args):
-        last[id(self.basis)] = (self.basis, self.k)
+        last[id(self.basis)] = (self, self.k)
         return update(self, *args)
 
+    def recording_update_block(self, *args):
+        last[id(self.basis)] = (self, self.k + 1)
+        return update_block(self, *args)
+
     monkeypatch.setattr(solvers._Dcgs2, "update", recording_update)
-    return lambda: [basis[:k] for basis, k in last.values()]
+    monkeypatch.setattr(solvers._Dcgs2, "update_block", recording_update_block)
+    return lambda: [(gs.basis[:k], None if gs.h is None else gs.h[:k, :k - 1])
+                    for gs, k in last.values()]
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """``(applied, taken)`` for every block of s-step GMRES: how many images
+    the block applied the operator for, and how many steps it took."""
+    seen = []
+    reduce_block = solvers._Dcgs2.reduce_block
+
+    def recording_reduce_block(self, k, lagged, sigma):
+        taken = reduce_block(self, k, lagged, sigma)
+        seen.append((len(sigma), taken))
+        return taken
+
+    monkeypatch.setattr(solvers._Dcgs2, "reduce_block", recording_reduce_block)
+    return seen
 
 
 def _orthogonality_loss(rows):
@@ -595,14 +620,15 @@ def test_lsqr_right_preconditioned_equals_reference_on_product(iterates):
     assert x_diff <= 1e-9
 
 
-def test_lsqr_work_accounting_two_applications_per_iteration():
+def test_lsqr_work_accounting_two_applications_per_iteration(blocks):
     mat = random_nonsymmetric(16, 3)
     b = _unit_rhs(16, 4)
     rec = lsqr(LinearMap.from_matrix(mat), b, StoppingRule(max_iter=10))
     assert rec.iterations == 10
     assert rec.n_ops == 2 * rec.iterations  # startup adjoint, none after the last step
     plain = gmres(LinearMap.from_matrix(mat), b, StoppingRule(max_iter=10))
-    assert plain.n_ops == plain.iterations
+    # one application a step, and those of blocks that took fewer steps
+    assert plain.n_ops == plain.iterations + sum(a - t for a, t in blocks)
 
 
 def _counting_map(mat):
@@ -620,8 +646,10 @@ def _counting_map(mat):
 
 
 @pytest.mark.parametrize("method", ["gmres", "gmres-right-prec", "fgmres", "flsqr"])
-def test_work_accounting_counts_every_operator_application(method):
-    # n_ops is every application of A and A^T, residual bookkeeping included
+def test_work_accounting_counts_every_operator_application(method, blocks):
+    # n_ops is every application of A and A^T, residual bookkeeping included;
+    # the monomial blocks of this random map are near rank deficient, so
+    # GMRES takes their first steps only and applies A for nothing else
     mat = random_nonsymmetric(16, 3)
     b = _unit_rhs(16, 4)
     weights = 0.5 + np.random.default_rng(5).random(16)
@@ -637,7 +665,9 @@ def test_work_accounting_counts_every_operator_application(method):
         rec = flsqr(op, b, lambda k, x_prev: DiagonalOperator(weights ** (k % 3)), rule)
     assert rec.iterations == 10
     assert calls["apply"] + calls["apply_adjoint"] == rec.n_ops
-    assert calls["apply"] == rec.iterations
+    abandoned = sum(a - t for a, t in blocks)
+    assert abandoned == (6 if method.startswith("gmres") else 0)
+    assert calls["apply"] == rec.iterations + abandoned
 
 
 @pytest.mark.parametrize("method", ["minres", "minres-sym-prec", "lsqr", "lsqr-right-prec",
@@ -858,9 +888,49 @@ def test_dcgs2_bases_orthonormal_after_60_steps(method, bases):
         rec = flsqr(prob.operator, prob.b.ravel(), weighted, rule)
     assert rec.iterations == 60
     final = bases()
-    assert [len(rows) for rows in final] == ([60, 59] if method == "FLSQR" else [60])
-    for rows in final:
+    # the rows of the last block (steps 57 to 60) would be reorthogonalized
+    # by the next block's reduction, which a run of 60 steps does not take
+    want = {"YA": [57], "YAP": [57], "YAPW": [60], "FLSQR": [60, 59]}[method]
+    assert [len(rows) for rows, _ in final] == want
+    for rows, _ in final:
         assert _orthogonality_loss(rows) <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["YA", "YAP", "A"])
+def test_block_arnoldi_relation_at_60_steps(method, bases, blocks):
+    # the S3 scene at n = 128 (two-motion blur, reflective): with blocks of
+    # four, the basis stays orthonormal and Hbar, recovered from the change
+    # of basis, satisfies A V_k = V_{k+1} Hbar at k = 60 to rounding.  The
+    # budget of 64 steps makes the rows of step 60 final.
+    n = 128
+    psf = make_two_motion_psf(9, 45.0, 135.0)
+    prob = make_problem(natural_scene(n, seed=7), psf, "reflective", 0.01, 42)
+    prec = circulant_abs_tikhonov(bccb_eigenvalues(psf, n), 0.1)
+    rule = StoppingRule(max_iter=64)
+    if method == "A":
+        op, rec = prob.operator, gmres(prob.operator, prob.b.ravel(), rule)
+    else:
+        op = FlipComposedOperator(prob.operator)
+        right = prec if method == "YAP" else None
+        rec = gmres(op, apply_flip(prob.b.ravel()), rule, right_prec=right)
+    assert rec.iterations == 64
+    assert sum(taken for _, taken in blocks) == 64
+    # unflipped, two blocks in a row come near rank deficient by step 28 and
+    # the run goes on one step at a time
+    assert sum(taken == 4 for _, taken in blocks) >= (4 if method == "A" else 14)
+    [(rows, hbar)] = bases()
+    v, hbar = rows[:61], hbar[:61, :60]
+    assert _orthogonality_loss(v) <= 1e-12
+
+    def apply(x):
+        if method == "YAP":
+            x = np.ravel(prec.apply(x))
+        return np.ravel(op.apply(x))
+
+    images = np.array([apply(row) for row in v[:60]])
+    # ||Hbar|| is at most ||A||, so the ratio bounds the relative defect
+    defect = np.linalg.norm(images - hbar.T @ v, 2) / np.linalg.norm(hbar, 2)
+    assert defect <= 1e-12, f"Arnoldi relation defect {defect:.3e}"
 
 
 @pytest.mark.parametrize("method", ["gmres", "gmres-right-prec", "fgmres", "flsqr"])
@@ -889,7 +959,7 @@ def test_dcgs2_reorthogonalizes_where_one_pass_is_not_enough(method, bases):
         rec = flsqr(op, b, lambda k, x_prev: DiagonalOperator(weights ** (k % 3)), rule)
     assert rec.iterations == 60
     assert abs(rec.res_norm[-1] - np.linalg.norm(b - mat @ rec.x_stop)) <= 1e-9
-    for rows in bases():
+    for rows, _ in bases():
         assert _orthogonality_loss(rows) <= 1e-12
 
 
@@ -913,8 +983,108 @@ def test_dcgs2_breakdown_right_after_lagged_correction(method, scale, bases):
     assert rec.stop_reason == "breakdown" and rec.iterations == 3
     assert np.linalg.norm(b - mat @ rec.x_stop) <= 1e-12
     assert abs(rec.res_norm[-1] - np.linalg.norm(b - mat @ rec.x_stop)) <= 1e-12
-    for rows in bases():
+    for rows, _ in bases():
         assert _orthogonality_loss(rows) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# s-step GMRES blocks against one step at a time
+
+
+def _one_step_at_a_time(monkeypatch, solve):
+    """``solve()`` run once with blocks of ``_S_STEP`` and once with 1."""
+    blocked = solve()
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_S_STEP", 1)
+        single = solve()
+    return blocked, single
+
+
+def _assert_same_run(blocked, single, tol=1e-10):
+    assert (blocked.iterations, blocked.stop_reason) == (single.iterations, single.stop_reason)
+    for series in ("res_norm", "res_norm_projected"):
+        gap = np.abs(np.subtract(getattr(blocked, series), getattr(single, series)))
+        assert gap.max() <= tol, f"{series} gap {gap.max():.3e}"
+    assert np.abs(blocked.x_stop - single.x_stop).max() <= tol
+    assert (blocked.dp_index, blocked.x_dp is None) == (single.dp_index, single.x_dp is None)
+    if blocked.x_dp is not None:
+        assert np.abs(blocked.x_dp - single.x_dp).max() <= tol
+
+
+def _blur_white_noise(n=32):
+    # the flipped reflective two-motion blur with a white-noise right-hand
+    # side: every block of four is well conditioned, including the first (a
+    # blurred image is smooth, and its first monomials nearly parallel)
+    psf = make_two_motion_psf(9, 45.0, 135.0)
+    prob = make_problem(natural_scene(n, seed=7), psf, "reflective", 0.01, 42)
+    return FlipComposedOperator(prob.operator), np.random.default_rng(1).standard_normal(n * n)
+
+
+@pytest.mark.parametrize("max_iter", [1, 3, 5, 7])
+@pytest.mark.parametrize("method", ["YA", "YAP"])
+def test_block_cut_short_by_the_budget_matches_one_step_at_a_time(method, max_iter,
+                                                                   monkeypatch, blocks):
+    op, rhs = _blur_white_noise()
+    psf = make_two_motion_psf(9, 45.0, 135.0)
+    right = circulant_abs_tikhonov(bccb_eigenvalues(psf, 32), 0.1) if method == "YAP" else None
+    blocked, single = _one_step_at_a_time(
+        monkeypatch, lambda: gmres(op, rhs, StoppingRule(max_iter=max_iter), right_prec=right))
+    _assert_same_run(blocked, single)
+    full, last = divmod(max_iter, 4)
+    assert blocks == [(4, 4)] * full + ([(last, last)] if last else [])
+    assert (blocked.n_ops, single.n_ops) == (max_iter, max_iter)
+
+
+@pytest.mark.parametrize("dp_enabled", [True, False], ids=["dp-on", "dp-off"])
+def test_discrepancy_inside_a_block_matches_one_step_at_a_time(dp_enabled, monkeypatch):
+    # the threshold is met at step 6, the second of the block of steps 5-8:
+    # stopping there leaves the block's last two applications unused
+    op, rhs = _blur_white_noise()
+    res = gmres(op, rhs, StoppingRule(max_iter=8)).res_norm
+    rule = StoppingRule(max_iter=8, dp_enabled=dp_enabled, eta=1.0,
+                        noise_norm=0.5 * (res[4] + res[5]))
+    blocked, single = _one_step_at_a_time(monkeypatch, lambda: gmres(op, rhs, rule))
+    _assert_same_run(blocked, single)
+    assert blocked.dp_index == 6
+    if dp_enabled:
+        assert blocked.stop_reason == "discrepancy" and blocked.iterations == 6
+        assert np.array_equal(blocked.x_stop, blocked.x_dp)
+        assert (blocked.n_ops, single.n_ops) == (8, 6)
+    else:
+        assert blocked.iterations == 8 and (blocked.n_ops, single.n_ops) == (8, 8)
+
+
+@pytest.mark.parametrize("case", ["identity", "3x3", "happy"])
+def test_breakdown_inside_a_block_matches_one_step_at_a_time(case, monkeypatch, blocks):
+    # the Krylov space is exhausted inside the first block, which is then
+    # singular: it takes its first step, and the next go one at a time
+    if case == "identity":
+        mat, b, steps = np.eye(16), _unit_rhs(16, 1), 1
+    elif case == "3x3":  # s = 4 > n
+        mat, b, steps = random_nonsymmetric(3, 4), _unit_rhs(3, 2), 3
+    else:  # b is an eigenvector
+        mat, b, steps = np.diag(np.arange(1.0, 9.0)), np.eye(8)[0], 1
+    blocked, single = _one_step_at_a_time(
+        monkeypatch, lambda: gmres(LinearMap.from_matrix(mat), b, StoppingRule(max_iter=10)))
+    _assert_same_run(blocked, single)
+    assert blocked.stop_reason == "breakdown" and blocked.iterations == steps
+    assert np.linalg.norm(b - mat @ blocked.x_stop) <= 1e-12
+    assert blocks[0] == (4, 1) and blocks[1:steps] == [(1, 1)] * (steps - 1)
+
+
+def test_near_rank_deficient_blocks_match_one_step_at_a_time(monkeypatch, blocks):
+    # acceptance 2's random map: its scaled monomial blocks of four have a
+    # Pythagoras Gram 3e5 to 1e8 times smaller than the block's own, far
+    # past _BLOCK_COND.  The first two take one step each; then the run goes
+    # one step at a time.
+    mat = random_nonsymmetric(32, 2)
+    b = _unit_rhs(32, 102)
+    blocked, single = _one_step_at_a_time(
+        monkeypatch, lambda: gmres(LinearMap.from_matrix(mat), b, StoppingRule(max_iter=28)))
+    _assert_same_run(blocked, single)
+    assert blocks[:4] == [(4, 1), (1, 1), (1, 1), (1, 1)]
+    assert blocks[4] == (4, 1) and set(blocks[5:28]) == {(1, 1)}
+    assert blocked.n_ops == 28 + 6
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
