@@ -108,13 +108,6 @@ class CirculantOperator:
     def apply_adjoint(self, x):
         return self._scale(x, adjoint=True)
 
-    def inverse(self) -> "CirculantOperator":
-        """The circulant with reciprocal eigenvalues."""
-        smallest = np.abs(self.eigs).min()
-        if smallest == 0.0:
-            raise ValueError("circulant is singular: eigenvalue grid contains 0")
-        return CirculantOperator(1.0 / self.eigs, alpha=self.alpha)
-
 
 class DiagonalOperator:
     """Elementwise multiplication by a fixed nonnegative weight vector."""
@@ -256,10 +249,10 @@ def circulant_sqrt(circ: CirculantOperator) -> CirculantOperator:
 class PreconditionerSchedule:
     """How the circulant filter evolves across flexible iterations.
 
-    ``variant`` picks the filter family; ``alpha_at(k)`` returns the
-    regularization parameter for 0-based iteration k: ``alpha0`` when
-    stationary, ``alpha0 * q**k`` otherwise, so the first iteration always
-    uses ``alpha0``.
+    ``variant`` picks the filter, ``"tikhonov"`` or ``"abs_tikhonov"``;
+    ``alpha_at(k)`` returns the regularization parameter for 0-based
+    iteration k: ``alpha0`` when stationary, ``alpha0 * q**k`` otherwise, so
+    the first iteration always uses ``alpha0``.
     """
 
     variant: str = "tikhonov"
@@ -267,7 +260,7 @@ class PreconditionerSchedule:
     q: float = 0.8
     stationary: bool = False
 
-    _VARIANTS = ("tikhonov", "abs_tikhonov", "threshold", "identity")
+    _VARIANTS = ("tikhonov", "abs_tikhonov")
 
     def __post_init__(self):
         if self.variant not in self._VARIANTS:
@@ -292,11 +285,7 @@ class PreconditionerSchedule:
         alpha = self.alpha_at(k)
         if self.variant == "tikhonov":
             return circulant_tikhonov(symbol, alpha)
-        if self.variant == "abs_tikhonov":
-            return circulant_abs_tikhonov(symbol, alpha)
-        if self.variant == "threshold":
-            return circulant_threshold(symbol, alpha)
-        return IdentityOperator(np.size(symbol))
+        return circulant_abs_tikhonov(symbol, alpha)
 
 
 def sparsity_weights(x_prev: np.ndarray) -> DiagonalOperator:

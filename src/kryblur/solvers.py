@@ -34,10 +34,10 @@ matrix, the Lanczos tridiagonal or the Golub-Kahan bidiagonal (the same band
 with a zero above the diagonal), one column a step.  It updates ``b - A x``
 with the same scalars as the iterate, from images of the directions the
 column map hands it, and stops on a singular R.  It updates its vectors in
-place (BLAS ``daxpy``), so with the operators' FFT workspace a steady-state
-step allocates only the arrays the operators return.  Those are taken as
-they come, flipped views included (``np.reshape``; ``np.ravel`` would copy a
-flipped image), and only read.
+place through scratch allocated once per solve, so with the operators' FFT
+workspace a steady-state step allocates only the arrays the operators
+return.  Those are taken as they come, flipped views included
+(``np.reshape``; ``np.ravel`` would copy a flipped image), and only read.
 
 Each run returns a :class:`SolveRecord` with per-iteration true residual
 norms, recurrence (projected) residual norms, and error metrics when the
@@ -58,7 +58,6 @@ import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import daxpy
 
 from .metrics import psnr_from_error, rre_from_error
 
@@ -326,19 +325,22 @@ def _givens_loop(column, beta1, b, rule, history, counted, alpha):
     k - 1, k and k + 1, the solution direction ``s`` and its image ``A s``,
     or raises :class:`_Stop`.  The directions ``d`` and ``A d`` share one
     recurrence, so ``x`` and ``b - A x`` take the same scalars; all four rows
-    are updated in place (``daxpy``), and ``s`` and ``A s`` are only read, as
-    they may be views of other vectors.  A singular R or a subdiagonal at
-    rounding level against ``||T_k||_F`` (``_SINGULAR_RTOL``), or a residual
-    at rounding level against ``beta1``, is a breakdown.  ``counted`` is the
-    operator wrapped in :class:`_Counted`."""
+    are updated in place, each scaled product going through one scratch pair
+    of rows, and ``s`` and ``A s`` are only read, as they may be views of
+    other vectors.  A singular R or a subdiagonal at rounding level against
+    ``||T_k||_F`` (``_SINGULAR_RTOL``), or a residual at rounding level
+    against ``beta1``, is a breakdown.  ``counted`` is the operator wrapped
+    in :class:`_Counted`."""
     if beta1 == 0.0:
         return history.record("breakdown", np.zeros(b.size), counted.count)
-    # rows [d, A d] of the two previous directions; rows [x, b - A x]
+    # rows [d, A d] of the two previous directions, each times its gamma;
+    # rows [x, b - A x]
     dirs_prev, dirs_prev2 = np.zeros((2, b.size)), np.zeros((2, b.size))
     xr = np.stack((np.zeros(b.size), b))
+    scratch = np.empty((2, b.size))
     phibar = beta1
-    c_prev2, s_prev2 = 1.0, 0.0
-    c_prev, s_prev = 1.0, 0.0
+    c_prev2, s_prev2, g_prev2 = 1.0, 0.0, 1.0
+    c_prev, s_prev, g_prev = 1.0, 0.0, 1.0
     t_norm2 = 0.0
     reason = "max_iter"
     for k in range(1, rule.max_iter + 1):
@@ -359,18 +361,18 @@ def _givens_loop(column, beta1, b, rule, history, counted, alpha):
             break
         tau = c * phibar
         phibar = -s * phibar
-        # (fresh - delta prev - eps prev2) / gamma over the oldest rows
-        dirs_prev2 *= -eps
-        for new, prev, fresh in zip(dirs_prev2, dirs_prev, (s_dir, a_dir)):
-            new += fresh
-            daxpy(prev, new, a=-delta)
-        dirs_prev2 /= gamma
+        # gamma d = fresh - delta d_prev - eps d_prev2 over the oldest rows;
+        # keeping gamma d saves the pass that would divide by gamma
+        dirs_prev2 *= -eps / g_prev2
+        dirs_prev2[0] += s_dir
+        dirs_prev2[1] += a_dir
+        dirs_prev2 -= np.multiply(dirs_prev, delta / g_prev, out=scratch)
         dirs_prev2, dirs_prev = dirs_prev, dirs_prev2
-        del s_dir, a_dir, fresh  # not kept alive through the next step
-        c_prev2, s_prev2 = c_prev, s_prev
-        c_prev, s_prev = c, s
-        daxpy(dirs_prev[0], xr[0], a=tau)
-        daxpy(dirs_prev[1], xr[1], a=-tau)
+        del s_dir, a_dir  # not kept alive through the next step
+        c_prev2, s_prev2, g_prev2 = c_prev, s_prev, g_prev
+        c_prev, s_prev, g_prev = c, s, gamma
+        step = tau / gamma
+        xr += np.multiply(dirs_prev, [[step], [-step]], out=scratch)
         history.push(xr[0], float(np.linalg.norm(xr[1])), abs(phibar), alpha)
         if rule.dp_enabled and history.rec.dp_index is not None:
             reason = "discrepancy"
@@ -388,7 +390,7 @@ def _lanczos(step, rhs):
     the Lanczos vector ``v``, its solution direction ``s`` and ``A s``."""
     beta1 = float(np.linalg.norm(rhs))
     v = rhs / beta1 if beta1 else rhs
-    v_next = np.zeros(rhs.size)
+    v_next, scratch = np.zeros(rhs.size), np.empty(rhs.size)
     beta = 0.0
 
     def column(k):
@@ -403,7 +405,7 @@ def _lanczos(step, rhs):
         # ``image`` may also be ``a_dir``, so it is only read
         v_next *= -beta
         v_next += image
-        daxpy(v, v_next, a=-alfa)
+        v_next -= np.multiply(v, alfa, out=scratch)
         upper, beta = beta, float(np.linalg.norm(v_next))
         return (upper, alfa, beta), s_dir, a_dir
 

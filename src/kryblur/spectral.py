@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as _linalg
 
 from .operators import BlurOperator, Psf, bccb_eigenvalues, materialize_dense
 from .preconditioners import CirculantOperator, circulant_threshold
@@ -100,7 +99,7 @@ def preconditioned_spectrum(psf: Psf, n: int, eps: float | None) -> np.ndarray:
         inv_half = materialize_dense(CirculantOperator(grid ** -0.5), cap=n)
         target = inv_half @ flipped @ inv_half
     target = 0.5 * (target + target.T)
-    return _linalg.eigvalsh(target)
+    return np.linalg.eigvalsh(target)
 
 
 def cluster_report(eigenvalues, eps: float, delta: float) -> ClusterReport:
@@ -158,7 +157,7 @@ def szego_distribution_check(psf: Psf, n: int, moments: int = 2,
     defect = np.abs(dense - dense.T).max()
     if defect > _SYM_RTOL * max(np.abs(dense).max(), np.finfo(float).tiny):
         raise ValueError(f"operator unexpectedly nonsymmetric (defect {defect:.3e})")
-    eigs = _linalg.eigvalsh(0.5 * (dense + dense.T))
+    eigs = np.linalg.eigvalsh(0.5 * (dense + dense.T))
     # the symbol is a trigonometric polynomial of degree far below
     # grid_size, so averaging its low powers over any equispaced grid
     # integrates them exactly up to roundoff

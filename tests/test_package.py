@@ -1,7 +1,10 @@
 """Package-wide structure: what each module exports."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -20,3 +23,17 @@ def test_public_names_resolve_and_are_defined_in_place(name):
         assert home == name or not home.startswith("kryblur"), (
             f"{name}.{attr} is defined in {home}"
         )
+
+
+def test_runtime_loads_no_scipy_linalg():
+    # numpy's BLAS and LAPACK are the only ones called: a second BLAS with a
+    # thread pool of its own, called between numpy's, slows the short
+    # recurrences several-fold when threads are not pinned.  A fresh
+    # interpreter, since the test run imports scipy itself.
+    code = ("import sys, kryblur.cli, kryblur.spectral; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+    src = os.path.dirname(os.path.dirname(kryblur.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout.strip()
+    assert out == "[]", f"scipy.linalg modules loaded at run time: {out}"

@@ -115,16 +115,6 @@ def test_circulant_rejects_complex_input():
             apply(x)
 
 
-def test_circulant_inverse_and_singularity():
-    grid = np.full((4, 4), 2.0)
-    inv = CirculantOperator(grid).inverse()
-    np.testing.assert_allclose(inv.eigs, np.full((4, 4), 0.5), rtol=0.0, atol=0.0)
-    singular = grid.copy()
-    singular[1, 2] = singular[3, 2] = 0.0  # a mirrored pair: still a real operator
-    with pytest.raises(ValueError, match="singular"):
-        CirculantOperator(singular).inverse()
-
-
 def test_circulant_validation():
     with pytest.raises(ValueError, match="square"):
         CirculantOperator(np.ones((2, 3)))
@@ -232,7 +222,6 @@ def test_threshold_always_invertible():
     for psf in (make_gaussian_psf(5, 2.0), make_gaussian_psf(7, 3.0)):
         c = circulant_threshold(bccb_eigenvalues(psf, 16), 0.1)
         assert c.eigs.real.min() > 0.0
-        c.inverse()  # must not raise
 
 
 def test_threshold_eps_domain():
@@ -300,8 +289,9 @@ def test_alpha_monotone_decreasing_when_q_below_one():
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError, match="variant"):
-        PreconditionerSchedule("ridge", 0.1, 0.8, False)
+    for variant in ("ridge", "threshold", "identity"):
+        with pytest.raises(ValueError, match="variant"):
+            PreconditionerSchedule(variant, 0.1, 0.8, False)
     with pytest.raises(ValueError, match="alpha0"):
         PreconditionerSchedule("tikhonov", 0.0, 0.8, False)
     with pytest.raises(ValueError, match="q"):
@@ -323,14 +313,6 @@ def test_schedule_build_variants():
     sched = PreconditionerSchedule("abs_tikhonov", 0.1, 0.5, False)
     np.testing.assert_array_equal(sched.build(symbol, 0).eigs,
                                   circulant_abs_tikhonov(symbol, 0.1).eigs)
-
-    sched = PreconditionerSchedule("threshold", 0.1, 0.5, True)
-    np.testing.assert_array_equal(sched.build(symbol, 3).eigs,
-                                  circulant_threshold(symbol, 0.1).eigs)
-
-    sched = PreconditionerSchedule("identity", 0.1, 0.5, False)
-    built = sched.build(symbol, 0)
-    assert isinstance(built, IdentityOperator) and built.size == 64
 
 
 def test_constructors_deterministic():
