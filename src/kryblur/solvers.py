@@ -21,13 +21,15 @@ Implemented methods:
   preconditioning and full orthogonalization of both bases.
 
 There are two engines.  ``gmres``, ``fgmres`` and ``flsqr`` share one
-Arnoldi engine.  It keeps preallocated bases orthonormal by classical
-Gram-Schmidt with delayed reorthogonalization (DCGS2): two passes over the
-basis per step for the flexible solvers, which need the iterate of every
-step, and two per block of ``_S_STEP`` (four) steps for stationary GMRES,
-which applies the operator to a scaled monomial block first (s-step GMRES).
-The second pass also writes the iterate and ``b - A x`` from the Arnoldi
-relation, or for a block each step's iterate and the norm of its residual.
+Arnoldi loop.  It takes its steps in blocks and keeps preallocated bases
+orthonormal by classical Gram-Schmidt with delayed reorthogonalization
+(DCGS2): one reduction and one update pass over the basis per block.
+Stationary GMRES applies the operator to a scaled monomial block of
+``_S_STEP`` (four) vectors first (s-step GMRES); the flexible solvers, which
+need the iterate of every step for the next direction, take blocks of one
+row, and so does the FLSQR basis V.  The update pass also writes each
+step's ``V y`` (not for the flexible solvers, whose iterate is ``Z y``) and
+the norm of each step's residual ``b - A x``, read from the Arnoldi relation.
 ``minres``, ``minres_sym_prec`` and ``lsqr`` share one Givens
 loop: it minimizes the residual through a Givens QR of a banded projected
 matrix, the Lanczos tridiagonal or the Golub-Kahan bidiagonal (the same band
@@ -396,7 +398,7 @@ def _lanczos(step, rhs):
     def column(k):
         nonlocal v, v_next, beta
         if k > 1:
-            v_next /= beta
+            v_next *= 1.0 / beta
             v, v_next = v_next, v
         image, s_dir, a_dir = step(v)
         # vecdot reads a flipped image in place, where dot would copy it
@@ -466,7 +468,8 @@ def minres_sym_prec(A, b, p_half, rule: StoppingRule | None = None,
 #: Steps per block of stationary GMRES (s-step Arnoldi): the operator is
 #: applied to a scaled monomial block of this many vectors, which one
 #: reduction pass and one update pass over the basis then orthogonalize.  The
-#: flexible solvers need the iterate of every step, so they take one at a time.
+#: flexible solvers need the iterate of every step, so their blocks have one
+#: row; with 1 here, so do GMRES's.
 _S_STEP = 4
 
 #: A block takes its first step only when ``||W^T W||_2`` over the smallest
@@ -482,10 +485,9 @@ _S_STEP = 4
 #: the first monomials nearly parallel.
 _BLOCK_COND = 1e4
 
-#: Columns per slice of the blocked DCGS2 passes, so a slice stays in cache
-#: (8192 by 61 rows is 4 MB).  For the block passes at 512x512, 4096 measured
-#: within the spread of 8192; the slices fix the summation order of the
-#: one-step passes, whose results the flexible solvers' artifacts pin.
+#: Columns per slice of the DCGS2 passes, so a slice stays in cache (8192 by
+#: 61 rows is 4 MB).  At 512x512, 4096 measured within the spread of 8192;
+#: the slices fix the summation order, which the artifacts pin.
 _BLOCK = 8192
 
 
@@ -503,83 +505,39 @@ def _mapped(rows: int, n: int) -> np.ndarray:
 
 class _Dcgs2:
     """Classical Gram-Schmidt with delayed reorthogonalization (DCGS2) on the
-    rows of a preallocated basis, one vector or one block of vectors at a
-    time, in two passes over the basis each (Swirydowicz et al., NLAA 2021;
-    Bielich et al., Parallel Computing 2022; for blocks, Carson, Lund,
-    Rozloznik & Thomas, LAA 2022).  ``h`` is the Arnoldi matrix Hbar on the
-    basis (the block steps keep it up to date), and ``out_rows`` the number
-    of combination rows an update may return.
+    rows of a preallocated basis, one block of rows at a time, in two passes
+    over the basis (Swirydowicz et al., NLAA 2021; Bielich et al., Parallel
+    Computing 2022; for blocks, Carson, Lund, Rozloznik & Thomas, LAA 2022).
+    ``out_rows`` is the number of combination rows an update may keep, and
+    ``h`` the Arnoldi matrix Hbar on the basis, set and kept up to date by
+    the Arnoldi loop (None for a basis without one).
 
-    One vector (:meth:`reduce`, :meth:`update`): at step k, rows ``:k - 1``
-    are orthonormal, row ``k - 1`` holds the lagged vector ``v`` (projected
-    once, not yet reorthogonalized) and row k the new vector ``w``.
-    :meth:`reduce` reads the basis once, for ``basis[:k + 1] @ [v, w]^T``,
-    which gives ``v' = (v - V s) / gamma`` and ``w' = w - [V, v'] c``.
-    :meth:`update` writes them with one more pass, and with them any
-    combination of ``[V, v', w']``, all linear in the uncorrected rows.
-
-    One block (:meth:`reduce_block`, :meth:`update_block`): after k steps,
-    rows ``:m`` are orthonormal, rows ``m:k + 1`` hold the lagged block ``L``
-    (projected once, not yet reorthogonalized) and the next t rows the new
-    block ``W``.  One pass gives ``basis[:k + 1 + t] @ [L, W]^T``, hence
-    ``L = V S + L' R`` with R the Cholesky factor of ``L^T L - S^T S``, and
-    ``W = [V, L'] C + W' R_w`` with ``R_w`` that of the Pythagoras Gram
-    ``W^T W - C^T C``.  The other pass writes ``L'`` and ``W'`` (orthonormal
-    as far as the Gram is exact; the next block corrects it) and
-    combinations of ``[V, L', W']``.
+    After k steps, rows ``:m`` are orthonormal, rows ``m:k + 1`` hold the
+    lagged block ``L`` (projected once, not yet reorthogonalized) and the
+    next t rows the new block ``W``.  :meth:`reduce` reads the basis once,
+    for ``basis[:k + 1 + t] @ [L, W]^T``, hence ``L = V S + L' R`` with R the
+    Cholesky factor of ``L^T L - S^T S``, and ``W = [V, L'] C + W' R_w`` with
+    ``R_w`` that of the Pythagoras Gram ``W^T W - C^T C``.  :meth:`update`
+    writes ``L'`` and ``W'`` (orthonormal as far as the Gram is exact; the
+    next block corrects it) with one more pass, and with them combinations
+    of ``[V, L', W']``, all linear in the uncorrected rows.
     """
 
-    def __init__(self, basis: np.ndarray, out_rows: int, h=None):
+    def __init__(self, basis: np.ndarray, out_rows: int):
         self.basis = basis
-        self.h = h
-        self.tol_break = 0.0
+        self.h = None
         self._out = np.empty((out_rows, basis.shape[1]))
 
-    def reduce(self, k: int):
-        """Returns ``c`` and the Pythagoras estimate of ``||w'||``.  Keeps
-        ``s``, ``gamma`` and ``tol_break``: below it, relative to ``||w||``,
-        ``w'`` is rounding noise.  ``tol_break`` is 0 until the first call."""
-        g = np.zeros((k + 1, 2))
-        for j in range(0, self.basis.shape[1], _BLOCK):
-            blk = self.basis[:k + 1, j:j + _BLOCK]
-            g += blk @ blk[k - 1:].T
-        m = k - 1
-        self.k, self.s = k, g[:m, 0]
-        self.tol_break = BREAKDOWN_RTOL * math.sqrt(g[k, 1])
-        self.gamma = math.sqrt(g[m, 0] - self.s @ self.s)
-        # rows of [V, v', w'] as combinations of the uncorrected rows
-        self._lift = np.eye(k + 1)
-        self._lift[m, :k] = np.append(-self.s, 1.0) / self.gamma
-        c = g[:k, 1].copy()
-        c[m] = (g[m, 1] - self.s @ g[:m, 1]) / self.gamma
-        self._lift[k, :k] = -c @ self._lift[:k, :k]
-        return c, math.sqrt(max(g[k, 1] - c @ c, 0.0))
-
-    def update(self, rows=()):
-        """Writes ``v'`` and ``w'`` over rows k - 1 and k, a slice at a time
-        (read before written); returns ``||w'||`` and up to ``out_rows``
-        combinations of ``[V, v', w']``, valid until the next update."""
-        k = self.k
-        coef = np.vstack((self._lift[k - 1:], np.reshape(rows, (-1, k + 1)) @ self._lift))
-        out = self._out[:len(coef) - 2]
-        for j in range(0, self.basis.shape[1], _BLOCK):
-            blk = coef @ self.basis[:k + 1, j:j + _BLOCK]
-            self.basis[k - 1:k + 1, j:j + _BLOCK] = blk[:2]
-            out[:, j:j + _BLOCK] = blk[2:]
-        return float(np.linalg.norm(self.basis[k])), out
-
-    def reduce_block(self, k: int, lagged: int, sigma: np.ndarray) -> int:
-        """The reduction pass of the block after k steps: ``lagged`` lagged
-        rows, and in row ``k + 1 + j`` the image of row ``k + j`` divided by
-        ``sigma[j]``.  Returns the number t of steps the block takes: all of
-        them, or only the first when it is near rank deficient
-        (``_BLOCK_COND``).  Rewrites Hbar on ``L'`` for ``L``, rows and
-        columns, and fills its columns ``k:k + t`` from the change of basis.
-        Keeps ``r_w`` and ``tol_break``: below it, relative to the image, a
-        one-step block's ``||w'||`` is rounding noise.  Its ``r_w`` is the
-        Pythagoras estimate of ``||w'||``, at least ``tol_break``, so that a
-        row lost to rounding is not divided by 0."""
-        m, t = k + 1 - lagged, len(sigma)
+    def reduce(self, k: int, lagged: int, t: int) -> int:
+        """The reduction pass of the block after k steps, with ``lagged``
+        lagged rows and t new ones.  Returns the number of rows the block
+        keeps: all of them, or only the first when it is near rank deficient
+        (``_BLOCK_COND``).  Keeps S, R, C, ``r_w`` and ``tol_break``: below
+        it, relative to its own norm, a one-row block's ``||w'||`` is
+        rounding noise.  Its ``r_w`` is the Pythagoras estimate of
+        ``||w'||``, at least ``tol_break``, so that a row lost to rounding is
+        not divided by 0."""
+        m = k + 1 - lagged
         g = np.zeros((k + 1 + t, lagged + t))
         for j in range(0, self.basis.shape[1], _BLOCK):
             blk = self.basis[:k + 1 + t, j:j + _BLOCK]
@@ -594,10 +552,11 @@ class _Dcgs2:
             t, c, gram, pyth = 1, c[:, :1], gram[:1, :1], pyth[:1, :1]
         n = k + 1 + t
         self.k, self.m, self.t = k, m, t
+        self.s, self.r_lag, self.c = s, r_lag, c
         self.tol_break = BREAKDOWN_RTOL * math.sqrt(gram[0, 0])
         if t > 1:
             r_w = np.linalg.cholesky(pyth, upper=True)
-        else:  # 1 for a zero image
+        else:  # 1 for a zero row
             r_w = np.array([[max(math.sqrt(max(pyth[0, 0], 0.0)), self.tol_break) or 1.0]])
         self.r_w = r_w
         # rows of [V, L', W'] as combinations of the uncorrected rows
@@ -606,49 +565,41 @@ class _Dcgs2:
         self._lift[k + 1:, :m] = -c[:m].T
         self._lift[k + 1:] -= c[m:].T @ self._lift[m:k + 1]
         self._lift[k + 1:] = np.linalg.solve(r_w.T, self._lift[k + 1:])
-        # Hbar on L': its rows times [S; R], its columns (images of L) times
-        # the inverse.  The block's columns follow from A X = W diag(sigma),
-        # where X = [L e_last, W[:-1]] = [V, L', W'] T_X and W = [V, L', W']
-        # T_W: with U = T_X[k:] (triangular), (T_W diag(sigma) - Hbar T_X[:k])
-        # U^-1.
-        h = self.h
-        h[:m, :k] += s @ h[m:k + 1, :k]
-        h[m:k + 1, :k] = r_lag @ h[m:k + 1, :k]
-        h[:k + 1, m:k] -= h[:k + 1, :m] @ s[:, :-1]
-        h[:k + 1, m:k] = np.linalg.solve(r_lag[:-1, :-1].T, h[:k + 1, m:k].T).T
-        t_w = np.vstack((c, r_w))
-        t_x = np.zeros((n, t))
-        t_x[:m, 0], t_x[m:k + 1, 0] = s[:, -1], r_lag[:, -1]
-        t_x[:, 1:] = t_w[:, :-1]
-        cols = t_w * sigma[:t] - h[:n, :k] @ t_x[:k]
-        h[:n, k:n - 1] = np.linalg.solve(t_x[k:n - 1].T, cols.T).T
         return t
 
-    def update_block(self, combos: np.ndarray):
+    def update(self, keep: np.ndarray, measure: np.ndarray):
         """The update pass: writes ``L'`` and ``W'`` over rows ``m:k + 1 +
-        t``, a slice at a time (read before written).  ``combos`` holds 2t
-        rows of coefficients on ``[V, L', W']``: returns the first t
-        combinations (valid until the next update), the norms of the last t,
-        summed slice by slice and never stored, and ``W'^T W'`` as written."""
+        t``, a slice at a time (read before written).  ``keep`` and
+        ``measure`` hold rows of coefficients on ``[V, L', W']``: returns the
+        combinations of ``keep`` (valid until the next update), the norms of
+        those of ``measure``, summed slice by slice and never stored, and
+        ``W'^T W'`` as written."""
         m, t, n = self.m, self.t, self.k + 1 + self.t
-        coef = np.vstack((self._lift[m:], combos @ self._lift))
-        out, sq, gram = self._out[:t], np.zeros(t), np.zeros((t, t))
+        kept = len(keep)
+        coef = np.vstack((self._lift[m:], np.vstack((keep, measure)) @ self._lift))
+        out, sq, gram = self._out[:kept], np.zeros(len(measure)), np.zeros((t, t))
         for j in range(0, self.basis.shape[1], _BLOCK):
             blk = coef @ self.basis[:n, j:j + _BLOCK]
             self.basis[m:n, j:j + _BLOCK] = blk[:n - m]
             new = blk[n - m - t:n - m]
             gram += new @ new.T
-            out[:, j:j + _BLOCK] = blk[n - m:n - m + t]
-            sq += np.vecdot(blk[n - m + t:], blk[n - m + t:])
+            out[:, j:j + _BLOCK] = blk[n - m:n - m + kept]
+            sq += np.vecdot(blk[n - m + kept:], blk[n - m + kept:])
         return out, np.sqrt(sq), gram
+
+    def exhausted(self, gram) -> bool:
+        """True when a one-row block's exact ``||w'|| = sqrt(W'^T W') R_w``,
+        with ``gram`` as :meth:`update` returned it, is rounding noise."""
+        return self.t == 1 and math.sqrt(gram[0, 0]) * self.r_w[0, 0] <= self.tol_break
 
 
 def _flexible(prec_at, history):
     """Direction map of the flexible solvers: ``z = P_k v`` with
     ``P_k = prec_at(k - 1, x_prev)``, or ``v`` when there is no callback or
     it returns None.  A degenerate ``z`` (e.g. zero weights: ``||z||`` at
-    most ``BREAKDOWN_RTOL`` times the unit ``||v||``) is recorded as skipped
-    and ``v`` takes its place; a non-finite one stops the run."""
+    most ``BREAKDOWN_RTOL``, against a ``v`` that is a unit vector as far as
+    the Pythagoras estimate of its norm is exact) is recorded as skipped and
+    ``v`` takes its place; a non-finite one stops the run."""
 
     def direction(k, v, x):
         prec = prec_at(k - 1, x) if prec_at is not None else None
@@ -673,148 +624,117 @@ def _least_squares(r, rhs):
         return np.linalg.lstsq(r, rhs, rcond=None)[0]
 
 
+def _hessenberg(gs, sigma, flexible):
+    """Brings Hbar (``gs.h``) up to date after the reduction pass of a
+    block: its rows on ``L`` become rows on ``L'`` (times [S; R]), and the
+    block's columns are filled.  A flexible step's image is ``A z = w
+    sigma``, so its column is ``[C; R_w] sigma``, and the earlier columns,
+    images of stored directions, keep their values.  Otherwise the columns
+    are images of ``L`` too and are multiplied by the inverse, and the
+    block's follow from ``A X = W diag(sigma)``, where ``X = [L e_last,
+    W[:-1]] = [V, L', W'] T_X`` and ``W = [V, L', W'] T_W``: with ``U =
+    T_X[k:]`` (triangular), ``(T_W diag(sigma) - Hbar T_X[:k]) U^-1``."""
+    h, k, m, t, s, r_lag = gs.h, gs.k, gs.m, gs.t, gs.s, gs.r_lag
+    n = k + 1 + t
+    h[:m, :k] += s @ h[m:k + 1, :k]
+    h[m:k + 1, :k] = r_lag @ h[m:k + 1, :k]
+    t_w = np.vstack((gs.c, gs.r_w))
+    if flexible:
+        h[:n, k:n - 1] = t_w * sigma
+        return
+    h[:k + 1, m:k] -= h[:k + 1, :m] @ s[:, :-1]
+    h[:k + 1, m:k] = np.linalg.solve(r_lag[:-1, :-1].T, h[:k + 1, m:k].T).T
+    t_x = np.zeros((n, t))
+    t_x[:m, 0], t_x[m:k + 1, 0] = s[:, -1], r_lag[:, -1]
+    t_x[:, 1:] = t_w[:, :-1]
+    cols = t_w * sigma - h[:n, :k] @ t_x[:k]
+    h[:n, k:n - 1] = np.linalg.solve(t_x[k:n - 1].T, cols.T).T
+
+
 def _arnoldi(counted, b, rule, history, *, direction, solution=None, flexible=False):
-    """The one Arnoldi engine behind :func:`gmres`, :func:`fgmres` and
-    :func:`flsqr`; ``counted`` is the operator wrapped in :class:`_Counted`.
+    """The one Arnoldi loop behind :func:`gmres`, :func:`fgmres` and
+    :func:`flsqr`, in blocks (s-step Arnoldi; Hoemmen, PhD thesis, Berkeley
+    2010); ``counted`` is the operator wrapped in :class:`_Counted`.
 
     ``direction(k, v, x_prev)`` returns the vector ``z`` the operator is
     applied to at 1-based step k (``v``, ``P v``, ``P_k v``, or ``P_k`` times
     an adjoint image of ``v``) and the alpha to report, or raises
-    :class:`_Stop`.  In flexible mode ``A Z = V Hbar`` holds on the stored
-    directions and the iterate is ``Z y``; otherwise ``Z = V`` (times P) and
-    the iterate is ``solution(V y)``: P is applied to each iterate, as
-    storing ``Z = P V`` too would double the memory of the basis.  The
-    flexible solvers take one step at a time (:func:`_single_steps`), and so
-    does GMRES when ``_S_STEP`` is 1; otherwise it takes blocks of
-    ``_S_STEP`` steps (:func:`_block_steps`).
+    :class:`_Stop`.  A block applies the operator to the last lagged row and
+    then to each image in turn, divided by its norm ``sigma``, and takes the
+    steps of all of them with one reduction and one update pass
+    (:class:`_Dcgs2`, with Hbar from :func:`_hessenberg`).  Stationary GMRES
+    takes blocks of ``_S_STEP`` steps: ``Z = V`` (times P), and the iterate is
+    ``solution(V y)``, as storing ``Z = P V`` too would double the memory of
+    the basis.  A near rank-deficient block takes its first step only and the
+    next ``_S_STEP - 1`` steps go one at a time; after two such blocks in a
+    row, every step does.  The flexible solvers need the iterate of every
+    step for the next direction, so their blocks have one row: ``A Z = V
+    Hbar`` holds on the stored directions, and the iterate is ``Z y``.
+
+    One Householder QR of Hbar, which keeps every column, gives ``y`` of every
+    step of the block.  The update pass writes each ``V y`` (unless flexible)
+    and the norm of each true residual ``V (beta e1 - Hbar y)``, so each step
+    is recorded as if taken alone.  Breakdown shows in a one-row block, whose
+    exact ``||w'||`` is then rounding noise.  A stop inside a block leaves
+    its later applications unused; ``n_ops`` counts them.
     """
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
         return history.record("breakdown", np.zeros(b.size), 0)
     basis = _mapped(rule.max_iter + 1, b.size)
     basis[0] = b / beta
-    h = np.zeros((rule.max_iter + 1, rule.max_iter))
-    if flexible or _S_STEP == 1:
-        reason, x = _single_steps(_Dcgs2(basis, 1 if flexible else 2, h), beta, counted,
-                                  rule, history, direction, solution, flexible)
-    else:
-        reason, x = _block_steps(_Dcgs2(basis, _S_STEP, h), beta, counted, rule, history,
-                                 direction, solution)
-    return history.record(reason, x, counted.count)
-
-
-def _single_steps(gs, beta, counted, rule, history, direction, solution, flexible):
-    """Arnoldi one step at a time; returns the stop reason and the iterate.
-
-    DCGS2 keeps the basis orthonormal with two passes a step.  Correcting the
-    lagged vector rewrites the previous column, and as the image is of the
-    uncorrected ``v``, the new column is ``(c - Hbar s) / gamma`` unless
-    flexible.  ``y`` comes from a Householder QR that keeps every column,
-    with the estimated subdiagonal, set to the exact ``||w'||`` afterwards.
-    The update pass also writes ``V y`` (unless flexible) and the true
-    residual ``b - A Z y = V (beta e1 - H y) - omega y_k w'``: no division,
-    so it holds at breakdown.
-    """
-    basis, h = gs.basis, gs.h
-    dirs = _mapped(rule.max_iter, basis.shape[1]) if flexible else None
-    x = np.zeros(basis.shape[1])
-    for k in range(1, rule.max_iter + 1):
-        try:
-            z, alpha_k = direction(k, basis[k - 1], x)
-        except _Stop as stop:
-            return str(stop), x
-        if flexible:
-            dirs[k - 1] = z
-        basis[k] = np.reshape(counted.apply(z), -1)
-        m = k - 1
-        c, estimate = gs.reduce(k)
-        if m:
-            h[:m, m - 1] += h[m, m - 1] * gs.s
-            h[m, m - 1] *= gs.gamma
-        omega = 1.0 if flexible else 1.0 / gs.gamma
-        if not flexible:
-            c = c - h[:k, :m] @ gs.s
-        h[:k, m] = omega * c
-        h[k, m] = omega * estimate
-        q, r = np.linalg.qr(h[:k + 1, :k])
-        y = _least_squares(r, beta * q[0])
-        t = -(h[:k, :k] @ y)
-        t[0] += beta
-        residual = np.append(t, -omega * y[m])
-        h_new, rows = gs.update([residual] if flexible else [np.append(y, 0.0), residual])
-        h[k, m] = omega * h_new
-        proj = math.hypot(float(np.linalg.norm(t)), y[m] * h[k, m])
-        if flexible:
-            x = y @ dirs[:k]
-        else:
-            x = rows[0] if solution is None else solution(rows[0])
-        history.push(x, float(np.linalg.norm(rows[-1])), proj, alpha_k)
-        if rule.dp_enabled and history.rec.dp_index is not None:
-            return "discrepancy", x
-        if h_new <= gs.tol_break:
-            return "breakdown", x
-        basis[k] /= h_new
-    return "max_iter", x
-
-
-def _block_steps(gs, beta, counted, rule, history, direction, solution):
-    """s-step Arnoldi for stationary GMRES (Hoemmen, PhD thesis, Berkeley
-    2010); returns the stop reason and the iterate.
-
-    A block applies the operator to the last lagged row and then to each
-    image in turn, divided by its norm, and takes the steps of all of them
-    with one reduction and one update pass (:class:`_Dcgs2`).  A near
-    rank-deficient block takes its first step only and the next
-    ``_S_STEP - 1`` steps go one at a time; after two such blocks in a row,
-    every step does.  Breakdown shows in a one-step block, whose exact
-    ``||w'||`` is then rounding noise.  One Householder QR of Hbar, which
-    keeps every column, gives ``y`` of every step of the block, and the
-    update pass writes each ``V y`` and the norm of each true residual
-    ``V (beta e1 - Hbar y)``, so each step is recorded as if taken alone.  A
-    stop inside a block leaves its later applications unused; ``n_ops``
-    counts them.
-    """
-    basis, h = gs.basis, gs.h
-    x = np.zeros(basis.shape[1])
+    gs = _Dcgs2(basis, 0 if flexible else _S_STEP)
+    gs.h = h = np.zeros((rule.max_iter + 1, rule.max_iter))
+    dirs = _mapped(rule.max_iter, b.size) if flexible else None
+    x = np.zeros(b.size)
     k, lagged, single, failed = 0, 1, 0, False
     while k < rule.max_iter:
-        sigma = np.ones(1 if single else min(_S_STEP, rule.max_iter - k))
+        sigma = np.ones(1 if single or flexible else min(_S_STEP, rule.max_iter - k))
         alphas = []
         for j in range(len(sigma)):
-            z, alpha = direction(k + j + 1, basis[k + j], x)
+            try:
+                z, alpha = direction(k + j + 1, basis[k + j], x)
+            except _Stop as stop:
+                return history.record(str(stop), x, counted.count)
+            if flexible:
+                dirs[k + j] = z
             w = np.reshape(counted.apply(z), -1)
             sigma[j] = np.linalg.norm(w) or 1.0
             np.divide(w, sigma[j], out=basis[k + j + 1])
             alphas.append(alpha)
         del z, w  # not kept alive through the passes
-        t = gs.reduce_block(k, lagged, sigma)
+        t = gs.reduce(k, lagged, len(sigma))
         if t < len(sigma):
             single = rule.max_iter if failed else _S_STEP - 1
         elif single:
             single -= 1
         if len(sigma) > 1:
             failed = t < len(sigma)
+        _hessenberg(gs, sigma[:t], flexible)
         n = k + 1 + t
         q, r = np.linalg.qr(h[:n, :n - 1])
-        combos = np.zeros((2 * t, n))
+        ys, res = np.zeros((t, n)), np.zeros((t, n))
         for j in range(1, t + 1):
             y = _least_squares(r[:k + j, :k + j], beta * q[0, :k + j])
-            combos[j - 1, :k + j] = y
-            combos[t + j - 1, :k + j + 1] = -(h[:k + j + 1, :k + j] @ y)
-            combos[t + j - 1, 0] += beta
-        rows, res_norms, gram = gs.update_block(combos)
+            ys[j - 1, :k + j] = y
+            res[j - 1, :k + j + 1] = -(h[:k + j + 1, :k + j] @ y)
+            res[j - 1, 0] += beta
+        rows, res_norms, gram = gs.update(ys[:0] if flexible else ys, res)
         for j in range(t):
-            res = combos[t + j]
-            proj = math.sqrt(res[:k + 1] @ res[:k + 1]
-                             + res[k + 1:k + j + 2] @ gram[:j + 1, :j + 1] @ res[k + 1:k + j + 2])
-            x = rows[j] if solution is None else solution(rows[j])
+            proj = math.sqrt(res[j, :k + 1] @ res[j, :k + 1]
+                             + res[j, k + 1:k + j + 2] @ gram[:j + 1, :j + 1]
+                             @ res[j, k + 1:k + j + 2])
+            if flexible:
+                x = ys[j, :k + j + 1] @ dirs[:k + j + 1]
+            else:
+                x = rows[j] if solution is None else solution(rows[j])
             history.push(x, res_norms[j], proj, alphas[j])
             if rule.dp_enabled and history.rec.dp_index is not None:
-                return "discrepancy", x
-        if t == 1 and math.sqrt(gram[0, 0]) * gs.r_w[0, 0] <= gs.tol_break:
-            return "breakdown", x
+                return history.record("discrepancy", x, counted.count)
+        if gs.exhausted(gram):
+            return history.record("breakdown", x, counted.count)
         k, lagged = n - 1, t
-    return "max_iter", x
+    return history.record("max_iter", x, counted.count)
 
 
 def gmres(A, b, rule: StoppingRule | None = None, right_prec=None,
@@ -900,7 +820,7 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
         b_norm2 += alfa * alfa
         if alfa <= _SINGULAR_RTOL * math.sqrt(b_norm2):  # ||B_k||_F
             raise _Stop("breakdown")
-        v /= alfa
+        v *= 1.0 / alfa
         s_dir = v if right_prec is None else np.reshape(right_prec.apply(v), -1)
         a_dir = np.reshape(counted.apply(s_dir), -1)
         u *= -alfa
@@ -908,7 +828,7 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
         beta = float(np.linalg.norm(u))
         b_norm2 += beta * beta
         if beta > 0.0:
-            u /= beta
+            u *= 1.0 / beta
         return (0.0, alfa, beta), s_dir, a_dir
 
     return _givens_loop(column, beta1, b, rule, history, counted,
@@ -924,7 +844,7 @@ def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None,
     problem is upper Hessenberg: this is the flexible :func:`_arnoldi` engine
     on A, whose basis is ``U``, with directions ``P_k v_k``.  Each ``v_k`` is
     the adjoint image of the latest ``u`` made orthonormal to the earlier
-    ones by DCGS2 as well.  The true residual is read from the flexible
+    ones by DCGS2 as well, in blocks of one row.  The true residual is read from the flexible
     Golub-Kahan relation ``A Z_k = U_{k+1} Mbar_k``, so one iteration costs
     one forward and one adjoint application.  A non-finite preconditioned
     direction stops the run.  With a constant identity callback the projected
@@ -939,15 +859,14 @@ def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None,
     preconditioned = _flexible(prec_at, history)
 
     def direction(k, u, x):
+        # row k - 1 is a block of one row after k - 2 steps, with one lagged
+        # row (none at step 1), and no combinations
         v_basis[k - 1] = np.ravel(counted.apply_adjoint(u))
-        if k == 1:
-            v_norm = float(np.linalg.norm(v_basis[0]))
-        else:
-            v_gs.reduce(k - 1)
-            v_norm, _ = v_gs.update()
-        if v_norm <= v_gs.tol_break:
+        v_gs.reduce(k - 2, min(k - 1, 1), 1)
+        none = np.empty((0, k))
+        _, _, gram = v_gs.update(none, none)
+        if v_gs.exhausted(gram):
             raise _Stop("breakdown")
-        v_basis[k - 1] /= v_norm
         return preconditioned(k, v_basis[k - 1], x)
 
     return _arnoldi(counted, b, rule, history, direction=direction, flexible=True)

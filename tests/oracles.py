@@ -134,6 +134,38 @@ def reference_gmres(mat: np.ndarray, b: np.ndarray, iters: int):
     return _minimize_over(mat, b, arnoldi_basis(mat, b, iters))
 
 
+def reference_fgmres(mat: np.ndarray, prec_mat_at, b: np.ndarray, iters: int):
+    """Flexible GMRES dense oracle: flexible Arnoldi with two passes of
+    modified Gram-Schmidt, the directions z_k = P_k v_k stored, and each
+    iterate x = Z y with y the least-squares solution of the Hessenberg
+    problem ``min ||beta e1 - Hbar y||``.  ``prec_mat_at`` maps the 0-based
+    iteration index to a dense preconditioner matrix.  Returns (res_norms,
+    xs)."""
+    scale = float(np.linalg.norm(b))
+    basis, zs = [b / scale], []
+    hbar = np.zeros((iters + 1, iters))
+    res, xs = [], []
+    for k in range(iters):
+        zs.append(prec_mat_at(k) @ basis[-1])
+        w = mat @ zs[-1]
+        for _pass in range(2):
+            for i, u in enumerate(basis):
+                coef = u @ w
+                hbar[i, k] += coef
+                w = w - coef * u
+        hbar[k + 1, k] = np.linalg.norm(w)
+        rhs = np.zeros(k + 2)
+        rhs[0] = scale
+        y, *_ = np.linalg.lstsq(hbar[:k + 2, :k + 1], rhs, rcond=None)
+        x = np.stack(zs, axis=1) @ y
+        xs.append(x)
+        res.append(float(np.linalg.norm(b - mat @ x)))
+        if hbar[k + 1, k] <= _BREAK * scale:
+            break
+        basis.append(w / hbar[k + 1, k])
+    return res, xs
+
+
 def reference_minres(mat: np.ndarray, b: np.ndarray, iters: int):
     """MINRES as its definition, over a Lanczos basis of the symmetric map."""
     return _minimize_over(mat, b, lanczos_basis(mat, b, iters))

@@ -37,3 +37,14 @@ def test_runtime_loads_no_scipy_linalg():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout.strip()
     assert out == "[]", f"scipy.linalg modules loaded at run time: {out}"
+
+
+def test_benchmark_selftest_passes():
+    # the benchmark's tracer and layer split read names in kryblur (the
+    # preconditioner classes, SolveRecord fields, the solvers' entry points):
+    # its self-test on tiny inputs fails when a change removes one of them
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, os.path.join("perfbench", "selftest.py")],
+                          capture_output=True, text=True, cwd=root, timeout=300)
+    assert proc.returncode == 0 and "selftest: ok" in proc.stdout, (
+        f"perfbench selftest exited {proc.returncode}:\n{proc.stdout}\n{proc.stderr}")

@@ -41,6 +41,7 @@ from oracles import (
     random_nonsymmetric,
     random_symmetric,
     reference_cgls,
+    reference_fgmres,
     reference_flexible_gk,
     reference_gmres,
     reference_lsqr,
@@ -72,39 +73,34 @@ def iterates(monkeypatch):
 def bases(monkeypatch):
     """The orthonormal rows of every basis a solver grew by DCGS2, read after
     the solve, each with its Hbar (``A V = V Hbar``, or ``A Z = V Hbar`` for
-    the flexible solvers; None for the FLSQR basis V): rows ``:k`` are final
-    once the update of step k has run, and rows ``:k + 1`` once that of the
-    block after step k has run."""
+    the flexible solvers; None for the FLSQR basis V): rows ``:k + 1`` are
+    final once the update of the block after step k has run."""
     last = {}
-    update, update_block = solvers._Dcgs2.update, solvers._Dcgs2.update_block
+    update = solvers._Dcgs2.update
 
     def recording_update(self, *args):
-        last[id(self.basis)] = (self, self.k)
+        last[id(self.basis)] = (self, self.k + 1)
         return update(self, *args)
 
-    def recording_update_block(self, *args):
-        last[id(self.basis)] = (self, self.k + 1)
-        return update_block(self, *args)
-
     monkeypatch.setattr(solvers._Dcgs2, "update", recording_update)
-    monkeypatch.setattr(solvers._Dcgs2, "update_block", recording_update_block)
     return lambda: [(gs.basis[:k], None if gs.h is None else gs.h[:k, :k - 1])
                     for gs, k in last.values()]
 
 
 @pytest.fixture
 def blocks(monkeypatch):
-    """``(applied, taken)`` for every block of s-step GMRES: how many images
-    the block applied the operator for, and how many steps it took."""
+    """``(applied, taken)`` for every block DCGS2 reduced: how many rows the
+    block brought (for s-step GMRES, images the operator was applied for),
+    and how many steps it took.  The flexible solvers' blocks are ``(1, 1)``."""
     seen = []
-    reduce_block = solvers._Dcgs2.reduce_block
+    reduce = solvers._Dcgs2.reduce
 
-    def recording_reduce_block(self, k, lagged, sigma):
-        taken = reduce_block(self, k, lagged, sigma)
-        seen.append((len(sigma), taken))
+    def recording_reduce(self, k, lagged, t):
+        taken = reduce(self, k, lagged, t)
+        seen.append((t, taken))
         return taken
 
-    monkeypatch.setattr(solvers._Dcgs2, "reduce_block", recording_reduce_block)
+    monkeypatch.setattr(solvers._Dcgs2, "reduce", recording_reduce)
     return seen
 
 
@@ -493,6 +489,26 @@ def test_fgmres_constant_prec_equals_right_preconditioned_gmres():
     diff = max(abs(a - w) for a, w in zip(flex.res_norm, plain.res_norm))
     assert diff <= 1e-10
     assert np.abs(flex.x_stop - plain.x_stop).max() <= 1e-10
+
+
+def test_fgmres_changing_prec_matches_dense_oracle(iterates):
+    # a preconditioner that changes every step, against a dense flexible
+    # Arnoldi with two-pass MGS and x = Z y: the Hbar column of a flexible
+    # step comes from the coefficients of its image, with no change of basis
+    n, iters = 24, 20
+    mat = random_nonsymmetric(n, 3)
+    b = _unit_rhs(n, 4)
+    w = 0.5 + np.random.default_rng(5).random(n)
+    rec = fgmres(LinearMap.from_matrix(mat), b,
+                 lambda k, x_prev: DiagonalOperator(w ** (k % 3)), StoppingRule(max_iter=iters))
+    want_res, want_xs = reference_fgmres(mat, lambda k: np.diag(w ** (k % 3)), b, iters)
+    assert rec.iterations == len(want_res) == iters
+    assert np.abs(np.subtract(rec.res_norm, want_res)).max() <= 1e-10
+    assert max(np.abs(x - want).max() for x, want in zip(iterates, want_xs)) <= 1e-10
+    # the directions change: plain right-preconditioned GMRES differs
+    fixed = gmres(LinearMap.from_matrix(mat), b, StoppingRule(max_iter=iters),
+                  right_prec=DiagonalOperator(w))
+    assert np.abs(np.subtract(rec.res_norm, fixed.res_norm)).max() > 1e-3
 
 
 def test_fgmres_zero_direction_skipped_and_recorded():
@@ -889,8 +905,9 @@ def test_dcgs2_bases_orthonormal_after_60_steps(method, bases):
     assert rec.iterations == 60
     final = bases()
     # the rows of the last block (steps 57 to 60) would be reorthogonalized
-    # by the next block's reduction, which a run of 60 steps does not take
-    want = {"YA": [57], "YAP": [57], "YAPW": [60], "FLSQR": [60, 59]}[method]
+    # by the next block's reduction, which a run of 60 steps does not take;
+    # FLSQR reduces its basis V first at each step
+    want = {"YA": [57], "YAP": [57], "YAPW": [60], "FLSQR": [59, 60]}[method]
     assert [len(rows) for rows, _ in final] == want
     for rows, _ in final:
         assert _orthogonality_loss(rows) <= 1e-12
@@ -1031,7 +1048,8 @@ def test_block_cut_short_by_the_budget_matches_one_step_at_a_time(method, max_it
         monkeypatch, lambda: gmres(op, rhs, StoppingRule(max_iter=max_iter), right_prec=right))
     _assert_same_run(blocked, single)
     full, last = divmod(max_iter, 4)
-    assert blocks == [(4, 4)] * full + ([(last, last)] if last else [])
+    # the blocked run's blocks, then the one-row blocks of the reference run
+    assert blocks == [(4, 4)] * full + ([(last, last)] if last else []) + [(1, 1)] * max_iter
     assert (blocked.n_ops, single.n_ops) == (max_iter, max_iter)
 
 
