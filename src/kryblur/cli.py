@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .operators import Psf, bccb_eigenvalues, load_psf
+from .operators import Psf, bccb_eigenvalues, full_grid, load_psf
 from .problems import (
     make_gaussian_psf,
     make_motion_psf,
@@ -96,7 +96,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_symbol(args) -> int:
     psf = parse_psf_spec(args.psf)
-    magnitude = np.abs(bccb_eigenvalues(psf, args.n))
+    magnitude = np.abs(full_grid(bccb_eigenvalues(psf, args.n)))
     rows = "\n".join(",".join(repr(float(v)) for v in row) for row in magnitude)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:

@@ -23,7 +23,10 @@ gets buffers of its own.
 The trigonometric polynomial generated by the PSF (its "symbol") ties the
 operator to its circulant relatives: sampled on the uniform n-by-n frequency
 grid it gives exactly the eigenvalues of the periodic-boundary operator.
-:func:`bccb_eigenvalues` is the one evaluator of that grid.
+:func:`bccb_eigenvalues` is the one evaluator of that grid.  A real PSF has
+a conjugate-symmetric grid, so it is kept as its real-FFT half, n-by-(n//2+1):
+the symbol, every circulant preconditioner and the filter all work on that
+half, and :func:`full_grid` expands it only where every frequency is read.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "BlurOperator",
     "FlipComposedOperator",
     "bccb_eigenvalues",
+    "full_grid",
     "apply_flip",
     "materialize_dense",
     "load_psf",
@@ -144,49 +148,6 @@ def _check_support(psf: Psf, n: int):
         raise ValueError("image side must be positive")
 
 
-def _first_circulant_column(psf: Psf, shape: tuple[int, int]) -> np.ndarray:
-    # Kernel entries spread on a grid of the given shape at their offsets
-    # taken modulo the grid: the first column of the periodic-boundary
-    # operator on that grid.
-    canvas = np.zeros(shape)
-    kr, kc = psf.kernel.shape
-    canvas[:kr, :kc] = psf.kernel
-    return np.roll(canvas, (-psf.center[0], -psf.center[1]), axis=(0, 1))
-
-
-def bccb_eigenvalues(psf: Psf, n: int) -> np.ndarray:
-    """The PSF symbol on the uniform n-by-n frequency grid: the eigenvalue
-    grid of the periodic-boundary operator, and the one symbol evaluator.
-
-    Entry (i, j) is  sum_{r,c} h[r,c] * exp(1i*(r*2*pi*i/n + c*2*pi*j/n))
-    with (r, c) running over spatial offsets from the center, computed as
-    the conjugated 2-D DFT of the first circulant column (the circularly
-    shifted PSF), so the cost does not grow with the PSF support.  The grid
-    of a real PSF is conjugate-symmetric; for a normalized PSF the (0, 0)
-    entry is 1.
-    """
-    _check_support(psf, n)
-    return np.conj(_fft.fft2(_first_circulant_column(psf, (n, n))))
-
-
-def _image_stack(x, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Accept a real n-by-n image or a flat length-n^2 vector, batched along
-    # any leading axes.  Returns the float array and its view as a stack of
-    # images; results are reshaped back to the array's shape.
-    arr = np.asarray(x)
-    if np.iscomplexobj(arr):
-        raise ValueError("expected real image(s), got complex input")
-    arr = arr.astype(float, copy=False)
-    if arr.shape[-1:] == (n * n,):
-        return arr, arr.reshape(arr.shape[:-1] + (n, n))
-    if arr.shape[-2:] == (n, n):
-        return arr, arr
-    raise ValueError(
-        f"expected image(s) of shape {(n, n)} or stacked vectors of length "
-        f"{n * n}, got shape {arr.shape}"
-    )
-
-
 class _Workspace(threading.local):
     """One real and one complex buffer per thread, grown to the largest
     single-image grid seen."""
@@ -207,6 +168,100 @@ class _Workspace(threading.local):
 
 
 _WORKSPACE = _Workspace()
+
+
+def _first_circulant_column(psf: Psf, shape: tuple[int, int]) -> np.ndarray:
+    # Kernel entries spread on a grid of the given shape at their offsets
+    # taken modulo the grid: the first column of the periodic-boundary
+    # operator on that grid.  Built in the filter's workspace, so it is
+    # valid until the next filter.
+    canvas = _WORKSPACE.grid(shape)
+    canvas[...] = 0.0
+    canvas[np.ix_(psf.row_offsets % shape[0], psf.col_offsets % shape[1])] = psf.kernel
+    return canvas
+
+
+def bccb_eigenvalues(psf: Psf, n: int) -> np.ndarray:
+    """The PSF symbol on the uniform n-by-n frequency grid, as its real-FFT
+    half: the eigenvalue grid of the periodic-boundary operator, and the one
+    symbol evaluator.
+
+    Entry (i, j) is  sum_{r,c} h[r,c] * exp(1i*(r*2*pi*i/n + c*2*pi*j/n))
+    with (r, c) running over spatial offsets from the center, for the columns
+    j = 0..n//2 that determine the rest (``g[i, j] == conj(g[-i, -j])`` for a
+    real PSF; see :func:`full_grid`).  It is computed as the conjugated real
+    2-D DFT of the first circulant column (the circularly shifted PSF), so the
+    cost does not grow with the PSF support.  Columns 0 and n/2 hold each
+    conjugate pair twice; their rows past n/2 are taken from their mirrors,
+    and the entries that are their own mirrors are real, so the half is
+    exactly conjugate-symmetric.  For a normalized PSF the (0, 0) entry is 1.
+    """
+    _check_support(psf, n)
+    half = np.empty((n, n // 2 + 1), complex)
+    np.fft.rfft2(_first_circulant_column(psf, (n, n)), out=half)
+    np.conjugate(half, out=half)
+    own = _self_mirrored(n)
+    for c in own:
+        half[n // 2 + 1:, c] = np.conj(half[(n - 1) // 2:0:-1, c])
+    half[np.ix_(own, own)] = half[np.ix_(own, own)].real
+    return half
+
+
+def _self_mirrored(n: int) -> tuple[int, ...]:
+    # the frequencies k with -k = k modulo n, 0 and n/2: the columns of a
+    # half grid that hold their own mirrors, and the rows where they meet
+    return (0,) if n % 2 else (0, n // 2)
+
+
+def _half_side(grid: np.ndarray) -> int:
+    """The side n of the n-by-n grid whose real-FFT half is ``grid``, of shape
+    (n, n//2+1); raises ``ValueError`` for any other shape."""
+    if grid.ndim != 2 or grid.size == 0 or grid.shape[1] != grid.shape[0] // 2 + 1:
+        raise ValueError(
+            "expected the real-FFT half of a square grid, of shape (n, n//2+1); "
+            f"got shape {grid.shape}"
+        )
+    return grid.shape[0]
+
+
+def _half_defect(grid: np.ndarray) -> float:
+    """How far a half grid is from the half of a real operator's grid: the
+    largest ``|g[-i, c] - conj(g[i, c])|`` over the self-conjugate columns
+    c = 0 and n/2.  Every other half grid extends to a conjugate-symmetric
+    n-by-n grid, so this O(n) reading is the whole condition."""
+    n = _half_side(grid)
+    cols = grid[:, _self_mirrored(n)]
+    return float(np.abs(cols[-np.arange(n)] - np.conj(cols)).max())
+
+
+def full_grid(half: np.ndarray) -> np.ndarray:
+    """The n-by-n grid whose real-FFT half is ``half``: the columns past n//2
+    are the conjugates at the mirrored frequencies, ``g[i, j] =
+    conj(g[-i, n - j])``.  For reading every frequency (symbol output,
+    means over the grid, tests); solvers and preconditioners never need it."""
+    n = _half_side(half)
+    full = np.empty((n, n), half.dtype)
+    full[:, :n // 2 + 1] = half
+    full[:, n // 2 + 1:] = np.conj(half[-np.arange(n), (n - 1) // 2:0:-1])
+    return full
+
+
+def _image_stack(x, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # Accept a real n-by-n image or a flat length-n^2 vector, batched along
+    # any leading axes.  Returns the float array and its view as a stack of
+    # images; results are reshaped back to the array's shape.
+    arr = np.asarray(x)
+    if np.iscomplexobj(arr):
+        raise ValueError("expected real image(s), got complex input")
+    arr = arr.astype(float, copy=False)
+    if arr.shape[-1:] == (n * n,):
+        return arr, arr.reshape(arr.shape[:-1] + (n, n))
+    if arr.shape[-2:] == (n, n):
+        return arr, arr
+    raise ValueError(
+        f"expected image(s) of shape {(n, n)} or stacked vectors of length "
+        f"{n * n}, got shape {arr.shape}"
+    )
 
 
 def _rfft_filter(grid: np.ndarray, half: np.ndarray, adjoint: bool):
@@ -262,10 +317,14 @@ class BlurOperator:
     cannot reach the field of view, so results are independent of the
     rounding.
 
-    ``apply_adjoint`` blurs with the 180-degree-rotated PSF under the same
-    boundary rule.  For zero and periodic boundaries that is exactly the
-    transpose; for reflective boundaries with a non-symmetric kernel it is
-    the usual "reblurring" companion, which differs from the transpose.
+    ``apply_adjoint`` is the exact transpose under every boundary rule, run
+    as the transpose of each stage in reverse: the image goes into the field
+    of view with zero pads, the filter multiplies by the conjugate kernel
+    spectrum (a blur with the 180-degree-rotated PSF), and each pad is folded
+    back onto the pixel it copied, rows first, then columns.  Under zero
+    boundaries there is nothing to fold.  Under reflective boundaries with a
+    non-symmetric kernel this differs from the "reblurring" companion (the
+    rotated PSF under the same boundary rule), which is not the transpose.
     """
 
     def __init__(self, psf: Psf, bc, n: int):
@@ -293,12 +352,20 @@ class BlurOperator:
         grid = _WORKSPACE.grid(work.shape[:-2] + self._grid_shape)
         rows, cols = self._view
         grid[..., rows, cols] = work
-        # pad as np.pad does, one axis after the other, from inside the grid
+        # pad as np.pad does, one axis after the other, from inside the grid;
+        # the transpose of cropping fills the pads with zeros
         for t, s in self._col_pads:
-            grid[..., rows, t] = 0.0 if s is None else grid[..., rows, cols.start + s]
+            grid[..., rows, t] = 0.0 if s is None or adjoint else grid[..., rows, cols.start + s]
         for t, s in self._row_pads:
-            grid[..., t, :] = 0.0 if s is None else grid[..., rows.start + s, :]
+            grid[..., t, :] = 0.0 if s is None or adjoint else grid[..., rows.start + s, :]
         _rfft_filter(grid, self._kernel_hat, adjoint)
+        if adjoint:  # the transpose of padding: fold each pad onto its source
+            for t, s in self._row_pads:
+                if s is not None:
+                    grid[..., rows.start + s, :] += grid[..., t, :]
+            for t, s in self._col_pads:
+                if s is not None:
+                    grid[..., rows, cols.start + s] += grid[..., rows, t]
         # a copy: the field of view can be the whole grid, the workspace itself
         return grid[..., rows, cols].copy().reshape(arr.shape)
 
@@ -308,7 +375,7 @@ class BlurOperator:
         return self._convolve(x, adjoint=False)
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        """Blur with the rotated PSF (exact transpose for zero/periodic)."""
+        """The transpose of :meth:`apply`, for every boundary rule."""
         return self._convolve(y, adjoint=True)
 
 
@@ -318,8 +385,9 @@ class FlipComposedOperator:
     When the base operator is persymmetric (zero or periodic boundaries, and
     any boundary rule whose matrix satisfies flip*A*flip = A^T), the composed
     map is symmetric, which is what makes MINRES applicable to deblurring.
-    The adjoint composes the base adjoint after the flip; it is the exact
-    transpose whenever the base adjoint is.
+    The adjoint composes the base adjoint after the flip, so it is the exact
+    transpose; under reflective boundaries with a non-symmetric PSF the
+    composed map is still not symmetric, since A is not persymmetric there.
     """
 
     def __init__(self, base):

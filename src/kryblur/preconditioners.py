@@ -1,13 +1,14 @@
 """Circulant and diagonal preconditioners built from the blur symbol.
 
 A circulant operator is fixed by its eigenvalue grid on the uniform n-by-n
-frequency grid; application is one real DFT, an elementwise scale, and one
-inverse real DFT over half the spectrum, the filter the blur uses too, run in
-the same per-thread workspace; each apply returns a new array.  It acts on
-real images only, so the grid must be conjugate-symmetric, as the symbol of a
-real PSF (``bccb_eigenvalues``) and every grid derived from it below are; the
-constructor checks that.  The constructors below turn that symbol grid into
-filter-style eigenvalue grids:
+frequency grid.  It acts on real images only, so the grid is
+conjugate-symmetric, as the symbol of a real PSF (``bccb_eigenvalues``) and
+every grid derived from it below are, and it is given and kept as its
+real-FFT half, n-by-(n//2+1).  Application is one real DFT, an elementwise
+scale over that half, and one inverse real DFT, the filter the blur uses too,
+run in the same per-thread workspace; each apply returns a new array.  The
+constructors below map the symbol's half grid to filter-style half grids,
+entry by entry:
 
 * ``circulant_tikhonov``      conj(s) / (|s|^2 + alpha), the circulant whose
   application IS the Tikhonov-regularized deconvolution for periodic
@@ -17,7 +18,9 @@ filter-style eigenvalue grids:
   frequencies (every eigenvalue is at most 1/(2*sqrt(alpha)));
 * ``circulant_threshold``     |s| where |s| > eps and 1 elsewhere, the
   sharp-cutoff grid whose inverse drives the three-way eigenvalue
-  clustering of the flip-symmetrized preconditioned operator.
+  clustering of the flip-symmetrized preconditioned operator;
+* ``circulant_sqrt``          the principal square root of a real
+  nonnegative grid.
 
 Iteration-dependent variants use a geometric regularization schedule and,
 for sparsity, diagonal reweighting from the previous iterate.
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _WORKSPACE, _image_stack, _rfft_filter
+from .operators import _WORKSPACE, _half_defect, _half_side, _image_stack, _rfft_filter
 
 __all__ = [
     "CirculantOperator",
@@ -55,41 +58,39 @@ class CirculantOperator:
     """Block-circulant operator on real images, defined by its eigenvalue grid.
 
     The Fourier mode ``exp(-2j*pi*(p*i + q*j)/n)`` has eigenvalue
-    ``eigs[p, q]``, so the operator is ``fft2(ifft2(x) * eigs)``.  It is
-    applied as the real-FFT filter with half grid ``conj(eigs[:, :n//2+1])``,
-    which is exact when the grid is conjugate-symmetric: ``eigs[i, j] ==
-    conj(eigs[-i, -j])`` within 1e-10 of max |eigs| (checked on the half grid,
-    which meets every such pair).  The constructor raises ``ValueError`` for
-    any other grid, and the applies for complex input.  Each apply returns a
-    new array, never the filter's workspace.
+    ``g[p, q]``, so the operator is ``fft2(ifft2(x) * g)``.  ``grid`` is the
+    real-FFT half ``g[:, :n//2+1]``, of shape (n, n//2+1), and the operator
+    is the real-FFT filter with half grid ``conj(grid)``, which is exact
+    because the grid is conjugate-symmetric: ``g[i, j] == conj(g[-i, -j])``.
+    On the half that is one O(n) condition: columns 0 and n/2 are
+    conjugate-symmetric in the row index, ``grid[-i, c] == conj(grid[i, c])``,
+    within 1e-10 of max |grid|.  The constructor raises ``ValueError`` for
+    any other grid or shape, and the applies for complex input.  Only the
+    half is stored, and a real grid stays real.  Each apply returns a new
+    array, never the filter's workspace.
 
     ``alpha`` is bookkeeping only: constructors record the regularization
     parameter they were built with so solver histories can log it.
     """
 
-    def __init__(self, eigs: np.ndarray, alpha: float | None = None):
-        eigs = np.asarray(eigs)
-        if eigs.ndim != 2 or eigs.shape[0] != eigs.shape[1] or eigs.size == 0:
-            raise ValueError(f"eigenvalue grid must be square 2-D, got {eigs.shape}")
-        self.eigs = eigs.astype(complex)
-        self.n = eigs.shape[0]
+    def __init__(self, grid: np.ndarray, alpha: float | None = None):
+        grid = np.asarray(grid)
+        self.n = _half_side(grid)
         self.alpha = alpha
-        n, m = self.n, self.n // 2 + 1
-        self._half = np.conj(self.eigs[:, :m])
-        # each pair (i, j), (-i, -j) meets the half grid: compare it with eigs
-        # at the mirrored frequencies, in the filter's workspace.  Columns are
-        # gathered; row -i is row 0 for i = 0 and row n - i otherwise.
-        diff = np.take(self.eigs, -np.arange(m), axis=1, mode="wrap",
-                       out=_WORKSPACE.grid((n, m), complex))
-        for rows, mirrored in ((slice(0, 1), slice(0, 1)), (slice(1, n), slice(None, 0, -1))):
-            np.subtract(self._half[rows], diff[mirrored], out=diff[mirrored])
-        magnitude = _WORKSPACE.grid((n, m))
-        defect = np.abs(diff, out=magnitude).max(initial=0.0)
-        if not defect <= _IMAG_RTOL * np.abs(self._half, out=magnitude).max(initial=0.0):
+        # the filter's half grid; a real grid is its own conjugate
+        self._half = np.conj(grid) if np.iscomplexobj(grid) else np.array(grid, float)
+        defect = _half_defect(grid)
+        magnitude = np.abs(grid, out=_WORKSPACE.grid(grid.shape))
+        if not defect <= _IMAG_RTOL * magnitude.max():
             raise ValueError(
                 "circulant eigenvalue grid is not conjugate-symmetric (defect "
                 f"{defect:.3e}); only grids of real operators are supported"
             )
+
+    @property
+    def eigs(self) -> np.ndarray:
+        """The eigenvalue grid's real-FFT half, of shape (n, n//2+1)."""
+        return np.conj(self._half) if np.iscomplexobj(self._half) else self._half
 
     @property
     def size(self) -> int:
@@ -170,12 +171,13 @@ class ComposedOperator:
 
 
 def circulant_tikhonov(symbol, alpha: float) -> CirculantOperator:
-    """Circulant Tikhonov filter: eigenvalues conj(s) / (|s|^2 + alpha).
+    """Circulant Tikhonov filter: eigenvalues conj(s) / (|s|^2 + alpha), for
+    the symbol's half grid ``s``.
 
     For periodic boundaries, applying this operator to the blurred data is
     exactly the Tikhonov solution (A^T A + alpha I)^{-1} A^T b.  With
     ``alpha == 0`` it degenerates to plain inversion, which is only allowed
-    when no symbol sample vanishes.
+    when no symbol sample vanishes (the half holds every magnitude).
     """
     grid = np.asarray(symbol)
     if alpha < 0:
@@ -186,7 +188,10 @@ def circulant_tikhonov(symbol, alpha: float) -> CirculantOperator:
             "alpha=0 requested but the symbol grid has a zero sample; "
             "the unregularized inverse is singular"
         )
-    return CirculantOperator(np.conj(grid) / (power + alpha), alpha=alpha)
+    # a product with the reciprocal: numpy's complex quotient by a real
+    # divisor multiplies by its reciprocal too, so this is conj(s) / d to
+    # the bit, in half the time
+    return CirculantOperator(np.conj(grid) * (1.0 / (power + alpha)), alpha=alpha)
 
 
 def circulant_abs_tikhonov(symbol, alpha: float) -> CirculantOperator:
@@ -225,15 +230,15 @@ def circulant_threshold(symbol, eps: float) -> CirculantOperator:
 def circulant_sqrt(circ: CirculantOperator) -> CirculantOperator:
     """Principal square root of a symmetric PSD circulant.
 
-    Requires the eigenvalue grid to be real and nonnegative within 1e-12;
-    grids that are significantly complex or negative have no PSD square root
-    and are rejected.
+    Requires the eigenvalue grid to be real and nonnegative within 1e-12 (the
+    half grid holds every eigenvalue); grids that are significantly complex
+    or negative have no PSD square root and are rejected.
     """
-    eigs = np.asarray(circ.eigs)
-    if np.abs(eigs.imag).max(initial=0.0) > HERMITIAN_ATOL:
+    eigs = circ.eigs
+    imag = np.abs(eigs.imag).max() if np.iscomplexobj(eigs) else 0.0
+    if imag > HERMITIAN_ATOL:
         raise ValueError(
-            "square root requires a real eigenvalue grid; max imaginary part "
-            f"is {np.abs(eigs.imag).max():.3e}"
+            f"square root requires a real eigenvalue grid; max imaginary part is {imag:.3e}"
         )
     real = eigs.real
     if real.min() < -HERMITIAN_ATOL:
@@ -281,7 +286,8 @@ class PreconditionerSchedule:
         return self.alpha0 * self.q ** k
 
     def build(self, symbol, k: int):
-        """The circulant filter for 0-based iteration k."""
+        """The circulant filter for 0-based iteration k, from the symbol's
+        half grid."""
         alpha = self.alpha_at(k)
         if self.variant == "tikhonov":
             return circulant_tikhonov(symbol, alpha)

@@ -170,9 +170,9 @@ def star_field(n: int, seed: int = 1) -> np.ndarray:
     np.maximum.at(img, (rows, cols), bright)
     profile_std = 1.3
     fr = np.fft.fftfreq(n)[:, None]
-    fc = np.fft.fftfreq(n)[None, :]
+    fc = np.fft.rfftfreq(n)[None, :]
     profile = np.exp(-2.0 * (math.pi * profile_std) ** 2 * (fr**2 + fc**2))
-    img = np.fft.ifft2(np.fft.fft2(img) * profile).real
+    img = np.fft.irfft2(np.fft.rfft2(img) * profile, s=(n, n))
     img[img < 1e-3] = 0.0
     return img / img.max()
 
@@ -187,9 +187,9 @@ def natural_scene(n: int, seed: int = 7) -> np.ndarray:
     rng = np.random.default_rng(seed)
     white = rng.standard_normal((n, n))
     fr = np.fft.fftfreq(n)[:, None]
-    fc = np.fft.fftfreq(n)[None, :]
+    fc = np.fft.rfftfreq(n)[None, :]
     gain = 1.0 / (1.0 + (np.hypot(fr, fc) * n / 4.0) ** 2)
-    img = np.fft.ifft2(np.fft.fft2(white) * gain).real
+    img = np.fft.irfft2(np.fft.rfft2(white) * gain, s=(n, n))
     lo, hi = img.min(), img.max()
     return (img - lo) / (hi - lo)
 
@@ -605,9 +605,8 @@ class MethodRun:
     wall_time: float
 
 
-def _flexible_supplier(spec: MethodSpec, schedule: PreconditionerSchedule, symbol):
-    size = symbol.size
-
+def _flexible_supplier(spec: MethodSpec, schedule: PreconditionerSchedule, symbol,
+                       size: int):
     def supplier(k: int, x_prev: np.ndarray):
         circ = schedule.build(symbol, k) if spec.prec else None
         if not spec.weights:
@@ -672,7 +671,7 @@ def _run_method(label: str, problem: NoisyProblem, cfg: ExperimentConfig) -> tup
         )
         supplier = None
         if spec.prec or spec.weights:
-            supplier = _flexible_supplier(spec, schedule, symbol)
+            supplier = _flexible_supplier(spec, schedule, symbol, op.size)
         runner = solvers.fgmres if spec.solver == "FGMRES" else solvers.flsqr
         record = runner(system, rhs, prec_at=supplier, rule=rule, x_true=truth)
     return record, time.perf_counter() - start

@@ -660,12 +660,12 @@ def _arnoldi(counted, b, rule, history, *, direction, solution=None, flexible=Fa
     applied to at 1-based step k (``v``, ``P v``, ``P_k v``, or ``P_k`` times
     an adjoint image of ``v``) and the alpha to report, or raises
     :class:`_Stop`.  A block applies the operator to the last lagged row and
-    then to each image in turn, divided by its norm ``sigma``, and takes the
-    steps of all of them with one reduction and one update pass
-    (:class:`_Dcgs2`, with Hbar from :func:`_hessenberg`).  Stationary GMRES
-    takes blocks of ``_S_STEP`` steps: ``Z = V`` (times P), and the iterate is
-    ``solution(V y)``, as storing ``Z = P V`` too would double the memory of
-    the basis.  A near rank-deficient block takes its first step only and the
+    then to each image in turn, copied into its basis row and scaled there by
+    the reciprocal of its norm ``sigma``, and takes the steps of all of them
+    with one reduction and one update pass (:class:`_Dcgs2`, with Hbar from
+    :func:`_hessenberg`).  Stationary GMRES takes blocks of ``_S_STEP``
+    steps: ``Z = V`` (times P), and the iterate is ``solution(V y)``, as
+    storing ``Z = P V`` too would double the memory of the basis.  A near rank-deficient block takes its first step only and the
     next ``_S_STEP - 1`` steps go one at a time; after two such blocks in a
     row, every step does.  The flexible solvers need the iterate of every
     step for the next direction, so their blocks have one row: ``A Z = V
@@ -698,11 +698,14 @@ def _arnoldi(counted, b, rule, history, *, direction, solution=None, flexible=Fa
                 return history.record(str(stop), x, counted.count)
             if flexible:
                 dirs[k + j] = z
-            w = np.reshape(counted.apply(z), -1)
-            sigma[j] = np.linalg.norm(w) or 1.0
-            np.divide(w, sigma[j], out=basis[k + j + 1])
+            # the image goes into its basis row first, so its norm reads a
+            # contiguous row (a flipped image is a reversed view)
+            row = basis[k + j + 1]
+            row[:] = np.reshape(counted.apply(z), -1)
+            sigma[j] = np.linalg.norm(row) or 1.0
+            row *= 1.0 / sigma[j]
             alphas.append(alpha)
-        del z, w  # not kept alive through the passes
+        del z  # not kept alive through the passes
         t = gs.reduce(k, lagged, len(sigma))
         if t < len(sigma):
             single = rule.max_iter if failed else _S_STEP - 1

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import BlurOperator, Psf, bccb_eigenvalues, materialize_dense
+from .operators import BlurOperator, Psf, bccb_eigenvalues, full_grid, materialize_dense
 from .preconditioners import CirculantOperator, circulant_threshold
 
 __all__ = [
@@ -95,7 +95,7 @@ def preconditioned_spectrum(psf: Psf, n: int, eps: float | None) -> np.ndarray:
     if eps is None:
         target = flipped
     else:
-        grid = circulant_threshold(bccb_eigenvalues(psf, n), eps).eigs.real
+        grid = circulant_threshold(bccb_eigenvalues(psf, n), eps).eigs
         inv_half = materialize_dense(CirculantOperator(grid ** -0.5), cap=n)
         target = inv_half @ flipped @ inv_half
     target = 0.5 * (target + target.T)
@@ -160,8 +160,9 @@ def szego_distribution_check(psf: Psf, n: int, moments: int = 2,
     eigs = np.linalg.eigvalsh(0.5 * (dense + dense.T))
     # the symbol is a trigonometric polynomial of degree far below
     # grid_size, so averaging its low powers over any equispaced grid
-    # integrates them exactly up to roundoff
-    symbol = bccb_eigenvalues(psf, grid_size)
+    # integrates them exactly up to roundoff; the mean is over every
+    # frequency, so the half grid is expanded
+    symbol = full_grid(bccb_eigenvalues(psf, grid_size))
     imag_max = np.abs(symbol.imag).max()
     if imag_max > 1e-9:
         raise ValueError(

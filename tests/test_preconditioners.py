@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kryblur.operators import BlurOperator, Psf, bccb_eigenvalues, materialize_dense
+from kryblur.operators import BlurOperator, Psf, bccb_eigenvalues, full_grid, materialize_dense
 from kryblur.preconditioners import (
     CirculantOperator,
     ComposedOperator,
@@ -33,15 +33,16 @@ def _delta_symbol(n):
 
 
 def _hermitian_grid(rng, n):
-    # the DFT of a real first column: a conjugate-symmetric, complex grid
-    return np.fft.fft2(rng.standard_normal((n, n)))
+    # the real-FFT half of the DFT of a real first column: the half of a
+    # conjugate-symmetric, complex grid
+    return np.fft.rfft2(rng.standard_normal((n, n)))
 
 
 def test_circulant_fourier_diagonalization():
     n = 8
     rng = np.random.default_rng(5)
-    grid = _hermitian_grid(rng, n)
-    c = CirculantOperator(grid)
+    grid = full_grid(_hermitian_grid(rng, n))
+    c = CirculantOperator(grid[:, :n // 2 + 1])
     rows, cols = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     for (p, q) in ((0, 0), (1, 3), (5, 2), (7, 7), (4, 4)):
         e = np.exp(-2j * np.pi * (p * rows + q * cols) / n)  # Fourier basis vector
@@ -89,8 +90,8 @@ def test_circulant_real_path_matches_complex_formula(build, n):
     inputs = (rng.standard_normal(n * n), rng.standard_normal((n, n)),
               rng.standard_normal((3, n * n)), rng.standard_normal((2, 3, n, n)))
     for x in inputs:
-        for got, eigs in ((c.apply(x), c.eigs),
-                          (c.apply_adjoint(x), np.conj(c.eigs))):
+        eigs = full_grid(c.eigs)
+        for got, eigs in ((c.apply(x), eigs), (c.apply_adjoint(x), np.conj(eigs))):
             assert got.dtype == np.float64 and got.shape == x.shape
             want = _complex_formula(x, eigs).real
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(x)
@@ -99,7 +100,7 @@ def test_circulant_real_path_matches_complex_formula(build, n):
 def test_circulant_rejects_non_hermitian_grid():
     n = 8
     rng = np.random.default_rng(11)
-    grid = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    grid = rng.standard_normal((n, n // 2 + 1)) + 1j * rng.standard_normal((n, n // 2 + 1))
     # checked at construction, not on the first apply inside a solver loop
     with pytest.raises(ValueError, match="conjugate-symmetric"):
         CirculantOperator(grid)
@@ -120,7 +121,11 @@ def test_circulant_validation():
         CirculantOperator(np.ones((2, 3)))
     with pytest.raises(ValueError, match="square"):
         CirculantOperator(np.ones((0, 0)))
-    c = CirculantOperator(np.ones((3, 3)))
+    # a full n-by-n grid is not a half grid (n = 1 and 2 excepted, where the
+    # two coincide)
+    with pytest.raises(ValueError, match=r"\(n, n//2\+1\)"):
+        CirculantOperator(np.ones((4, 4)))
+    c = CirculantOperator(np.ones((3, 2)))
     with pytest.raises(ValueError, match="shape"):
         c.apply(np.ones(5))
 
@@ -169,7 +174,7 @@ def test_tikhonov_alpha_zero_singular_symbol_rejected():
 
 def test_abs_tikhonov_delta_alpha_one_is_half():
     c = circulant_abs_tikhonov(_delta_symbol(4), 1.0)
-    np.testing.assert_allclose(c.eigs, np.full((4, 4), 0.5), rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(c.eigs, np.full((4, 3), 0.5), rtol=0.0, atol=1e-15)
 
 
 def test_abs_tikhonov_amgm_bound():
@@ -201,7 +206,7 @@ def test_abs_tikhonov_requires_positive_alpha():
 def test_threshold_delta_is_identity():
     for eps in (0.1, 0.5, 0.9):
         c = circulant_threshold(_delta_symbol(4), eps)
-        np.testing.assert_allclose(c.eigs, np.ones((4, 4)), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(c.eigs, np.ones((4, 3)), rtol=0.0, atol=1e-15)
 
 
 def test_threshold_membership_and_count():
@@ -235,11 +240,11 @@ def test_threshold_eps_domain():
 
 
 def test_sqrt_identity_and_constant():
-    ident = CirculantOperator(np.ones((4, 4)))
-    np.testing.assert_allclose(circulant_sqrt(ident).eigs, np.ones((4, 4)),
+    ident = CirculantOperator(np.ones((4, 3)))
+    np.testing.assert_allclose(circulant_sqrt(ident).eigs, np.ones((4, 3)),
                                rtol=0.0, atol=0.0)
-    fours = CirculantOperator(np.full((4, 4), 4.0))
-    np.testing.assert_allclose(circulant_sqrt(fours).eigs, np.full((4, 4), 2.0),
+    fours = CirculantOperator(np.full((4, 3), 4.0))
+    np.testing.assert_allclose(circulant_sqrt(fours).eigs, np.full((4, 3), 2.0),
                                rtol=0.0, atol=0.0)
 
 
@@ -256,9 +261,9 @@ def test_sqrt_of_sqrt_fourth_power():
 
 
 def test_sqrt_domain_errors():
-    # the DFT of a shifted delta: conjugate-symmetric, not real (every
+    # the DFT half of a shifted delta: conjugate-symmetric, not real (every
     # conjugate-symmetric 2x2 grid is real)
-    shifted = np.fft.fft2(np.roll(np.eye(1, 16).reshape(4, 4), 1, axis=1))
+    shifted = np.fft.rfft2(np.roll(np.eye(1, 16).reshape(4, 4), 1, axis=1))
     assert np.abs(shifted.imag).max() > 0.5
     with pytest.raises(ValueError, match="imaginary"):
         circulant_sqrt(CirculantOperator(shifted))

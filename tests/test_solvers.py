@@ -284,7 +284,7 @@ def test_minres_sym_prec_identity_reduces_to_minres():
     yb = apply_flip(prob.b.ravel())
     rule = StoppingRule(max_iter=15)
     plain = minres(fop, yb, rule)
-    ident_half = CirculantOperator(np.ones((8, 8)))
+    ident_half = CirculantOperator(np.ones((8, 5)))
     reduced = minres_sym_prec(fop, yb, ident_half, rule)
     diff = max(abs(a - w) for a, w in zip(reduced.res_norm, plain.res_norm))
     assert diff <= 1e-12
@@ -319,7 +319,7 @@ def test_minres_sym_prec_matches_dense_oracle(iterates):
 
 def test_minres_sym_prec_size_mismatch():
     prob = make_problem(np.ones((8, 8)), make_gaussian_psf(3, 1.0), "zero", 0.0, 1)
-    half = CirculantOperator(np.ones((4, 4)))
+    half = CirculantOperator(np.ones((4, 3)))
     with pytest.raises(ValueError, match="size"):
         minres_sym_prec(FlipComposedOperator(prob.operator),
                         np.zeros(64), half, StoppingRule(max_iter=2))
