@@ -10,7 +10,7 @@ are applied through one code path: pad the image according to the boundary
 rule, circularly convolve on the padded grid with real FFTs (the image and the
 kernel are real, so only half of each spectrum is formed), and crop back to
 the field of view.  The circulant preconditioners apply their eigenvalue grids
-through the same real-FFT filter, and both reject complex images.
+through the same real-FFT filter, and every map takes input by :func:`_map_input`.
 
 The filter of a single image runs in one workspace per thread: one real grid
 and one half spectrum, grown to the largest grid seen and reused by every
@@ -31,6 +31,7 @@ half, and :func:`full_grid` expands it only where every frequency is read.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -246,22 +247,23 @@ def full_grid(half: np.ndarray) -> np.ndarray:
     return full
 
 
-def _image_stack(x, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Accept a real n-by-n image or a flat length-n^2 vector, batched along
-    # any leading axes.  Returns the float array and its view as a stack of
-    # images; results are reshaped back to the array's shape.
+def _map_input(x, size: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The one input rule of every map a solver is handed, on ``size``
+    entries: real flat vectors of length ``size`` or n-by-n images with n**2 =
+    ``size``, batched along leading axes.  Returns the float array (the input
+    itself when it is one) and its batch shape; complex input and any other
+    shape raise ``ValueError``.  Maps return results in the input's shape."""
     arr = np.asarray(x)
     if np.iscomplexobj(arr):
-        raise ValueError("expected real image(s), got complex input")
+        raise ValueError("expected real input, got complex input")
     arr = arr.astype(float, copy=False)
-    if arr.shape[-1:] == (n * n,):
-        return arr, arr.reshape(arr.shape[:-1] + (n, n))
-    if arr.shape[-2:] == (n, n):
-        return arr, arr
-    raise ValueError(
-        f"expected image(s) of shape {(n, n)} or stacked vectors of length "
-        f"{n * n}, got shape {arr.shape}"
-    )
+    if arr.shape[-1:] == (size,):
+        return arr, arr.shape[:-1]
+    n = math.isqrt(size)
+    if n * n == size and arr.shape[-2:] == (n, n):
+        return arr, arr.shape[:-2]
+    raise ValueError(f"expected vectors of {size} entries (or square images of as many "
+                     f"pixels), batched along leading axes; got shape {arr.shape}")
 
 
 def _rfft_filter(grid: np.ndarray, half: np.ndarray, adjoint: bool):
@@ -348,10 +350,10 @@ class BlurOperator:
         return self.n * self.n
 
     def _convolve(self, x, adjoint: bool):
-        arr, work = _image_stack(x, self.n)
-        grid = _WORKSPACE.grid(work.shape[:-2] + self._grid_shape)
+        arr, batch = _map_input(x, self.size)
+        grid = _WORKSPACE.grid(batch + self._grid_shape)
         rows, cols = self._view
-        grid[..., rows, cols] = work
+        grid[..., rows, cols] = arr.reshape(batch + (self.n, self.n))
         # pad as np.pad does, one axis after the other, from inside the grid;
         # the transpose of cropping fills the pads with zeros
         for t, s in self._col_pads:
@@ -370,8 +372,8 @@ class BlurOperator:
         return grid[..., rows, cols].copy().reshape(arr.shape)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Blur. Accepts a real n-by-n image or a flat length-n^2 vector (also
-        batched along leading axes); returns a new array of the same shape."""
+        """Blur.  Takes a real n-by-n image or a flat length-n^2 vector, batched
+        (:func:`_map_input`); returns a new array of the same shape."""
         return self._convolve(x, adjoint=False)
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
@@ -388,6 +390,7 @@ class FlipComposedOperator:
     The adjoint composes the base adjoint after the flip, so it is the exact
     transpose; under reflective boundaries with a non-symmetric PSF the
     composed map is still not symmetric, since A is not persymmetric there.
+    ``apply`` returns a reversed view of the base operator's output.
     """
 
     def __init__(self, base):
@@ -395,18 +398,16 @@ class FlipComposedOperator:
         self.size = base.size
         self.n = getattr(base, "n", None)
 
-    def _flip_data_axes(self, arr):
-        # Flip only the pixel axes so stacked inputs keep their batch order.
-        arr = np.asarray(arr)
-        if arr.shape[-1:] == (self.size,):
-            return arr[..., ::-1]
-        return arr[..., ::-1, ::-1]
+    def _flip(self, arr):
+        # reverses the pixel axes only, so stacked inputs keep their order
+        arr, batch = _map_input(arr, self.size)
+        return arr[..., ::-1] if arr.ndim == len(batch) + 1 else arr[..., ::-1, ::-1]
 
     def apply(self, x):
-        return self._flip_data_axes(self.base.apply(x))
+        return self._flip(self.base.apply(x))
 
     def apply_adjoint(self, y):
-        return self.base.apply_adjoint(self._flip_data_axes(y))
+        return self.base.apply_adjoint(self._flip(y))
 
 
 def materialize_dense(op, cap: int = DENSE_CAP) -> np.ndarray:

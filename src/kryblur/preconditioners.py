@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _WORKSPACE, _half_defect, _half_side, _image_stack, _rfft_filter
+from .operators import _WORKSPACE, _half_defect, _half_side, _map_input, _rfft_filter
 
 __all__ = [
     "CirculantOperator",
@@ -66,17 +66,14 @@ class CirculantOperator:
     conjugate-symmetric in the row index, ``grid[-i, c] == conj(grid[i, c])``,
     within 1e-10 of max |grid|.  The constructor raises ``ValueError`` for
     any other grid or shape, and the applies for complex input.  Only the
-    half is stored, and a real grid stays real.  Each apply returns a new
-    array, never the filter's workspace.
-
-    ``alpha`` is bookkeeping only: constructors record the regularization
-    parameter they were built with so solver histories can log it.
+    half is stored, and a real grid stays real.  Each apply takes the input
+    of :func:`~kryblur.operators._map_input` and returns a new array of its
+    shape, never the filter's workspace.
     """
 
-    def __init__(self, grid: np.ndarray, alpha: float | None = None):
+    def __init__(self, grid: np.ndarray):
         grid = np.asarray(grid)
         self.n = _half_side(grid)
-        self.alpha = alpha
         # the filter's half grid; a real grid is its own conjugate
         self._half = np.conj(grid) if np.iscomplexobj(grid) else np.array(grid, float)
         defect = _half_defect(grid)
@@ -97,9 +94,9 @@ class CirculantOperator:
         return self.n * self.n
 
     def _scale(self, x, adjoint: bool):
-        arr, work = _image_stack(x, self.n)
-        grid = _WORKSPACE.grid(work.shape)
-        grid[...] = work
+        arr, batch = _map_input(x, self.size)
+        grid = _WORKSPACE.grid(batch + (self.n, self.n))
+        grid[...] = arr.reshape(grid.shape)
         _rfft_filter(grid, self._half, adjoint)
         return grid.copy().reshape(arr.shape)
 
@@ -111,7 +108,8 @@ class CirculantOperator:
 
 
 class DiagonalOperator:
-    """Elementwise multiplication by a fixed nonnegative weight vector."""
+    """Elementwise multiplication by a fixed nonnegative weight vector, on
+    the input of :func:`~kryblur.operators._map_input`."""
 
     def __init__(self, weights: np.ndarray):
         weights = np.asarray(weights, dtype=float).ravel()
@@ -121,21 +119,21 @@ class DiagonalOperator:
         self.size = weights.size
 
     def apply(self, x):
-        arr = np.asarray(x, dtype=float)
-        if arr.size != self.size:
-            raise ValueError(f"expected {self.size} entries, got {arr.size}")
-        return (arr.ravel() * self.weights).reshape(arr.shape)
+        arr, batch = _map_input(x, self.size)
+        return (arr.reshape(batch + (self.size,)) * self.weights).reshape(arr.shape)
 
     apply_adjoint = apply
 
 
 class IdentityOperator:
-    """The identity map, for unpreconditioned runs and reduction tests."""
+    """The identity map, for unpreconditioned runs and reduction tests; it
+    checks its input (``operators._map_input``) and returns it, not a copy."""
 
     def __init__(self, size: int):
         self.size = int(size)
 
     def apply(self, x):
+        _map_input(x, self.size)
         return x
 
     apply_adjoint = apply
@@ -147,7 +145,8 @@ class ComposedOperator:
     The sparsity-plus-circulant flexible preconditioner is built as
     ``ComposedOperator(weights, circulant)``: the reweighting acts on the
     vector entering the circulant map, so the frequency-domain filter smooths
-    the already-reweighted direction.
+    the already-reweighted direction.  The input rule is that of the two
+    maps: ``first`` checks the input, ``second`` its image.
     """
 
     def __init__(self, first, second):
@@ -158,10 +157,6 @@ class ComposedOperator:
         self.first = first
         self.second = second
         self.size = first.size
-        # propagate the regularization parameter for history bookkeeping
-        self.alpha = getattr(second, "alpha", None)
-        if self.alpha is None:
-            self.alpha = getattr(first, "alpha", None)
 
     def apply(self, x):
         return self.second.apply(self.first.apply(x))
@@ -191,7 +186,7 @@ def circulant_tikhonov(symbol, alpha: float) -> CirculantOperator:
     # a product with the reciprocal: numpy's complex quotient by a real
     # divisor multiplies by its reciprocal too, so this is conj(s) / d to
     # the bit, in half the time
-    return CirculantOperator(np.conj(grid) * (1.0 / (power + alpha)), alpha=alpha)
+    return CirculantOperator(np.conj(grid) * (1.0 / (power + alpha)))
 
 
 def circulant_abs_tikhonov(symbol, alpha: float) -> CirculantOperator:
@@ -209,7 +204,7 @@ def circulant_abs_tikhonov(symbol, alpha: float) -> CirculantOperator:
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     mag = np.abs(grid)
-    return CirculantOperator(mag / (mag ** 2 + alpha), alpha=alpha)
+    return CirculantOperator(mag / (mag ** 2 + alpha))
 
 
 def circulant_threshold(symbol, eps: float) -> CirculantOperator:
@@ -224,7 +219,7 @@ def circulant_threshold(symbol, eps: float) -> CirculantOperator:
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     mag = np.abs(grid)
-    return CirculantOperator(np.where(mag > eps, mag, 1.0), alpha=eps)
+    return CirculantOperator(np.where(mag > eps, mag, 1.0))
 
 
 def circulant_sqrt(circ: CirculantOperator) -> CirculantOperator:
@@ -246,8 +241,7 @@ def circulant_sqrt(circ: CirculantOperator) -> CirculantOperator:
             "square root requires a nonnegative eigenvalue grid; min is "
             f"{real.min():.3e}"
         )
-    return CirculantOperator(np.sqrt(np.clip(real, 0.0, None)),
-                             alpha=circ.alpha)
+    return CirculantOperator(np.sqrt(np.clip(real, 0.0, None)))
 
 
 @dataclass(frozen=True)
@@ -256,14 +250,15 @@ class PreconditionerSchedule:
 
     ``variant`` picks the filter, ``"tikhonov"`` or ``"abs_tikhonov"``;
     ``alpha_at(k)`` returns the regularization parameter for 0-based
-    iteration k: ``alpha0`` when stationary, ``alpha0 * q**k`` otherwise, so
-    the first iteration always uses ``alpha0``.
+    iteration k, ``alpha0 * q**k``, so the first iteration always uses
+    ``alpha0`` and ``q = 1`` keeps it at every iteration (``1.0**k`` is 1
+    exactly).  The schedule is the one record of the parameter: the
+    operators it builds do not keep it.
     """
 
     variant: str = "tikhonov"
     alpha0: float = 0.1
     q: float = 0.8
-    stationary: bool = False
 
     _VARIANTS = ("tikhonov", "abs_tikhonov")
 
@@ -281,8 +276,6 @@ class PreconditionerSchedule:
     def alpha_at(self, k: int) -> float:
         if k < 0:
             raise ValueError(f"iteration index must be nonnegative, got {k}")
-        if self.stationary:
-            return self.alpha0
         return self.alpha0 * self.q ** k
 
     def build(self, symbol, k: int):

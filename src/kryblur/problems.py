@@ -435,7 +435,6 @@ class ExperimentConfig:
     psf_angle2: float = 90.0
     alpha0: float = 0.1
     q: float = 0.8
-    stationary_alpha: bool = False
     eta: float = 1.01
     max_iter: int = 50
 
@@ -453,18 +452,9 @@ def _method_labels(text: str) -> tuple[str, ...]:
     return labels
 
 
-def _boolean(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expects a boolean, got {text!r}")
-
-
 def _config_value(key: str, kind, text: str):
     """The value of config key ``key`` cast to its field type ``kind``."""
-    cast = {bool: _boolean, BoundaryCondition: BoundaryCondition.coerce,
+    cast = {BoundaryCondition: BoundaryCondition.coerce,
             tuple[str, ...]: _method_labels, int | None: int}.get(kind, kind)
     try:
         return cast(text)
@@ -622,7 +612,10 @@ def _flexible_supplier(spec: MethodSpec, schedule: PreconditionerSchedule, symbo
     return supplier
 
 
-def _run_method(label: str, problem: NoisyProblem, cfg: ExperimentConfig) -> tuple[SolveRecord, float]:
+def _run_method(label: str, problem: NoisyProblem, cfg: ExperimentConfig, symbol):
+    """Run one label with ``symbol`` the PSF's half grid (None without ``P``
+    labels).  Returns the record, the alpha of each 0-based step as the
+    function the driver chose it by (None without ``P``), and the wall time."""
     spec = parse_method_label(label)
     op = problem.operator
     if (
@@ -641,7 +634,6 @@ def _run_method(label: str, problem: NoisyProblem, cfg: ExperimentConfig) -> tup
     else:
         system = op
         rhs = problem.b
-    symbol = bccb_eigenvalues(op.psf, op.n)
     # a noise norm without dp_enabled: the solver keeps the discrepancy
     # iterate and still runs to the full budget
     rule = StoppingRule(max_iter=cfg.max_iter, eta=cfg.eta,
@@ -649,6 +641,7 @@ def _run_method(label: str, problem: NoisyProblem, cfg: ExperimentConfig) -> tup
     truth = problem.x_true
 
     variant = "abs_tikhonov" if spec.flip else "tikhonov"
+    alpha_at = (lambda i: cfg.alpha0) if spec.prec else None
     start = time.perf_counter()
     if spec.solver == "MINRES":
         if spec.prec:
@@ -666,20 +659,21 @@ def _run_method(label: str, problem: NoisyProblem, cfg: ExperimentConfig) -> tup
         right = circulant_tikhonov(symbol, cfg.alpha0) if spec.prec else None
         record = solvers.lsqr(system, rhs, rule, right_prec=right, x_true=truth)
     else:
-        schedule = PreconditionerSchedule(
-            variant, cfg.alpha0, cfg.q, cfg.stationary_alpha
-        )
+        schedule = PreconditionerSchedule(variant, cfg.alpha0, cfg.q)
+        if spec.prec:
+            alpha_at = schedule.alpha_at
         supplier = None
         if spec.prec or spec.weights:
             supplier = _flexible_supplier(spec, schedule, symbol, op.size)
         runner = solvers.fgmres if spec.solver == "FGMRES" else solvers.flsqr
         record = runner(system, rhs, prec_at=supplier, rule=rule, x_true=truth)
-    return record, time.perf_counter() - start
+    return record, alpha_at, time.perf_counter() - start
 
 
 def _write_artifacts(
     label: str,
     record: SolveRecord,
+    alpha_at,
     problem: NoisyProblem,
     cfg: ExperimentConfig,
     directory: Path,
@@ -689,7 +683,7 @@ def _write_artifacts(
     n = problem.operator.n
     rows = ["iter,res_norm,rre,psnr,alpha"]
     for i in range(record.iterations):
-        alpha = "" if record.alpha[i] is None else repr(float(record.alpha[i]))
+        alpha = "" if alpha_at is None else repr(float(alpha_at(i)))
         rows.append(
             f"{i + 1},{record.res_norm[i]!r},{record.rre[i]!r},"
             f"{record.psnr[i]!r},{alpha}"
@@ -753,12 +747,15 @@ def run_experiment(cfg: ExperimentConfig) -> list[MethodRun]:
     x_true = _resolve_image(cfg)
     psf = _build_psf(cfg)
     problem = make_problem(x_true, psf, cfg.bc, cfg.sigma, cfg.seed)
+    symbol = None
+    if any(parse_method_label(label).prec for label in cfg.methods):
+        symbol = bccb_eigenvalues(psf, problem.operator.n)
     outdir = Path(cfg.outdir)
     runs = []
     for label in cfg.methods:
-        record, wall = _run_method(label, problem, cfg)
+        record, alpha_at, wall = _run_method(label, problem, cfg, symbol)
         directory = outdir / label.replace(" ", "-")
         runs.append(
-            _write_artifacts(label, record, problem, cfg, directory, wall)
+            _write_artifacts(label, record, alpha_at, problem, cfg, directory, wall)
         )
     return runs

@@ -38,8 +38,10 @@ with the same scalars as the iterate, from images of the directions the
 column map hands it, and stops on a singular R.  It updates its vectors in
 place through scratch allocated once per solve, so with the operators' FFT
 workspace a steady-state step allocates only the arrays the operators
-return.  Those are taken as they come, flipped views included
-(``np.reshape``; ``np.ravel`` would copy a flipped image), and only read.
+return.  Those are taken as they come, flipped views included, and only read.
+Every map a solver is handed has ``size``, ``apply`` and ``apply_adjoint``,
+each taking input by :func:`kryblur.operators._map_input`, so a flat vector
+maps to a flat vector; the solvers read nothing else of a map.
 
 Each run returns a :class:`SolveRecord` with per-iteration true residual
 norms, recurrence (projected) residual norms, and error metrics when the
@@ -62,6 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import psnr_from_error, rre_from_error
+from .operators import _map_input
 
 __all__ = [
     "LinearMap",
@@ -98,20 +101,25 @@ _SINGULAR_RTOL = 1e-8
 
 
 class LinearMap:
-    """A square linear operator given by callables on flat vectors."""
+    """A square linear operator given by callables on flat vectors, called on
+    each flat vector of the input (:func:`kryblur.operators._map_input`)."""
 
     def __init__(self, size: int, apply, apply_adjoint=None):
         self.size = int(size)
         self._apply = apply
         self._apply_adjoint = apply_adjoint
 
+    def _map(self, fn, x):
+        arr, _ = _map_input(x, self.size)
+        return np.array([fn(v) for v in arr.reshape(-1, self.size)]).reshape(arr.shape)
+
     def apply(self, x):
-        return self._apply(x)
+        return self._map(self._apply, x)
 
     def apply_adjoint(self, y):
         if self._apply_adjoint is None:
             raise ValueError("this linear map was built without an adjoint")
-        return self._apply_adjoint(y)
+        return self._map(self._apply_adjoint, y)
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "LinearMap":
@@ -162,6 +170,8 @@ class SolveRecord:
     returns it.  ``dp_index`` (1-based) and ``x_dp`` are the discrepancy
     iterate, or None when the rule has no noise norm or no iterate met the
     threshold.  ``iterates`` is always None: no solver keeps every iterate.
+    A preconditioner's alpha is not recorded: whoever built it chose it (the
+    experiment driver writes it to ``history.csv`` from its schedule).
 
     ``stop_reason`` is ``"max_iter"``, ``"discrepancy"``, ``"breakdown"``
     (the Krylov space is exhausted, e.g. by an exact solve) or
@@ -173,7 +183,6 @@ class SolveRecord:
     res_norm_projected: list[float] = field(default_factory=list)
     rre: list[float] | None = None
     psnr: list[float] | None = None
-    alpha: list[float | None] = field(default_factory=list)
     stop_reason: str = "max_iter"
     best_index: int = 0
     x_stop: np.ndarray | None = None
@@ -211,12 +220,11 @@ class _History:
     first pushed iterate that meets it is kept.  RRE and PSNR come from one
     error vector, written into a buffer of its own, and one dot product;
     ``||x_true||`` and the peak are taken once, here.  The best iterate is
-    copied into one buffer as it improves."""
+    copied into one buffer as it improves.  ``x_true`` is checked here,
+    before the solver applies anything."""
 
-    def __init__(self, truth, rule):
-        self.truth = None if truth is None else np.asarray(truth, float).ravel()
-        if self.truth is not None and not np.all(np.isfinite(self.truth)):
-            raise ValueError("x_true must be finite")
+    def __init__(self, truth, rule, size):
+        self.truth = None if truth is None else _flat(truth, size, "x_true")
         self.rule = rule
         self.rec = SolveRecord()
         if self.truth is not None:
@@ -226,11 +234,10 @@ class _History:
             self._peak = float(self.truth.max())
         self._best_key = math.inf
 
-    def push(self, x, res_true, res_proj, alpha=None):
+    def push(self, x, res_true, res_proj):
         rec = self.rec
         rec.res_norm.append(float(res_true))
         rec.res_norm_projected.append(float(res_proj))
-        rec.alpha.append(alpha)
         if self.truth is not None:
             err = np.subtract(x, self.truth, out=self._err)
             err2 = float(np.dot(err, err))
@@ -260,9 +267,10 @@ class _History:
 
 
 def _flat(b, size, what="right-hand side"):
-    b = np.asarray(b, dtype=float).ravel()
-    if b.size != size:
-        raise ValueError(f"{what} has {b.size} entries, operator expects {size}")
+    try:  # one vector or image, not a batch
+        b = _map_input(b, size)[0].reshape(size)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
     if not np.all(np.isfinite(b)):
         raise ValueError(f"{what} must be finite")
     return b
@@ -297,8 +305,8 @@ def _probe_symmetry(op):
     for _ in range(3):
         x = rng.standard_normal(op.size)
         y = rng.standard_normal(op.size)
-        lhs = float(np.dot(np.ravel(op.apply(x)), y))
-        rhs = float(np.dot(x, np.ravel(op.apply(y))))
+        lhs = float(np.dot(op.apply(x), y))
+        rhs = float(np.dot(x, op.apply(y)))
         bound = _SYMMETRY_RTOL * np.linalg.norm(x) * np.linalg.norm(y)
         if abs(lhs - rhs) > bound:
             raise ValueError(
@@ -317,7 +325,7 @@ class _Stop(Exception):
 # MINRES / LSQR: the Givens short recurrence
 # ---------------------------------------------------------------------------
 
-def _givens_loop(column, beta1, b, rule, history, counted, alpha):
+def _givens_loop(column, beta1, b, rule, history, counted):
     """The one short-recurrence loop behind :func:`minres`,
     :func:`minres_sym_prec` and :func:`lsqr`: the Givens QR of a banded
     projected matrix, the Lanczos tridiagonal T_k or the Golub-Kahan
@@ -375,7 +383,7 @@ def _givens_loop(column, beta1, b, rule, history, counted, alpha):
         c_prev, s_prev, g_prev = c, s, gamma
         step = tau / gamma
         xr += np.multiply(dirs_prev, [[step], [-step]], out=scratch)
-        history.push(xr[0], float(np.linalg.norm(xr[1])), abs(phibar), alpha)
+        history.push(xr[0], float(np.linalg.norm(xr[1])), abs(phibar))
         if rule.dp_enabled and history.rec.dp_index is not None:
             reason = "discrepancy"
             break
@@ -422,16 +430,16 @@ def minres(A, b, rule: StoppingRule | None = None, x_true=None) -> SolveRecord:
     """
     rule = rule or StoppingRule()
     b = _flat(b, A.size)
+    history = _History(x_true, rule, A.size)
     _probe_symmetry(A)
     counted = _Counted(A)
-    history = _History(x_true, rule)
 
     def step(v):
-        av = np.reshape(counted.apply(v), -1)
+        av = counted.apply(v)
         return av, v, av
 
     column, beta1 = _lanczos(step, b)
-    return _givens_loop(column, beta1, b, rule, history, counted, None)
+    return _givens_loop(column, beta1, b, rule, history, counted)
 
 
 def minres_sym_prec(A, b, p_half, rule: StoppingRule | None = None,
@@ -447,18 +455,17 @@ def minres_sym_prec(A, b, p_half, rule: StoppingRule | None = None,
     rule = rule or StoppingRule()
     b = _flat(b, A.size)
     _check_prec(p_half, A.size)
+    history = _History(x_true, rule, A.size)
 
     def step(z, op):
-        pz = np.reshape(p_half.apply(z), -1)
-        apz = np.reshape(op.apply(pz), -1)
-        return np.reshape(p_half.apply(apz), -1), pz, apz
+        pz = p_half.apply(z)
+        apz = op.apply(pz)
+        return p_half.apply(apz), pz, apz
 
     _probe_symmetry(LinearMap(A.size, lambda z: step(z, A)[0]))
     counted = _Counted(A)
-    history = _History(x_true, rule)
-    column, beta1 = _lanczos(lambda z: step(z, counted), np.ravel(p_half.apply(b)))
-    return _givens_loop(column, beta1, b, rule, history, counted,
-                        getattr(p_half, "alpha", None))
+    column, beta1 = _lanczos(lambda z: step(z, counted), p_half.apply(b))
+    return _givens_loop(column, beta1, b, rule, history, counted)
 
 
 # ---------------------------------------------------------------------------
@@ -604,15 +611,15 @@ def _flexible(prec_at, history):
     def direction(k, v, x):
         prec = prec_at(k - 1, x) if prec_at is not None else None
         if prec is None:
-            return v, None
-        z = np.ravel(prec.apply(v))
+            return v
+        z = prec.apply(v)
         z_norm = np.linalg.norm(z)
         if not np.isfinite(z_norm):
             raise _Stop("nonfinite")
         if z_norm <= BREAKDOWN_RTOL:
             history.rec.skipped.append(k)
-            z = v
-        return z, getattr(prec, "alpha", None)
+            return v
+        return z
 
     return direction
 
@@ -658,18 +665,20 @@ def _arnoldi(counted, b, rule, history, *, direction, solution=None, flexible=Fa
 
     ``direction(k, v, x_prev)`` returns the vector ``z`` the operator is
     applied to at 1-based step k (``v``, ``P v``, ``P_k v``, or ``P_k`` times
-    an adjoint image of ``v``) and the alpha to report, or raises
-    :class:`_Stop`.  A block applies the operator to the last lagged row and
-    then to each image in turn, copied into its basis row and scaled there by
-    the reciprocal of its norm ``sigma``, and takes the steps of all of them
-    with one reduction and one update pass (:class:`_Dcgs2`, with Hbar from
-    :func:`_hessenberg`).  Stationary GMRES takes blocks of ``_S_STEP``
-    steps: ``Z = V`` (times P), and the iterate is ``solution(V y)``, as
-    storing ``Z = P V`` too would double the memory of the basis.  A near rank-deficient block takes its first step only and the
-    next ``_S_STEP - 1`` steps go one at a time; after two such blocks in a
-    row, every step does.  The flexible solvers need the iterate of every
-    step for the next direction, so their blocks have one row: ``A Z = V
-    Hbar`` holds on the stored directions, and the iterate is ``Z y``.
+    an adjoint image of ``v``), or raises :class:`_Stop`; the maps it applies
+    are read through their one contract, nothing else.  A block applies the
+    operator to the last lagged row and then to each image in turn, copied
+    into its basis row and scaled there by the reciprocal of its norm
+    ``sigma``, and takes the steps of all of them with one reduction and one
+    update pass (:class:`_Dcgs2`, with Hbar from :func:`_hessenberg`).
+    Stationary GMRES takes blocks of ``_S_STEP`` steps: ``Z = V`` (times P),
+    and the iterate is ``solution(V y)``, as storing ``Z = P V`` too would
+    double the memory of the basis.  A near rank-deficient block takes its
+    first step only and the next ``_S_STEP - 1`` steps go one at a time;
+    after two such blocks in a row, every step does.  The flexible solvers
+    need the iterate of every step for the next direction, so their blocks
+    have one row: ``A Z = V Hbar`` holds on the stored directions, and the
+    iterate is ``Z y``.
 
     One Householder QR of Hbar, which keeps every column, gives ``y`` of every
     step of the block.  The update pass writes each ``V y`` (unless flexible)
@@ -690,10 +699,9 @@ def _arnoldi(counted, b, rule, history, *, direction, solution=None, flexible=Fa
     k, lagged, single, failed = 0, 1, 0, False
     while k < rule.max_iter:
         sigma = np.ones(1 if single or flexible else min(_S_STEP, rule.max_iter - k))
-        alphas = []
         for j in range(len(sigma)):
             try:
-                z, alpha = direction(k + j + 1, basis[k + j], x)
+                z = direction(k + j + 1, basis[k + j], x)
             except _Stop as stop:
                 return history.record(str(stop), x, counted.count)
             if flexible:
@@ -701,10 +709,9 @@ def _arnoldi(counted, b, rule, history, *, direction, solution=None, flexible=Fa
             # the image goes into its basis row first, so its norm reads a
             # contiguous row (a flipped image is a reversed view)
             row = basis[k + j + 1]
-            row[:] = np.reshape(counted.apply(z), -1)
+            row[:] = counted.apply(z)
             sigma[j] = np.linalg.norm(row) or 1.0
             row *= 1.0 / sigma[j]
-            alphas.append(alpha)
         del z  # not kept alive through the passes
         t = gs.reduce(k, lagged, len(sigma))
         if t < len(sigma):
@@ -731,7 +738,7 @@ def _arnoldi(counted, b, rule, history, *, direction, solution=None, flexible=Fa
                 x = ys[j, :k + j + 1] @ dirs[:k + j + 1]
             else:
                 x = rows[j] if solution is None else solution(rows[j])
-            history.push(x, res_norms[j], proj, alphas[j])
+            history.push(x, res_norms[j], proj)
             if rule.dp_enabled and history.rec.dp_index is not None:
                 return history.record("discrepancy", x, counted.count)
         if gs.exhausted(gram):
@@ -751,13 +758,12 @@ def gmres(A, b, rule: StoppingRule | None = None, right_prec=None,
     rule = rule or StoppingRule()
     b = _flat(b, A.size)
     _check_prec(right_prec, A.size)
-    history = _History(x_true, rule)
+    history = _History(x_true, rule, A.size)
     if right_prec is None:
-        return _arnoldi(_Counted(A), b, rule, history, direction=lambda k, v, x: (v, None))
-    alpha = getattr(right_prec, "alpha", None)
+        return _arnoldi(_Counted(A), b, rule, history, direction=lambda k, v, x: v)
     return _arnoldi(_Counted(A), b, rule, history,
-                    direction=lambda k, v, x: (np.ravel(right_prec.apply(v)), alpha),
-                    solution=lambda u: np.ravel(right_prec.apply(u)))
+                    direction=lambda k, v, x: right_prec.apply(v),
+                    solution=right_prec.apply)
 
 
 def fgmres(A, b, prec_at=None, rule: StoppingRule | None = None,
@@ -773,7 +779,7 @@ def fgmres(A, b, prec_at=None, rule: StoppingRule | None = None,
     """
     rule = rule or StoppingRule()
     b = _flat(b, A.size)
-    history = _History(x_true, rule)
+    history = _History(x_true, rule, A.size)
     return _arnoldi(_Counted(A), b, rule, history,
                     direction=_flexible(prec_at, history), flexible=True)
 
@@ -802,7 +808,7 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
     b = _flat(b, A.size)
     _check_prec(right_prec, A.size)
     counted = _Counted(A)
-    history = _History(x_true, rule)
+    history = _History(x_true, rule, A.size)
     beta1 = float(np.linalg.norm(b))
     u = b / beta1 if beta1 else b
     v = np.zeros(A.size)
@@ -813,9 +819,9 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
         # alpha_k v_k = P^T A^T u_k - beta_k v_{k-1} and beta_{k+1} u_{k+1} =
         # A P v_k - alpha_k u_k, each in its own buffer; operator outputs may
         # be their own input (identity), so they are only read
-        w = np.reshape(counted.apply_adjoint(u), -1)
+        w = counted.apply_adjoint(u)
         if right_prec is not None:
-            w = np.reshape(right_prec.apply_adjoint(w), -1)
+            w = right_prec.apply_adjoint(w)
         v *= -beta
         v += w
         del w  # not kept alive through the forward apply
@@ -824,8 +830,8 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
         if alfa <= _SINGULAR_RTOL * math.sqrt(b_norm2):  # ||B_k||_F
             raise _Stop("breakdown")
         v *= 1.0 / alfa
-        s_dir = v if right_prec is None else np.reshape(right_prec.apply(v), -1)
-        a_dir = np.reshape(counted.apply(s_dir), -1)
+        s_dir = v if right_prec is None else right_prec.apply(v)
+        a_dir = counted.apply(s_dir)
         u *= -alfa
         u += a_dir
         beta = float(np.linalg.norm(u))
@@ -834,8 +840,7 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
             u *= 1.0 / beta
         return (0.0, alfa, beta), s_dir, a_dir
 
-    return _givens_loop(column, beta1, b, rule, history, counted,
-                        getattr(right_prec, "alpha", None))
+    return _givens_loop(column, beta1, b, rule, history, counted)
 
 
 def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None,
@@ -856,7 +861,7 @@ def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None,
     rule = rule or StoppingRule()
     b = _flat(b, A.size)
     counted = _Counted(A)
-    history = _History(x_true, rule)
+    history = _History(x_true, rule, A.size)
     v_basis = _mapped(rule.max_iter, A.size)
     v_gs = _Dcgs2(v_basis, 0)
     preconditioned = _flexible(prec_at, history)
@@ -864,7 +869,7 @@ def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None,
     def direction(k, u, x):
         # row k - 1 is a block of one row after k - 2 steps, with one lagged
         # row (none at step 1), and no combinations
-        v_basis[k - 1] = np.ravel(counted.apply_adjoint(u))
+        v_basis[k - 1] = counted.apply_adjoint(u)
         v_gs.reduce(k - 2, min(k - 1, 1), 1)
         none = np.empty((0, k))
         _, _, gram = v_gs.update(none, none)

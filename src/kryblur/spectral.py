@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import BlurOperator, Psf, bccb_eigenvalues, full_grid, materialize_dense
+from .operators import BlurOperator, Psf, _self_mirrored, bccb_eigenvalues, materialize_dense
 from .preconditioners import CirculantOperator, circulant_threshold
 
 __all__ = [
@@ -160,9 +160,11 @@ def szego_distribution_check(psf: Psf, n: int, moments: int = 2,
     eigs = np.linalg.eigvalsh(0.5 * (dense + dense.T))
     # the symbol is a trigonometric polynomial of degree far below
     # grid_size, so averaging its low powers over any equispaced grid
-    # integrates them exactly up to roundoff; the mean is over every
-    # frequency, so the half grid is expanded
-    symbol = full_grid(bccb_eigenvalues(psf, grid_size))
+    # integrates them exactly up to roundoff.  A half-grid column other than
+    # 0 and n/2 also stands for its mirror, of the same real values
+    symbol = bccb_eigenvalues(psf, grid_size)
+    weights = np.full(symbol.shape[1], 2.0)
+    weights[list(_self_mirrored(grid_size))] = 1.0
     imag_max = np.abs(symbol.imag).max()
     if imag_max > 1e-9:
         raise ValueError(
@@ -173,6 +175,6 @@ def szego_distribution_check(psf: Psf, n: int, moments: int = 2,
     per_moment = []
     for m in range(1, moments + 1):
         lhs = float(np.mean(eigs ** m))
-        rhs = float(np.mean(fvals ** m))
+        rhs = float(np.sum(fvals ** m, axis=0) @ weights) / grid_size ** 2
         per_moment.append(abs(lhs - rhs))
     return max(per_moment), per_moment

@@ -3,12 +3,15 @@
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 import kryblur
+from kryblur.problems import ExperimentConfig
 
 MODULES = sorted(f"kryblur.{info.name}" for info in pkgutil.iter_modules(kryblur.__path__))
 
@@ -48,3 +51,14 @@ def test_benchmark_selftest_passes():
                           capture_output=True, text=True, cwd=root, timeout=300)
     assert proc.returncode == 0 and "selftest: ok" in proc.stdout, (
         f"perfbench selftest exited {proc.returncode}:\n{proc.stdout}\n{proc.stderr}")
+
+
+def test_readme_config_block_lists_every_config_key():
+    # the keys of README's ini block (commented-out defaults included) are
+    # exactly the fields of ExperimentConfig: a knob dropped or added without
+    # its line fails here
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+    keys = [re.match(r"#?\s*(\w+)\s*=", line).group(1) for line in block.splitlines()]
+    assert sorted(keys) == sorted(f.name for f in fields(ExperimentConfig))

@@ -145,7 +145,6 @@ def test_tikhonov_matches_elementwise_formula():
     c = circulant_tikhonov(symbol, 0.01)
     want = np.conj(symbol) / (np.abs(symbol) ** 2 + 0.01)
     assert np.abs(c.eigs - want).max() <= 1e-13
-    assert c.alpha == 0.01
 
 
 def test_tikhonov_equals_dense_regularized_solve_periodic():
@@ -276,19 +275,20 @@ def test_sqrt_domain_errors():
 
 
 def test_alpha_at_paper_values():
-    sched = PreconditionerSchedule("tikhonov", 0.1, 0.8, False)
+    sched = PreconditionerSchedule("tikhonov", 0.1, 0.8)
     assert sched.alpha_at(0) == 0.1
     assert abs(sched.alpha_at(1) - 0.08) <= 1e-15
 
 
 def test_alpha_at_stationary():
-    sched = PreconditionerSchedule("tikhonov", 0.01, 0.8, True)
+    # q = 1 is the stationary schedule: alpha0 * 1.0**k is alpha0 exactly
+    sched = PreconditionerSchedule("tikhonov", 0.01, 1.0)
     for k in (0, 1, 5, 20):
         assert sched.alpha_at(k) == 0.01
 
 
 def test_alpha_monotone_decreasing_when_q_below_one():
-    sched = PreconditionerSchedule("abs_tikhonov", 0.1, 0.8, False)
+    sched = PreconditionerSchedule("abs_tikhonov", 0.1, 0.8)
     alphas = [sched.alpha_at(k) for k in range(20)]
     assert all(a > b > 0.0 for a, b in zip(alphas, alphas[1:]))
 
@@ -296,13 +296,13 @@ def test_alpha_monotone_decreasing_when_q_below_one():
 def test_schedule_validation():
     for variant in ("ridge", "threshold", "identity"):
         with pytest.raises(ValueError, match="variant"):
-            PreconditionerSchedule(variant, 0.1, 0.8, False)
+            PreconditionerSchedule(variant, 0.1, 0.8)
     with pytest.raises(ValueError, match="alpha0"):
-        PreconditionerSchedule("tikhonov", 0.0, 0.8, False)
+        PreconditionerSchedule("tikhonov", 0.0, 0.8)
     with pytest.raises(ValueError, match="q"):
-        PreconditionerSchedule("tikhonov", 0.1, 0.0, False)
+        PreconditionerSchedule("tikhonov", 0.1, 0.0)
     with pytest.raises(ValueError, match="q"):
-        PreconditionerSchedule("tikhonov", 0.1, 1.2, False)
+        PreconditionerSchedule("tikhonov", 0.1, 1.2)
     sched = PreconditionerSchedule()
     with pytest.raises(ValueError, match="nonnegative"):
         sched.alpha_at(-1)
@@ -310,12 +310,12 @@ def test_schedule_validation():
 
 def test_schedule_build_variants():
     symbol = bccb_eigenvalues(make_gaussian_psf(5, 2.0), 8)
-    sched = PreconditionerSchedule("tikhonov", 0.1, 0.5, False)
+    sched = PreconditionerSchedule("tikhonov", 0.1, 0.5)
     built = sched.build(symbol, 1)
     want = circulant_tikhonov(symbol, 0.05)
     np.testing.assert_array_equal(built.eigs, want.eigs)
 
-    sched = PreconditionerSchedule("abs_tikhonov", 0.1, 0.5, False)
+    sched = PreconditionerSchedule("abs_tikhonov", 0.1, 0.5)
     np.testing.assert_array_equal(sched.build(symbol, 0).eigs,
                                   circulant_abs_tikhonov(symbol, 0.1).eigs)
 
@@ -384,13 +384,6 @@ def test_compose_applies_first_then_second():
 def test_compose_size_mismatch():
     with pytest.raises(ValueError, match="sizes"):
         ComposedOperator(IdentityOperator(4), IdentityOperator(9))
-
-
-def test_compose_propagates_alpha():
-    symbol = bccb_eigenvalues(make_gaussian_psf(5, 2.0), 8)
-    p = circulant_abs_tikhonov(symbol, 0.03)
-    w = DiagonalOperator(np.ones(64))
-    assert ComposedOperator(w, p).alpha == 0.03
 
 
 # ---------------------------------------------------------------------------

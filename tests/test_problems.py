@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kryblur import problems
 from kryblur.metrics import psnr, rre
 from kryblur.operators import BoundaryCondition, save_psf
 from kryblur.problems import (
@@ -318,14 +319,14 @@ def _write_config(path, **overrides):
 
 def test_parse_config_round_trip(tmp_path):
     cfgfile = _write_config(tmp_path / "exp.cfg", methods="A GMRES, YA MINRES",
-                            alpha0=0.2, q=0.9, stationary_alpha="true", eta=1.05)
+                            alpha0=0.2, q=0.9, eta=1.05)
     cfg = parse_config(cfgfile)
     assert isinstance(cfg, ExperimentConfig)
     assert cfg.image == "phantom" and cfg.n == 24
     assert cfg.bc is BoundaryCondition.ZERO
     assert cfg.sigma == 0.05 and cfg.seed == 42
     assert cfg.methods == ("A GMRES", "YA MINRES")
-    assert cfg.alpha0 == 0.2 and cfg.q == 0.9 and cfg.stationary_alpha
+    assert cfg.alpha0 == 0.2 and cfg.q == 0.9
     assert cfg.eta == 1.05 and cfg.max_iter == 12
 
 
@@ -372,8 +373,9 @@ def test_parse_config_errors(tmp_path):
         parse_config(_write_config(tmp_path / "l.cfg", max_iter=0))
     with pytest.raises(ValueError, match="config key bc: unknown boundary"):
         parse_config(_write_config(tmp_path / "m.cfg", bc="antireflective"))
-    with pytest.raises(ValueError, match="config key stationary_alpha: expects a boolean"):
-        parse_config(_write_config(tmp_path / "o.cfg", stationary_alpha="maybe"))
+    # q = 1 is the stationary schedule; there is no separate switch
+    with pytest.raises(ValueError, match="unknown config key stationary_alpha"):
+        parse_config(_write_config(tmp_path / "o.cfg", stationary_alpha="true"))
 
 
 def test_parse_config_psf_file(tmp_path):
@@ -445,6 +447,40 @@ def test_run_experiment_artifacts_and_histories(tmp_path):
     hist = (flex.directory / "history.csv").read_text().splitlines()[1:]
     alphas = [float(row.split(",")[4]) for row in hist]
     assert alphas == [cfg.alpha0 * cfg.q ** k for k in range(len(alphas))]
+
+
+def _alpha_column(run):
+    rows = (run.directory / "history.csv").read_text().splitlines()[1:]
+    return [row.split(",")[4] for row in rows]
+
+
+def test_run_experiment_q_one_keeps_alpha_constant(tmp_path):
+    # q = 1 is the stationary schedule: every flexible step reports alpha0
+    cfg = parse_config(_write_config(tmp_path / "q1.cfg", methods="YAP FGMRES, AP FLSQR",
+                                     alpha0=0.05, q=1))
+    for run in run_experiment(cfg):
+        assert _alpha_column(run) == ["0.05"] * run.record.iterations
+    # a stationary label with alpha0 = 0 builds no schedule, so it still runs
+    cfg = parse_config(_write_config(tmp_path / "a0.cfg", methods="AP GMRES", alpha0=0.0,
+                                     outdir=str(tmp_path / "out0")))
+    (run,) = run_experiment(cfg)
+    assert _alpha_column(run) == ["0.0"] * run.record.iterations
+
+
+@pytest.mark.parametrize("methods, evaluations", [("AW FGMRES, A GMRES", 0),
+                                                  ("YAPW FGMRES, AP GMRES", 1)])
+def test_run_experiment_evaluates_the_symbol_once_for_p_labels(tmp_path, monkeypatch,
+                                                               methods, evaluations):
+    calls = []
+    evaluate = problems.bccb_eigenvalues
+
+    def counting(psf, n):
+        calls.append(n)
+        return evaluate(psf, n)
+
+    monkeypatch.setattr(problems, "bccb_eigenvalues", counting)
+    run_experiment(parse_config(_write_config(tmp_path / "exp.cfg", methods=methods)))
+    assert calls == [24] * evaluations
 
 
 def test_run_experiment_deterministic_artifacts(tmp_path):

@@ -22,13 +22,16 @@ from kryblur.operators import (  # noqa: E402
 )
 from kryblur.preconditioners import (  # noqa: E402
     CirculantOperator,
+    ComposedOperator,
+    DiagonalOperator,
+    IdentityOperator,
     PreconditionerSchedule,
     circulant_abs_tikhonov,
     circulant_sqrt,
     circulant_threshold,
     circulant_tikhonov,
 )
-from kryblur.solvers import StoppingRule, gmres, lsqr, minres  # noqa: E402
+from kryblur.solvers import LinearMap, StoppingRule, gmres, lsqr, minres  # noqa: E402
 
 from oracles import symbol_direct  # noqa: E402
 
@@ -161,6 +164,41 @@ def test_flat_image_and_batched_inputs_agree(case):
             np.testing.assert_allclose(apply(images), one, rtol=0, atol=1e-13 * scale)
             np.testing.assert_allclose(apply(images.reshape(3, n * n)), flat,
                                        rtol=0, atol=1e-13 * scale)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(blur_cases())
+def test_every_map_keeps_the_one_input_contract(case):
+    # each map the package hands a solver takes real flat vectors of its
+    # size or n-by-n images, batched, returns the shape it was given, and
+    # rejects complex input and every other shape with ValueError
+    n, psf, _, seed = case
+    rng = np.random.default_rng(seed)
+    size = n * n
+    blurs = [BlurOperator(psf, bc, n) for bc in BoundaryCondition]
+    circ = circulant_abs_tikhonov(bccb_eigenvalues(psf, n), 0.1)
+    weights = DiagonalOperator(rng.uniform(0.0, 2.0, size))
+    maps = [*blurs, FlipComposedOperator(blurs[2]), circ, weights, IdentityOperator(size),
+            ComposedOperator(weights, circ),
+            LinearMap.from_matrix(rng.standard_normal((size, size)))]
+    images = rng.standard_normal((3, n, n))
+    for op in maps:
+        for apply in (op.apply, op.apply_adjoint):
+            flat = np.stack([apply(image.ravel()) for image in images])
+            assert flat.shape == (3, size)
+            scale = np.abs(flat).max() + 1.0
+            one = np.stack([apply(image) for image in images])
+            np.testing.assert_allclose(one.reshape(3, size), flat, rtol=0, atol=1e-13 * scale)
+            np.testing.assert_allclose(apply(images), one, rtol=0, atol=1e-13 * scale)
+            np.testing.assert_allclose(apply(images.reshape(3, size)), flat,
+                                       rtol=0, atol=1e-13 * scale)
+            for bad in (images[0] + 1j, np.ones(size, complex), np.ones(size + 1),
+                        np.ones((n + 1, n + 1)), np.ones((2, size - 1))):
+                with pytest.raises(ValueError):
+                    apply(bad)
+    # the flip is a reversed view, the identity its input
+    assert FlipComposedOperator(blurs[0]).apply(images[0]).strides[-1] < 0
+    assert IdentityOperator(size).apply(images) is images
 
 
 @PROPERTY

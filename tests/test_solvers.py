@@ -147,7 +147,7 @@ def test_record_series_lengths_and_best_index():
     rec = gmres(LinearMap.from_matrix(mat), b, StoppingRule(max_iter=10), x_true=truth)
     k = rec.iterations
     assert len(rec.res_norm) == len(rec.res_norm_projected) == k
-    assert len(rec.rre) == len(rec.psnr) == len(rec.alpha) == k
+    assert len(rec.rre) == len(rec.psnr) == k
     assert 1 <= rec.best_index <= k
     assert rec.rre[rec.best_index - 1] == min(rec.rre)
 
@@ -460,6 +460,29 @@ def test_gmres_right_prec_size_mismatch():
     mat = LinearMap.from_matrix(np.eye(16))
     with pytest.raises(ValueError, match="size"):
         gmres(mat, np.ones(16), StoppingRule(max_iter=2), right_prec=IdentityOperator(9))
+
+
+@pytest.mark.parametrize("method", ["minres", "minres_sym_prec", "gmres", "fgmres",
+                                    "lsqr", "flsqr"])
+def test_wrong_size_x_true_rejected_before_any_application(method):
+    op, calls = _counting_map(random_symmetric(16, 2))
+    solve = {"minres": minres, "gmres": gmres, "fgmres": fgmres, "lsqr": lsqr,
+             "flsqr": flsqr,
+             "minres_sym_prec": lambda A, b, **kw: minres_sym_prec(
+                 A, b, IdentityOperator(16), **kw)}[method]
+    with pytest.raises(ValueError, match="x_true"):
+        solve(op, _unit_rhs(16, 3), rule=StoppingRule(max_iter=4), x_true=np.ones(7))
+    assert calls == {"apply": 0, "apply_adjoint": 0}
+
+
+@pytest.mark.parametrize("solver", [fgmres, flsqr])
+def test_wrong_size_flexible_preconditioner_rejected(solver):
+    # a flexible preconditioner is handed no size check up front; its own
+    # input check stops the first step
+    op = LinearMap.from_matrix(random_nonsymmetric(16, 4))
+    with pytest.raises(ValueError, match="entries"):
+        solver(op, _unit_rhs(16, 5), lambda k, x_prev: IdentityOperator(9),
+               StoppingRule(max_iter=4))
 
 
 # ---------------------------------------------------------------------------
@@ -1192,20 +1215,6 @@ def test_discrepancy_principle_stops_all_solvers():
     for r in (rec, rec_l, rec_m):
         assert r.res_norm[-1] <= threshold
         assert all(v > threshold for v in r.res_norm[:-1])
-
-
-def test_alpha_column_recorded_for_preconditioned_runs():
-    psf = make_gaussian_psf(3, 1.0)
-    prob = make_problem(star_field(8, seed=3), psf, "zero", 0.02, 5)
-    symbol = bccb_eigenvalues(psf, 8)
-
-    def supplier(k, x_prev):
-        return circulant_tikhonov(symbol, 0.1 * 0.8 ** k)
-
-    rec = fgmres(prob.operator, prob.b.ravel(), supplier, StoppingRule(max_iter=5))
-    assert rec.alpha == [0.1 * 0.8 ** k for k in range(5)]
-    plain = gmres(prob.operator, prob.b.ravel(), StoppingRule(max_iter=5))
-    assert plain.alpha == [None] * 5
 
 
 @pytest.mark.parametrize("dp_enabled", [False, True], ids=["dp-off", "dp-on"])

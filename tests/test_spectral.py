@@ -202,6 +202,21 @@ def test_szego_first_moment_exact():
         assert abs(float(np.mean(eigs)) - center) <= 1e-12
 
 
+@pytest.mark.parametrize("grid_size", [1024, 1023])
+@pytest.mark.parametrize("psf", [AVG3, make_gaussian_psf(9, 2.0)], ids=["avg3", "gauss9"])
+def test_szego_half_grid_means_match_full_grid(psf, grid_size):
+    # the symbol means come from the half grid, columns 0 (and n/2 for even
+    # n) counted once and the others twice; the full grid is the reference
+    n = 12
+    _, per_moment = szego_distribution_check(psf, n, moments=3, grid_size=grid_size)
+    dense = materialize_dense(BlurOperator(psf, "zero", n))
+    eigs = np.linalg.eigvalsh(0.5 * (dense + dense.T))
+    symbol = full_grid(bccb_eigenvalues(psf, grid_size)).real
+    for m, got in enumerate(per_moment, start=1):
+        want = abs(float(np.mean(eigs ** m)) - float(np.mean(symbol ** m)))
+        assert abs(got - want) <= 1e-15
+
+
 def test_szego_rejects_nonsymmetric_psf():
     with pytest.raises(ValueError, match="180-degree"):
         szego_distribution_check(make_motion_psf(5, 30.0), 8)
