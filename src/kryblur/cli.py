@@ -13,13 +13,7 @@ import numpy as np
 
 from . import __version__
 from .operators import Psf, bccb_eigenvalues, full_grid, load_psf
-from .problems import (
-    make_gaussian_psf,
-    make_motion_psf,
-    make_two_motion_psf,
-    parse_config,
-    run_experiment,
-)
+from .problems import _CONFIG_TYPES, _PSF_KINDS, parse_config, run_experiment
 from .spectral import cluster_report, preconditioned_spectrum
 
 
@@ -44,15 +38,12 @@ def parse_psf_spec(spec: str) -> Psf:
     """
     kind, _, rest = spec.partition(":")
     parts = rest.split(":") if rest else []
-    try:
-        if kind == "gaussian" and len(parts) == 2:
-            return make_gaussian_psf(int(parts[0]), float(parts[1]))
-        if kind == "motion" and len(parts) == 2:
-            return make_motion_psf(int(parts[0]), float(parts[1]))
-        if kind == "motion2" and len(parts) == 3:
-            return make_two_motion_psf(int(parts[0]), float(parts[1]), float(parts[2]))
-    except ValueError as exc:
-        raise ValueError(f"bad PSF spec {spec!r}: {exc}") from exc
+    make, keys = _PSF_KINDS.get(kind, (None, ()))
+    if make is not None and len(parts) == len(keys):
+        try:
+            return make(*(_CONFIG_TYPES[key](part) for key, part in zip(keys, parts)))
+        except ValueError as exc:
+            raise ValueError(f"bad PSF spec {spec!r}: {exc}") from exc
     if kind == "file" and rest:
         return load_psf(rest)
     raise ValueError(

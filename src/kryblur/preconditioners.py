@@ -126,8 +126,8 @@ class DiagonalOperator:
 
 
 class IdentityOperator:
-    """The identity map, for unpreconditioned runs and reduction tests; it
-    checks its input (``operators._map_input``) and returns it, not a copy."""
+    """The identity map, for reduction tests; it checks its input
+    (``operators._map_input``) and returns it, not a copy."""
 
     def __init__(self, size: int):
         self.size = int(size)
@@ -244,6 +244,12 @@ def circulant_sqrt(circ: CirculantOperator) -> CirculantOperator:
     return CirculantOperator(np.sqrt(np.clip(real, 0.0, None)))
 
 
+#: The regularizing filter of each name, the constructor the schedule and the
+#: driver's stationary labels both build it with: plain Tikhonov for an
+#: unflipped system, absolute-value Tikhonov for a flipped one.
+_FILTERS = {"tikhonov": circulant_tikhonov, "abs_tikhonov": circulant_abs_tikhonov}
+
+
 @dataclass(frozen=True)
 class PreconditionerSchedule:
     """How the circulant filter evolves across flexible iterations.
@@ -260,13 +266,11 @@ class PreconditionerSchedule:
     alpha0: float = 0.1
     q: float = 0.8
 
-    _VARIANTS = ("tikhonov", "abs_tikhonov")
-
     def __post_init__(self):
-        if self.variant not in self._VARIANTS:
+        if self.variant not in _FILTERS:
             raise ValueError(
                 f"unknown preconditioner variant {self.variant!r}; "
-                f"expected one of {self._VARIANTS}"
+                f"expected one of {tuple(_FILTERS)}"
             )
         if self.alpha0 <= 0:
             raise ValueError(f"alpha0 must be positive, got {self.alpha0}")
@@ -281,10 +285,7 @@ class PreconditionerSchedule:
     def build(self, symbol, k: int):
         """The circulant filter for 0-based iteration k, from the symbol's
         half grid."""
-        alpha = self.alpha_at(k)
-        if self.variant == "tikhonov":
-            return circulant_tikhonov(symbol, alpha)
-        return circulant_abs_tikhonov(symbol, alpha)
+        return _FILTERS[self.variant](symbol, self.alpha_at(k))
 
 
 def sparsity_weights(x_prev: np.ndarray) -> DiagonalOperator:

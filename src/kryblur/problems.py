@@ -8,10 +8,10 @@ The module has three layers:
 * problem construction with an exactly normalized noise term
   (:func:`make_problem`), so the discrepancy principle has a reliable
   noise norm to work with;
-* a small experiment driver (:func:`run_experiment`) that maps method
-  labels such as ``"YAPW FGMRES"`` onto operator/preconditioner stacks,
-  runs them to the iteration budget, and writes CSV, PGM, and summary
-  artifacts per method.
+* a small experiment driver (:func:`run_experiment`) that plans every
+  method label such as ``"YAPW FGMRES"`` on the problem, with every check
+  the label can fail, before it runs any to the iteration budget and writes
+  CSV, PGM, and summary artifacts per method.
 
 Method labels follow the pattern ``(Y?)A(P?)(W?) SOLVER``: ``Y`` flips the
 system to its symmetrized form, ``P`` adds the circulant filter (plain
@@ -42,12 +42,10 @@ from .operators import (
     load_psf,
 )
 from .preconditioners import (
+    _FILTERS,
     ComposedOperator,
-    IdentityOperator,
     PreconditionerSchedule,
-    circulant_abs_tikhonov,
     circulant_sqrt,
-    circulant_tikhonov,
     sparsity_weights,
 )
 from . import solvers
@@ -411,7 +409,13 @@ def load_image(path) -> np.ndarray:
 # Experiment configuration
 
 
-_PSF_KINDS = ("gaussian", "motion", "motion2")
+#: Each PSF kind's generator and the config keys of its arguments, in the
+#: order of the spec string ``kind:VALUE:...`` (cast by the keys' types).
+_PSF_KINDS = {
+    "gaussian": (make_gaussian_psf, ("psf_support", "psf_std")),
+    "motion": (make_motion_psf, ("psf_length", "psf_angle")),
+    "motion2": (make_two_motion_psf, ("psf_length", "psf_angle", "psf_angle2")),
+}
 _BUILTIN_IMAGES = ("phantom", "edges")
 
 
@@ -494,10 +498,14 @@ def parse_config(path) -> ExperimentConfig:
                               for key, value in pairs.items()})
     if cfg.psf not in _PSF_KINDS and not cfg.psf.startswith("file:"):
         raise ValueError(
-            f"config key psf expects one of {_PSF_KINDS} or file:PATH, got {cfg.psf!r}"
+            f"config key psf expects one of {tuple(_PSF_KINDS)} or file:PATH, got {cfg.psf!r}"
         )
     if cfg.sigma < 0:
         raise ValueError(f"config key sigma must be nonnegative, got {cfg.sigma}")
+    if cfg.alpha0 < 0:
+        raise ValueError(f"config key alpha0 must be nonnegative, got {cfg.alpha0}")
+    if not 0.0 < cfg.q <= 1.0:
+        raise ValueError(f"config key q must lie in (0, 1], got {cfg.q}")
     if cfg.eta < 1.0:
         raise ValueError(f"config key eta must be at least 1, got {cfg.eta}")
     if cfg.max_iter < 1:
@@ -521,13 +529,10 @@ def _resolve_image(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _build_psf(cfg: ExperimentConfig) -> Psf:
-    if cfg.psf == "gaussian":
-        return make_gaussian_psf(cfg.psf_support, cfg.psf_std)
-    if cfg.psf == "motion":
-        return make_motion_psf(cfg.psf_length, cfg.psf_angle)
-    if cfg.psf == "motion2":
-        return make_two_motion_psf(cfg.psf_length, cfg.psf_angle, cfg.psf_angle2)
-    return load_psf(cfg.psf[len("file:") :])
+    if cfg.psf.startswith("file:"):
+        return load_psf(cfg.psf[len("file:") :])
+    make, keys = _PSF_KINDS[cfg.psf]
+    return make(*(getattr(cfg, key) for key in keys))
 
 
 # ---------------------------------------------------------------------------
@@ -595,79 +600,68 @@ class MethodRun:
     wall_time: float
 
 
-def _flexible_supplier(spec: MethodSpec, schedule: PreconditionerSchedule, symbol,
-                       size: int):
+def _flexible_supplier(schedule: PreconditionerSchedule | None, symbol,
+                       weights: bool):
+    """The ``prec_at`` of a flexible label: the schedule's filter for step k
+    (``P``) after the sparsity weights of the previous iterate (``W``).  No
+    weights are taken of a zero iterate, and None stands for no map."""
+    if schedule is None and not weights:
+        return None
+
     def supplier(k: int, x_prev: np.ndarray):
-        circ = schedule.build(symbol, k) if spec.prec else None
-        if not spec.weights:
+        circ = None if schedule is None else schedule.build(symbol, k)
+        if not weights or not np.any(x_prev):
             return circ
-        if np.any(x_prev):
-            weights = sparsity_weights(x_prev)
-        else:
-            weights = IdentityOperator(size)
-        if circ is None:
-            return weights
-        return ComposedOperator(weights, circ)
+        diag = sparsity_weights(x_prev)
+        return diag if circ is None else ComposedOperator(diag, circ)
 
     return supplier
 
 
-def _run_method(label: str, problem: NoisyProblem, cfg: ExperimentConfig, symbol):
-    """Run one label with ``symbol`` the PSF's half grid (None without ``P``
-    labels).  Returns the record, the alpha of each 0-based step as the
-    function the driver chose it by (None without ``P``), and the wall time."""
-    spec = parse_method_label(label)
+def _plan(spec: MethodSpec, problem: NoisyProblem, cfg: ExperimentConfig, symbol):
+    """Resolve one label on ``problem``, with ``symbol`` the PSF's half grid
+    (None without ``P`` labels), into ``(solve, alpha_at)``: ``solve()`` runs
+    the solver and returns its record, and ``alpha_at(i)`` is the alpha of
+    0-based step i (None without ``P``).  Every check the label can fail on
+    this problem raises ``ValueError`` here, before any solve."""
     op = problem.operator
-    if (
-        spec.solver == "MINRES"
-        and op.bc is BoundaryCondition.REFLECTIVE
-        and not op.psf.centrally_symmetric
-    ):
+    if (spec.solver == "MINRES" and op.bc is BoundaryCondition.REFLECTIVE
+            and not op.psf.centrally_symmetric):
         raise ValueError(
-            f"method label {label!r}: under reflective boundaries with a "
-            "non-symmetric PSF the flipped system is only approximately "
-            "symmetric, so MINRES does not apply; use GMRES instead"
+            "under reflective boundaries with a non-symmetric PSF the flipped "
+            "system is only approximately symmetric, so MINRES does not "
+            "apply; use GMRES instead"
         )
+    # Y: the system, its right-hand side and the filter that suits it
     if spec.flip:
-        system = FlipComposedOperator(op)
-        rhs = apply_flip(problem.b)
+        system, rhs, kind = FlipComposedOperator(op), apply_flip(problem.b), "abs_tikhonov"
     else:
-        system = op
-        rhs = problem.b
+        system, rhs, kind = op, problem.b, "tikhonov"
+    # P: a schedule inside the flexible solvers, a stationary filter elsewhere
+    entry, prec, alpha_at = spec.solver.lower(), {}, None
+    if spec.solver in _FLEXIBLE:
+        schedule = PreconditionerSchedule(kind, cfg.alpha0, cfg.q) if spec.prec else None
+        alpha_at = schedule.alpha_at if schedule else None
+        prec = {"prec_at": _flexible_supplier(schedule, symbol, spec.weights)}
+    elif spec.prec:
+        circ = _FILTERS[kind](symbol, cfg.alpha0)
+        alpha_at = lambda i: cfg.alpha0
+        if spec.solver == "MINRES":
+            entry, prec = "minres_sym_prec", {"p_half": circulant_sqrt(circ)}
+        else:
+            prec = {"right_prec": circ}
     # a noise norm without dp_enabled: the solver keeps the discrepancy
     # iterate and still runs to the full budget
     rule = StoppingRule(max_iter=cfg.max_iter, eta=cfg.eta,
                         noise_norm=problem.noise_norm)
-    truth = problem.x_true
 
-    variant = "abs_tikhonov" if spec.flip else "tikhonov"
-    alpha_at = (lambda i: cfg.alpha0) if spec.prec else None
-    start = time.perf_counter()
-    if spec.solver == "MINRES":
-        if spec.prec:
-            half = circulant_sqrt(circulant_abs_tikhonov(symbol, cfg.alpha0))
-            record = solvers.minres_sym_prec(system, rhs, half, rule, x_true=truth)
-        else:
-            record = solvers.minres(system, rhs, rule, x_true=truth)
-    elif spec.solver == "GMRES":
-        right = None
-        if spec.prec:
-            builder = circulant_abs_tikhonov if spec.flip else circulant_tikhonov
-            right = builder(symbol, cfg.alpha0)
-        record = solvers.gmres(system, rhs, rule, right_prec=right, x_true=truth)
-    elif spec.solver == "LSQR":
-        right = circulant_tikhonov(symbol, cfg.alpha0) if spec.prec else None
-        record = solvers.lsqr(system, rhs, rule, right_prec=right, x_true=truth)
-    else:
-        schedule = PreconditionerSchedule(variant, cfg.alpha0, cfg.q)
-        if spec.prec:
-            alpha_at = schedule.alpha_at
-        supplier = None
-        if spec.prec or spec.weights:
-            supplier = _flexible_supplier(spec, schedule, symbol, op.size)
-        runner = solvers.fgmres if spec.solver == "FGMRES" else solvers.flsqr
-        record = runner(system, rhs, prec_at=supplier, rule=rule, x_true=truth)
-    return record, alpha_at, time.perf_counter() - start
+    def solve() -> SolveRecord:
+        # the entry point is looked up on the module at call time, so a
+        # wrapper set there (a tracer, a test) sees the call
+        return getattr(solvers, entry)(system, rhs, rule=rule, x_true=problem.x_true,
+                                       **prec)
+
+    return solve, alpha_at
 
 
 def _write_artifacts(
@@ -735,27 +729,36 @@ def _write_artifacts(
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[MethodRun]:
-    """Run every configured method label and write its artifact files.
+    """Plan every configured method label, then run each and write its
+    artifact files.  Every label is checked against the problem before the
+    first solve, so one that cannot run here raises ``ValueError`` and no
+    method directory is written.
 
     Each method gets ``outdir/<label-with-dashes>/`` containing
     ``history.csv`` (iter, residual norm, RRE, PSNR, alpha), ``best.pgm``
     (minimum-RRE iterate), ``dp.pgm`` (discrepancy-principle iterate, only
-    if the threshold was reached), and ``summary.txt``.  Solvers run to the
-    configured iteration budget and record the first iterate that meets the
-    discrepancy threshold on the way, so one run yields both readings.
+    if the threshold was reached), and ``summary.txt`` (with the wall time
+    of the solve alone).  Solvers run to the configured iteration budget and
+    record the first iterate that meets the discrepancy threshold on the
+    way, so one run yields both readings.
     """
     x_true = _resolve_image(cfg)
     psf = _build_psf(cfg)
     problem = make_problem(x_true, psf, cfg.bc, cfg.sigma, cfg.seed)
-    symbol = None
-    if any(parse_method_label(label).prec for label in cfg.methods):
-        symbol = bccb_eigenvalues(psf, problem.operator.n)
+    specs = [parse_method_label(label) for label in cfg.methods]
+    symbol = bccb_eigenvalues(psf, problem.operator.n) if any(s.prec for s in specs) else None
+    plans = []
+    for label, spec in zip(cfg.methods, specs):
+        try:
+            plans.append(_plan(spec, problem, cfg, symbol))
+        except ValueError as exc:
+            raise ValueError(f"method label {label!r}: {exc}") from None
     outdir = Path(cfg.outdir)
     runs = []
-    for label in cfg.methods:
-        record, alpha_at, wall = _run_method(label, problem, cfg, symbol)
+    for label, (solve, alpha_at) in zip(cfg.methods, plans):
+        start = time.perf_counter()
+        record = solve()
+        wall = time.perf_counter() - start
         directory = outdir / label.replace(" ", "-")
-        runs.append(
-            _write_artifacts(label, record, alpha_at, problem, cfg, directory, wall)
-        )
+        runs.append(_write_artifacts(label, record, alpha_at, problem, cfg, directory, wall))
     return runs

@@ -1,6 +1,7 @@
 """End-to-end command-line interface tests (all in-process, one subprocess)."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -202,6 +203,21 @@ def test_bad_psf_spec_exits_one(capsys):
     code = main(["symbol", "--psf", "boxcar:3", "--n", "8"])
     assert code == 1
     assert "PSF spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, error", [
+    ({"image": "edges", "psf": "motion2", "psf_length": 9, "psf_angle": 45,
+      "psf_angle2": 135, "bc": "reflective", "methods": "YA GMRES, YA MINRES"},
+     "'YA MINRES': .* MINRES does not apply"),
+    ({"methods": "YA GMRES, YAP GMRES", "alpha0": 0},
+     "'YAP GMRES': alpha must be positive"),
+], ids=["minres-on-reflective-motion2", "yap-gmres-with-alpha0-zero"])
+def test_run_refuses_a_bad_label_before_any_solve(capsys, tmp_path, overrides, error):
+    # the first label could run; the whole config is checked before it does
+    cfg = _write_run_config(tmp_path, **overrides)
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert re.search(error, capsys.readouterr().err)
+    assert list((tmp_path / "out").glob("*")) == []
 
 
 def test_runtime_error_exits_two(capsys, tmp_path):

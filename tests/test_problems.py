@@ -376,6 +376,11 @@ def test_parse_config_errors(tmp_path):
     # q = 1 is the stationary schedule; there is no separate switch
     with pytest.raises(ValueError, match="unknown config key stationary_alpha"):
         parse_config(_write_config(tmp_path / "o.cfg", stationary_alpha="true"))
+    # q and alpha0 are checked for every config, also where no label reads them
+    with pytest.raises(ValueError, match=r"config key q must lie in \(0, 1\], got 2.0"):
+        parse_config(_write_config(tmp_path / "p.cfg", methods="AP GMRES", q=2))
+    with pytest.raises(ValueError, match="config key alpha0 must be nonnegative, got -1.0"):
+        parse_config(_write_config(tmp_path / "r.cfg", alpha0=-1))
 
 
 def test_parse_config_psf_file(tmp_path):
@@ -465,6 +470,13 @@ def test_run_experiment_q_one_keeps_alpha_constant(tmp_path):
                                      outdir=str(tmp_path / "out0")))
     (run,) = run_experiment(cfg)
     assert _alpha_column(run) == ["0.0"] * run.record.iterations
+
+
+def test_run_experiment_alpha0_zero_runs_a_flexible_label_without_p(tmp_path):
+    # only flexible P labels build a schedule, which needs alpha0 > 0
+    cfg = parse_config(_write_config(tmp_path / "aw.cfg", methods="AW FGMRES", alpha0=0.0))
+    (run,) = run_experiment(cfg)
+    assert _alpha_column(run) == [""] * run.record.iterations
 
 
 @pytest.mark.parametrize("methods, evaluations", [("AW FGMRES, A GMRES", 0),
