@@ -451,8 +451,10 @@ def _method_labels(text: str) -> tuple[str, ...]:
     labels = tuple(m.strip() for m in text.split(",") if m.strip())
     if not labels:
         raise ValueError("lists no method labels")
-    for label in labels:
+    for i, label in enumerate(labels):
         parse_method_label(label)
+        if label in labels[:i]:
+            raise ValueError(f"lists method label {label!r} twice")
     return labels
 
 

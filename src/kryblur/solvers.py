@@ -27,9 +27,9 @@ orthonormal by classical Gram-Schmidt with delayed reorthogonalization
 Stationary GMRES applies the operator to a scaled monomial block of
 ``_S_STEP`` (four) vectors first (s-step GMRES); the flexible solvers, which
 need the iterate of every step for the next direction, take blocks of one
-row, and so does the FLSQR basis V.  The update pass also writes each
-step's ``V y`` (not for the flexible solvers, whose iterate is ``Z y``) and
-the norm of each step's residual ``b - A x``, read from the Arnoldi relation.
+row, and so does the FLSQR basis V.  The update pass writes basis rows and
+stationary GMRES's iterates ``V y`` only; each step records ``||beta e1 -
+Hbar y||``, the new rows weighted by their Gram as written, as its residual.
 ``minres``, ``minres_sym_prec`` and ``lsqr`` share one Givens
 loop: it minimizes the residual through a Givens QR of a banded projected
 matrix, the Lanczos tridiagonal or the Golub-Kahan bidiagonal (the same band
@@ -43,11 +43,11 @@ Every map a solver is handed has ``size``, ``apply`` and ``apply_adjoint``,
 each taking input by :func:`kryblur.operators._map_input`, so a flat vector
 maps to a flat vector; the solvers read nothing else of a map.
 
-Each run returns a :class:`SolveRecord` with per-iteration true residual
-norms, recurrence (projected) residual norms, and error metrics when the
-ground truth is available.  When the stopping rule carries a noise norm, the
-record also holds the discrepancy iterate: the first one with residual at
-most ``eta * noise_norm``, kept whether or not the rule stops there.
+Each run returns a :class:`SolveRecord` with per-iteration residual norms
+as the loop carries them, projected residual norms, and error metrics when
+the ground truth is available.  When the stopping rule carries a noise norm,
+the record also holds the discrepancy iterate: the first one with residual
+at most ``eta * noise_norm``, kept whether or not the rule stops there.
 ``n_ops`` counts every operator application (forward plus adjoint) of the
 solver loop; only the MINRES symmetry probe goes uncharged.  That includes
 the applications of a GMRES block left unused: those after a stop inside the
@@ -172,6 +172,8 @@ class SolveRecord:
     threshold.  ``iterates`` is always None: no solver keeps every iterate.
     A preconditioner's alpha is not recorded: whoever built it chose it (the
     experiment driver writes it to ``history.csv`` from its schedule).
+    ``res_norm`` is ``||b - A x||`` as the loop carries it; the Arnoldi loop
+    reads ``||beta e1 - Hbar y||``, so there ``res_norm_projected`` repeats it.
 
     ``stop_reason`` is ``"max_iter"``, ``"discrepancy"``, ``"breakdown"``
     (the Krylov space is exhausted, e.g. by an exact solve) or
@@ -499,12 +501,13 @@ _BLOCK = 8192
 
 
 def _mapped(rows: int, n: int) -> np.ndarray:
-    """An uninitialized ``(rows, n)`` float array in an anonymous mapping of
-    its own, unmapped when freed.  From malloc, a freed basis raises the mmap
-    threshold, the next one lands in the heap, and whether it fits the hole
-    decided whether the heap grew: peak memory of the same solves varied from
-    run to run by a basis.  From 4 MiB up, huge pages as numpy asks for them."""
-    buf = mmap.mmap(-1, max(rows * n * 8, 1))
+    """An uninitialized ``(rows, n)`` float array in a private anonymous
+    mapping of its own, unmapped when freed.  From malloc, a freed basis
+    raises the mmap threshold, the next one lands in the heap, and whether it
+    fits the hole decided whether the heap grew: peak memory of the same
+    solves varied from run to run by a basis.  From 4 MiB up it asks for
+    transparent huge pages, which a shared (shmem) mapping would not get."""
+    buf = mmap.mmap(-1, max(rows * n * 8, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     if rows * n * 8 >= 1 << 22 and hasattr(mmap, "MADV_HUGEPAGE"):
         buf.madvise(mmap.MADV_HUGEPAGE)
     return np.frombuffer(buf, count=rows * n).reshape(rows, n)
@@ -574,25 +577,22 @@ class _Dcgs2:
         self._lift[k + 1:] = np.linalg.solve(r_w.T, self._lift[k + 1:])
         return t
 
-    def update(self, keep: np.ndarray, measure: np.ndarray):
+    def update(self, keep: np.ndarray):
         """The update pass: writes ``L'`` and ``W'`` over rows ``m:k + 1 +
-        t``, a slice at a time (read before written).  ``keep`` and
-        ``measure`` hold rows of coefficients on ``[V, L', W']``: returns the
-        combinations of ``keep`` (valid until the next update), the norms of
-        those of ``measure``, summed slice by slice and never stored, and
-        ``W'^T W'`` as written."""
+        t``, a slice at a time (read before written), and nothing else but
+        the combinations of ``keep``, rows of coefficients on ``[V, L',
+        W']``.  Returns those (valid until the next update) and ``W'^T W'``
+        as written."""
         m, t, n = self.m, self.t, self.k + 1 + self.t
-        kept = len(keep)
-        coef = np.vstack((self._lift[m:], np.vstack((keep, measure)) @ self._lift))
-        out, sq, gram = self._out[:kept], np.zeros(len(measure)), np.zeros((t, t))
+        coef = np.vstack((self._lift[m:], keep @ self._lift))
+        out, gram = self._out[:len(keep)], np.zeros((t, t))
         for j in range(0, self.basis.shape[1], _BLOCK):
             blk = coef @ self.basis[:n, j:j + _BLOCK]
             self.basis[m:n, j:j + _BLOCK] = blk[:n - m]
             new = blk[n - m - t:n - m]
             gram += new @ new.T
-            out[:, j:j + _BLOCK] = blk[n - m:n - m + kept]
-            sq += np.vecdot(blk[n - m + kept:], blk[n - m + kept:])
-        return out, np.sqrt(sq), gram
+            out[:, j:j + _BLOCK] = blk[n - m:]
+        return out, gram
 
     def exhausted(self, gram) -> bool:
         """True when a one-row block's exact ``||w'|| = sqrt(W'^T W') R_w``,
@@ -680,12 +680,13 @@ def _arnoldi(counted, b, rule, history, *, direction, solution=None, flexible=Fa
     have one row: ``A Z = V Hbar`` holds on the stored directions, and the
     iterate is ``Z y``.
 
-    One Householder QR of Hbar, which keeps every column, gives ``y`` of every
-    step of the block.  The update pass writes each ``V y`` (unless flexible)
-    and the norm of each true residual ``V (beta e1 - Hbar y)``, so each step
-    is recorded as if taken alone.  Breakdown shows in a one-row block, whose
-    exact ``||w'||`` is then rounding noise.  A stop inside a block leaves
-    its later applications unused; ``n_ops`` counts them.
+    One R-only Householder QR of ``[Hbar, beta e1]`` (column-prefix stable)
+    solves every step j of the block on its leading ``k + j`` triangle.  The
+    update pass writes basis rows and each ``V y`` (unless flexible); each
+    step records ``||beta e1 - Hbar y||``, the new rows weighted by their Gram
+    as written, as its residual, as if taken alone.  Breakdown shows in a
+    one-row block, whose exact ``||w'||`` is rounding noise.  A stop inside a
+    block leaves its later applications unused; ``n_ops`` counts them.
     """
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
@@ -722,23 +723,21 @@ def _arnoldi(counted, b, rule, history, *, direction, solution=None, flexible=Fa
             failed = t < len(sigma)
         _hessenberg(gs, sigma[:t], flexible)
         n = k + 1 + t
-        q, r = np.linalg.qr(h[:n, :n - 1])
-        ys, res = np.zeros((t, n)), np.zeros((t, n))
+        r = np.linalg.qr(np.hstack((h[:n, :n - 1], beta * np.eye(n, 1))), mode="r")
+        ys = np.zeros((t, n))
         for j in range(1, t + 1):
-            y = _least_squares(r[:k + j, :k + j], beta * q[0, :k + j])
-            ys[j - 1, :k + j] = y
-            res[j - 1, :k + j + 1] = -(h[:k + j + 1, :k + j] @ y)
-            res[j - 1, 0] += beta
-        rows, res_norms, gram = gs.update(ys[:0] if flexible else ys, res)
-        for j in range(t):
-            proj = math.sqrt(res[j, :k + 1] @ res[j, :k + 1]
-                             + res[j, k + 1:k + j + 2] @ gram[:j + 1, :j + 1]
-                             @ res[j, k + 1:k + j + 2])
+            ys[j - 1, :k + j] = _least_squares(r[:k + j, :k + j], r[:k + j, -1])
+        res = -ys[:, :n - 1] @ h[:n, :n - 1].T  # beta e1 - Hbar y, zero past row k + j
+        res[:, 0] += beta
+        rows, gram = gs.update(ys[:0] if flexible else ys)
+        tail = res[:, k + 1:]
+        projs = np.sqrt(np.vecdot(res[:, :k + 1], res[:, :k + 1]) + np.vecdot(tail @ gram, tail))
+        for j, proj in enumerate(projs):
             if flexible:
                 x = ys[j, :k + j + 1] @ dirs[:k + j + 1]
             else:
                 x = rows[j] if solution is None else solution(rows[j])
-            history.push(x, res_norms[j], proj)
+            history.push(x, proj, proj)
             if rule.dp_enabled and history.rec.dp_index is not None:
                 return history.record("discrepancy", x, counted.count)
         if gs.exhausted(gram):
@@ -752,7 +751,7 @@ def gmres(A, b, rule: StoppingRule | None = None, right_prec=None,
     """Full GMRES with an optional stationary right preconditioner.
 
     With right preconditioning the Arnoldi space is built for ``A P`` and the
-    returned iterates are ``x = P u``; the recorded true residual is that of
+    returned iterates are ``x = P u``; the recorded residual is that of
     the given system, which right preconditioning leaves invariant.
     """
     rule = rule or StoppingRule()
@@ -852,9 +851,9 @@ def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None,
     problem is upper Hessenberg: this is the flexible :func:`_arnoldi` engine
     on A, whose basis is ``U``, with directions ``P_k v_k``.  Each ``v_k`` is
     the adjoint image of the latest ``u`` made orthonormal to the earlier
-    ones by DCGS2 as well, in blocks of one row.  The true residual is read from the flexible
-    Golub-Kahan relation ``A Z_k = U_{k+1} Mbar_k``, so one iteration costs
-    one forward and one adjoint application.  A non-finite preconditioned
+    ones by DCGS2 as well, in blocks of one row.  The residual comes from the
+    flexible Golub-Kahan relation ``A Z_k = U_{k+1} Mbar_k``: one iteration
+    costs one forward and one adjoint application.  A non-finite preconditioned
     direction stops the run.  With a constant identity callback the projected
     problem is bidiagonal again and the method reduces to :func:`lsqr`.
     """
@@ -871,8 +870,7 @@ def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None,
         # row (none at step 1), and no combinations
         v_basis[k - 1] = counted.apply_adjoint(u)
         v_gs.reduce(k - 2, min(k - 1, 1), 1)
-        none = np.empty((0, k))
-        _, _, gram = v_gs.update(none, none)
+        _, gram = v_gs.update(np.empty((0, k)))
         if v_gs.exhausted(gram):
             raise _Stop("breakdown")
         return preconditioned(k, v_basis[k - 1], x)

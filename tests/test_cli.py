@@ -211,7 +211,8 @@ def test_bad_psf_spec_exits_one(capsys):
      "'YA MINRES': .* MINRES does not apply"),
     ({"methods": "YA GMRES, YAP GMRES", "alpha0": 0},
      "'YAP GMRES': alpha must be positive"),
-], ids=["minres-on-reflective-motion2", "yap-gmres-with-alpha0-zero"])
+    ({"methods": "A GMRES, A GMRES"}, "config key methods: lists method label 'A GMRES' twice"),
+], ids=["minres-on-reflective-motion2", "yap-gmres-with-alpha0-zero", "repeated-label"])
 def test_run_refuses_a_bad_label_before_any_solve(capsys, tmp_path, overrides, error):
     # the first label could run; the whole config is checked before it does
     cfg = _write_run_config(tmp_path, **overrides)

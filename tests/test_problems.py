@@ -381,6 +381,9 @@ def test_parse_config_errors(tmp_path):
         parse_config(_write_config(tmp_path / "p.cfg", methods="AP GMRES", q=2))
     with pytest.raises(ValueError, match="config key alpha0 must be nonnegative, got -1.0"):
         parse_config(_write_config(tmp_path / "r.cfg", alpha0=-1))
+    # a repeated label would solve twice into one directory
+    with pytest.raises(ValueError, match="config key methods: lists method label 'A GMRES' twice"):
+        parse_config(_write_config(tmp_path / "s.cfg", methods="A GMRES, YA MINRES, A GMRES"))
 
 
 def test_parse_config_psf_file(tmp_path):
