@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-__all__ = ["rre", "psnr", "rre_from_error", "psnr_from_error"]
+__all__ = ["rre_from_error", "psnr_from_error"]
 
 
 def rre_from_error(err2: float, ref_norm: float) -> float:
@@ -30,20 +28,3 @@ def psnr_from_error(err2: float, peak: float, size: int) -> float:
         return math.inf
     return 10.0 * math.log10(peak * peak * size / err2)
 
-
-def rre(x: np.ndarray, x_true: np.ndarray) -> float:
-    """Relative reconstruction error ||x - x_true|| / ||x_true||."""
-    xt = np.asarray(x_true, dtype=float).ravel()
-    err = np.asarray(x, dtype=float).ravel() - xt
-    return rre_from_error(float(np.dot(err, err)), float(np.linalg.norm(xt)))
-
-
-def psnr(x: np.ndarray, x_true: np.ndarray) -> float:
-    """Peak signal-to-noise ratio in dB, with peak taken from the reference.
-
-    Uses 10*log10(max(x_true)^2 * npixels / ||x - x_true||^2).  A perfect
-    reconstruction has infinite PSNR, returned as ``math.inf``.
-    """
-    xt = np.asarray(x_true, dtype=float).ravel()
-    err = np.asarray(x, dtype=float).ravel() - xt
-    return psnr_from_error(float(np.dot(err, err)), float(xt.max()), xt.size)

@@ -23,7 +23,10 @@ Implemented methods:
 There are two engines.  ``gmres``, ``fgmres`` and ``flsqr`` share one
 Arnoldi loop.  It takes its steps in blocks and keeps preallocated bases
 orthonormal by classical Gram-Schmidt with delayed reorthogonalization
-(DCGS2): one reduction and one update pass over the basis per block.
+(DCGS2): one reduction and one update pass over the basis per block.  The
+reduction yields one coefficient matrix F of the block's lagged rows L and
+new rows W on the corrected basis, ``[L, W] = [V, L', W'] F``; the update
+writes ``L'`` and ``W'`` from it, and Hbar's new columns come from F's.
 Stationary GMRES applies the operator to a scaled monomial block of
 ``_S_STEP`` (four) vectors first (s-step GMRES); the flexible solvers, which
 need the iterate of every step for the next direction, take blocks of one
@@ -482,16 +485,16 @@ def minres_sym_prec(A, b, p_half, rule: StoppingRule | None = None,
 _S_STEP = 4
 
 #: A block takes its first step only when ``||W^T W||_2`` over the smallest
-#: eigenvalue of its Pythagoras Gram ``W^T W - C^T C`` (W the scaled monomial
-#: images, C their coefficients on the basis) exceeds this bound: the
-#: projection is then too close to rank deficient to be read from the Gram,
-#: and the defect of the Arnoldi relation grows like eps times this ratio.
-#: The ratio is infinite on identity maps, at an exhausted Krylov space and
-#: when n < s; it reads 1.5e5 to 1.8e8 on acceptance 2's random maps, 2e5 to
-#: 5e6 on a 7x7 Gaussian blur with zero boundaries, and 2.6e2 to 5.1e2 on the
-#: flipped 512x512 reflective two-motion blur, apart from its first block
-#: (1.7e5, 2.8e5 with the preconditioner), whose smooth start vector makes
-#: the first monomials nearly parallel.
+#: eigenvalue of its Pythagoras Gram (W the scaled monomial images; ``W^T W``
+#: less the Gram of their coefficients on the basis, see :class:`_Dcgs2`)
+#: exceeds this bound: the projection is then too close to rank deficient to be
+#: read from the Gram, and the defect of the Arnoldi relation grows like eps
+#: times this ratio.  The ratio is infinite on identity maps, at an exhausted
+#: Krylov space and when n < s; it reads 1.5e5 to 1.8e8 on acceptance 2's
+#: random maps, 2e5 to 5e6 on a 7x7 Gaussian blur with zero boundaries, and
+#: 2.6e2 to 5.1e2 on the flipped 512x512 reflective two-motion blur, apart from
+#: its first block (1.7e5, 2.8e5 with the preconditioner), whose smooth start
+#: vector makes the first monomials nearly parallel.
 _BLOCK_COND = 1e4
 
 #: Columns per slice of the DCGS2 passes, so a slice stays in cache (8192 by
@@ -525,12 +528,17 @@ class _Dcgs2:
     After k steps, rows ``:m`` are orthonormal, rows ``m:k + 1`` hold the
     lagged block ``L`` (projected once, not yet reorthogonalized) and the
     next t rows the new block ``W``.  :meth:`reduce` reads the basis once,
-    for ``basis[:k + 1 + t] @ [L, W]^T``, hence ``L = V S + L' R`` with R the
-    Cholesky factor of ``L^T L - S^T S``, and ``W = [V, L'] C + W' R_w`` with
-    ``R_w`` that of the Pythagoras Gram ``W^T W - C^T C``.  :meth:`update`
-    writes ``L'`` and ``W'`` (orthonormal as far as the Gram is exact; the
-    next block corrects it) with one more pass, and with them combinations
-    of ``[V, L', W']``, all linear in the uncorrected rows.
+    for ``basis[:k + 1 + t] @ [L, W]^T``, and turns it into one coefficient
+    matrix F (``f``) with ``[L, W] = [V, L', W'] F``.  Rows ``:m`` are the
+    Gram's coefficients on V.  Rows ``m:`` are upper triangular: over the
+    columns of L, the Cholesky factor of ``L^T L`` less its part on V; over
+    those of W, the coefficients ``L'^T W`` and below them the factor of the
+    Pythagoras Gram of W, ``W^T W`` less the Gram of ``F[:k + 1, lagged:]``.
+    The rows of ``[L', W']`` are then ``F[m:]^-T`` times those of ``[L, W]
+    - V F[:m]`` (the lift), and :meth:`update` writes them (orthonormal as
+    far as the Gram is exact; the next block corrects it) with one more
+    pass, and with them combinations of ``[V, L', W']``, all linear in the
+    uncorrected rows.
     """
 
     def __init__(self, basis: np.ndarray, out_rows: int):
@@ -542,39 +550,33 @@ class _Dcgs2:
         """The reduction pass of the block after k steps, with ``lagged``
         lagged rows and t new ones.  Returns the number of rows the block
         keeps: all of them, or only the first when it is near rank deficient
-        (``_BLOCK_COND``).  Keeps S, R, C, ``r_w`` and ``tol_break``: below
-        it, relative to its own norm, a one-row block's ``||w'||`` is
-        rounding noise.  Its ``r_w`` is the Pythagoras estimate of
-        ``||w'||``, at least ``tol_break``, so that a row lost to rounding is
-        not divided by 0."""
+        (``_BLOCK_COND``); ``f`` is then ``(k + 2) x (lagged + 1)``.  Keeps
+        ``f`` and ``tol_break``: below it, relative to its own norm, a
+        one-row block's ``||w'||`` is rounding noise.  Its last diagonal
+        entry of F, the Pythagoras estimate of ``||w'||``, is at least
+        ``tol_break``, so that a row lost to rounding is not divided by 0."""
         m = k + 1 - lagged
-        g = np.zeros((k + 1 + t, lagged + t))
+        f = np.zeros((k + 1 + t, lagged + t))
         for j in range(0, self.basis.shape[1], _BLOCK):
             blk = self.basis[:k + 1 + t, j:j + _BLOCK]
-            g += blk @ blk[m:].T
-        s = g[:m, :lagged]
-        r_lag = np.linalg.cholesky(g[m:k + 1, :lagged] - s.T @ s, upper=True)
-        c = g[:k + 1, lagged:].copy()
-        c[m:] = np.linalg.solve(r_lag.T, c[m:] - s.T @ c[:m])
-        gram = g[k + 1:, lagged:]
+            f += blk @ blk[m:].T
+        s = f[:m, :lagged]
+        f[m:k + 1, :lagged] = np.linalg.cholesky(f[m:k + 1, :lagged] - s.T @ s, upper=True)
+        c = f[:k + 1, lagged:]
+        c[m:] = np.linalg.solve(f[m:k + 1, :lagged].T, c[m:] - s.T @ c[:m])
+        gram = f[k + 1:, lagged:]
         pyth = gram - c.T @ c
         if t > 1 and not np.linalg.eigvalsh(pyth)[0] * _BLOCK_COND > np.linalg.norm(gram, 2):
-            t, c, gram, pyth = 1, c[:, :1], gram[:1, :1], pyth[:1, :1]
-        n = k + 1 + t
-        self.k, self.m, self.t = k, m, t
-        self.s, self.r_lag, self.c = s, r_lag, c
+            t, f, gram, pyth = 1, f[:k + 2, :lagged + 1], gram[:1, :1], pyth[:1, :1]
+        self.k, self.m, self.t, self.f = k, m, t, f
         self.tol_break = BREAKDOWN_RTOL * math.sqrt(gram[0, 0])
+        f[k + 1:, :lagged] = 0.0
         if t > 1:
-            r_w = np.linalg.cholesky(pyth, upper=True)
+            f[k + 1:, lagged:] = np.linalg.cholesky(pyth, upper=True)
         else:  # 1 for a zero row
-            r_w = np.array([[max(math.sqrt(max(pyth[0, 0], 0.0)), self.tol_break) or 1.0]])
-        self.r_w = r_w
-        # rows of [V, L', W'] as combinations of the uncorrected rows
-        self._lift = np.eye(n)
-        self._lift[m:k + 1, :k + 1] = np.linalg.solve(r_lag.T, np.hstack((-s.T, np.eye(lagged))))
-        self._lift[k + 1:, :m] = -c[:m].T
-        self._lift[k + 1:] -= c[m:].T @ self._lift[m:k + 1]
-        self._lift[k + 1:] = np.linalg.solve(r_w.T, self._lift[k + 1:])
+            f[-1, -1] = max(math.sqrt(max(pyth[0, 0], 0.0)), self.tol_break) or 1.0
+        # rows of [L', W'] as combinations of the uncorrected rows
+        self._lift = np.linalg.solve(f[m:].T, np.hstack((-f[:m].T, np.eye(lagged + t))))
         return t
 
     def update(self, keep: np.ndarray):
@@ -584,7 +586,8 @@ class _Dcgs2:
         W']``.  Returns those (valid until the next update) and ``W'^T W'``
         as written."""
         m, t, n = self.m, self.t, self.k + 1 + self.t
-        coef = np.vstack((self._lift[m:], keep @ self._lift))
+        coef = np.vstack((self._lift, keep[:, m:] @ self._lift))
+        coef[n - m:, :m] += keep[:, :m]
         out, gram = self._out[:len(keep)], np.zeros((t, t))
         for j in range(0, self.basis.shape[1], _BLOCK):
             blk = coef @ self.basis[:n, j:j + _BLOCK]
@@ -595,9 +598,10 @@ class _Dcgs2:
         return out, gram
 
     def exhausted(self, gram) -> bool:
-        """True when a one-row block's exact ``||w'|| = sqrt(W'^T W') R_w``,
-        with ``gram`` as :meth:`update` returned it, is rounding noise."""
-        return self.t == 1 and math.sqrt(gram[0, 0]) * self.r_w[0, 0] <= self.tol_break
+        """True when a one-row block's exact ``||w'|| = sqrt(W'^T W') F[-1,
+        -1]``, with ``gram`` as :meth:`update` returned it, is rounding
+        noise."""
+        return self.t == 1 and math.sqrt(gram[0, 0]) * self.f[-1, -1] <= self.tol_break
 
 
 def _flexible(prec_at, history):
@@ -633,28 +637,27 @@ def _least_squares(r, rhs):
 
 def _hessenberg(gs, sigma, flexible):
     """Brings Hbar (``gs.h``) up to date after the reduction pass of a
-    block: its rows on ``L`` become rows on ``L'`` (times [S; R]), and the
-    block's columns are filled.  A flexible step's image is ``A z = w
-    sigma``, so its column is ``[C; R_w] sigma``, and the earlier columns,
-    images of stored directions, keep their values.  Otherwise the columns
-    are images of ``L`` too and are multiplied by the inverse, and the
-    block's follow from ``A X = W diag(sigma)``, where ``X = [L e_last,
-    W[:-1]] = [V, L', W'] T_X`` and ``W = [V, L', W'] T_W``: with ``U =
-    T_X[k:]`` (triangular), ``(T_W diag(sigma) - Hbar T_X[:k]) U^-1``."""
-    h, k, m, t, s, r_lag = gs.h, gs.k, gs.m, gs.t, gs.s, gs.r_lag
-    n = k + 1 + t
-    h[:m, :k] += s @ h[m:k + 1, :k]
-    h[m:k + 1, :k] = r_lag @ h[m:k + 1, :k]
-    t_w = np.vstack((gs.c, gs.r_w))
+    block, from its coefficient matrix F (``gs.f``, ``[L, W] = [V, L', W']
+    F``): its rows on ``L`` become rows on ``V`` and ``L'`` (times the
+    lagged columns of F), and the block's columns are filled.  A flexible
+    step's image is ``A z = w sigma``, so its column is ``F[:, lagged:]
+    sigma``, and the earlier columns, images of stored directions, keep
+    their values.  Otherwise the columns are images of ``L`` too and are
+    multiplied by the inverse, and the block's follow from ``A X = W
+    diag(sigma)``, where ``X = [L e_last, W[:-1]] = [V, L', W'] T_X`` with
+    ``T_X = F[:, lagged - 1:-1]``: with ``U = T_X[k:]`` (triangular),
+    ``(F[:, lagged:] diag(sigma) - Hbar T_X[:k]) U^-1``."""
+    h, k, m, f = gs.h, gs.k, gs.m, gs.f
+    n, lagged = f.shape[0], k + 1 - m
+    h[:m, :k] += f[:m, :lagged] @ h[m:k + 1, :k]
+    h[m:k + 1, :k] = f[m:k + 1, :lagged] @ h[m:k + 1, :k]
     if flexible:
-        h[:n, k:n - 1] = t_w * sigma
+        h[:n, k:n - 1] = f[:, lagged:] * sigma
         return
-    h[:k + 1, m:k] -= h[:k + 1, :m] @ s[:, :-1]
-    h[:k + 1, m:k] = np.linalg.solve(r_lag[:-1, :-1].T, h[:k + 1, m:k].T).T
-    t_x = np.zeros((n, t))
-    t_x[:m, 0], t_x[m:k + 1, 0] = s[:, -1], r_lag[:, -1]
-    t_x[:, 1:] = t_w[:, :-1]
-    cols = t_w * sigma - h[:n, :k] @ t_x[:k]
+    h[:k + 1, m:k] -= h[:k + 1, :m] @ f[:m, :lagged - 1]
+    h[:k + 1, m:k] = np.linalg.solve(f[m:k, :lagged - 1].T, h[:k + 1, m:k].T).T
+    t_x = f[:, lagged - 1:-1]
+    cols = f[:, lagged:] * sigma - h[:n, :k] @ t_x[:k]
     h[:n, k:n - 1] = np.linalg.solve(t_x[k:n - 1].T, cols.T).T
 
 

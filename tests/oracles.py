@@ -277,6 +277,14 @@ def reference_flexible_gk(mat: np.ndarray, prec_mat_at, b: np.ndarray, iters: in
     return res, xs
 
 
+def reference_psnr(x: np.ndarray, x_true: np.ndarray) -> float:
+    """Textbook PSNR in dB, ``10 log10(MAX^2 / MSE)``, with the peak MAX taken
+    from the reference image."""
+    x_true = np.asarray(x_true, dtype=float)
+    mse = float(np.mean((np.asarray(x, dtype=float) - x_true) ** 2))
+    return 10.0 * math.log10(float(x_true.max()) ** 2 / mse)
+
+
 def random_symmetric(size: int, seed: int) -> np.ndarray:
     """Well-conditioned random symmetric indefinite matrix: orthogonal
     eigenvectors, eigenvalues of mixed sign with magnitudes in [1, 2]."""

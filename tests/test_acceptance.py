@@ -8,15 +8,20 @@ Every test prints a single summary line of the form
 asserts the guarantee at its stated tolerance together with a wall-clock
 budget.
 
-Test 4 checks the absolute-value Tikhonov envelope in the two forms the method
-promises.  With periodic boundaries the preconditioned flipped matrix has the
-eigenvalues +-|f|^2/(|f|^2 + alpha) exactly, so every one obeys
-|eig| <= 1 + 1e-8.  With zero boundaries the wrap-around part that separates
-T(f) from C(f) has rank O(n), so O(n) boundary eigenvalues may leave the
-envelope; the test asserts that their share of all n^2 eigenvalues does not
-grow with n and prints their count and the largest |eig|.
+Test 4 checks the absolute-value Tikhonov envelope in three tests.  With
+periodic boundaries the preconditioned flipped matrix has the eigenvalues
++-|f|^2/(|f|^2 + alpha) exactly, so every one obeys |eig| <= 1 + 1e-8.  With
+zero boundaries the wrap-around part that separates T(f) from C(f) has rank
+O(n), so O(n) boundary eigenvalues may leave the envelope; one test asserts
+that their share of all n^2 eigenvalues does not grow with n and prints their
+count and the largest |eig|.  The third asserts the strict bound
+|eig| <= 1 + 1e-8 with zero boundaries at n = 16, the grid-size limit of the
+preconditioned symbol.  It is expected to fail: boundary outliers break it at
+every size.  It is kept at full strength so the measured finite-size gap is
+documented in the test output rather than hidden behind a loosened tolerance.
 """
 
+import functools
 import time
 
 import numpy as np
@@ -237,86 +242,112 @@ def test_3_eigenvalue_clustering():
     assert elapsed < budget
 
 
+#: Sizes and alphas of acceptance 4, and the bound every test there reads.
+_ENVELOPE_SIZES = (16, 32)
+_ENVELOPE_ALPHAS = (1e-2, 1e-3)
+_ENVELOPE_BOUND = 1.0 + 1e-8
+
+
+@functools.cache
+def _abs_tikhonov_spectra(n):
+    """``{alpha: (periodic, zero)}``, the sorted ``|eig|`` of the
+    absolute-value Tikhonov preconditioned flipped 9x9 Gaussian blur at side
+    n, with periodic and with zero boundaries.
+
+    For a real PSF, Y C(f) is symmetric, squares to C(|f|^2) and commutes
+    with the real, even circulant C(g_alpha), so the periodic spectrum is
+    exactly +-|f|^2/(|f|^2 + alpha) <= 1/(1 + alpha).  Zero boundaries
+    differ from periodic ones by the wrap-around part C(f) - T(f), whose rank
+    grows like n; by interlacing at most that many eigenvalues leave the
+    envelope (about 1.28 at alpha = 1e-2 and 2.5 at alpha = 1e-3, for n = 16
+    to 48).  H (Y A) H with H = C(g_alpha)^(1/2) is symmetric and has the
+    spectrum of C(g_alpha) Y A (XZ and ZX share eigenvalues), so eigvalsh
+    keeps the spectra real and n = 32 cheap.  Cached: the three tests of
+    acceptance 4 share it, and the first to run pays for it."""
+    psf = make_gaussian_psf(9, 2.0)
+    symbol = bccb_eigenvalues(psf, n)
+    periodic = materialize_dense(BlurOperator(psf, "periodic", n))[::-1, :]
+    zero = materialize_dense(BlurOperator(psf, "zero", n))[::-1, :]
+    spectra = {}
+    for alpha in _ENVELOPE_ALPHAS:
+        half = materialize_dense(circulant_sqrt(circulant_abs_tikhonov(symbol, alpha)))
+        spectra[alpha] = tuple(
+            np.sort(np.abs(np.linalg.eigvalsh(half @ mat @ half))) for mat in (periodic, zero)
+        )
+    return spectra
+
+
 def test_4_abs_tikhonov_spectral_envelope():
+    # periodic boundaries: every eigenvalue obeys the envelope, exactly
     budget = 10.0
     start = time.perf_counter()
-
-    # For a real PSF, Y C(f) is symmetric, squares to C(|f|^2) and commutes
-    # with the real, even circulant C(g_alpha), so the periodic spectrum is
-    # exactly +-|f|^2/(|f|^2 + alpha) <= 1/(1 + alpha).  Zero boundaries
-    # differ from periodic ones by the wrap-around part C(f) - T(f), whose
-    # rank grows like n; by interlacing at most that many eigenvalues leave
-    # the envelope (about 1.28 at alpha = 1e-2 and 2.5 at alpha = 1e-3, for
-    # n = 16 to 48), so only their share of the n^2 eigenvalues is asserted.
-    # H (Y A) H with H = C(g_alpha)^(1/2) is symmetric and has the spectrum
-    # of C(g_alpha) Y A (XZ and ZX share eigenvalues), so eigvalsh keeps the
-    # spectra real and n = 32 cheap.
-    psf = make_gaussian_psf(9, 2.0)
-    bound = 1.0 + 1e-8
-    alphas = (1e-2, 1e-3)
-    sizes = (16, 32)
-    periodic_max = {}
-    zero_max = {}
-    zero_share = {}
-    zero_count = {}
-    for n in sizes:
-        symbol = bccb_eigenvalues(psf, n)
-        periodic = materialize_dense(BlurOperator(psf, "periodic", n))[::-1, :]
-        zero = materialize_dense(BlurOperator(psf, "zero", n))[::-1, :]
-        for alpha in alphas:
-            half = materialize_dense(
-                circulant_sqrt(circulant_abs_tikhonov(symbol, alpha))
-            )
-            periodic_abs = np.abs(np.linalg.eigvalsh(half @ periodic @ half))
-            zero_abs = np.abs(np.linalg.eigvalsh(half @ zero @ half))
-            periodic_max[n, alpha] = float(periodic_abs.max())
-            zero_max[n, alpha] = float(zero_abs.max())
-            zero_count[n, alpha] = int(np.count_nonzero(zero_abs > bound))
-            zero_share[n, alpha] = zero_count[n, alpha] / n ** 2
-
+    periodic_max = {
+        (n, alpha): float(_abs_tikhonov_spectra(n)[alpha][0][-1])
+        for n in _ENVELOPE_SIZES
+        for alpha in _ENVELOPE_ALPHAS
+    }
     elapsed = time.perf_counter() - start
-    periodic_ok = all(value <= bound for value in periodic_max.values())
-    shares_ok = all(
-        zero_share[sizes[1], alpha] <= zero_share[sizes[0], alpha]
-        for alpha in alphas
+    ok = all(value <= _ENVELOPE_BOUND for value in periodic_max.values())
+    readings = ", ".join(
+        f"max |eig| = {value:.6f} (n={n}, alpha={alpha:g})"
+        for (n, alpha), value in periodic_max.items()
     )
-    ok = periodic_ok and shares_ok and elapsed < budget
-    readings = "; ".join(
-        f"alpha={alpha:g}: periodic max |eig| "
-        + ", ".join(f"n={n} {periodic_max[n, alpha]:.6f}" for n in sizes)
-        + "; zero-BC count > bound (share, max |eig|) "
-        + ", ".join(
-            f"n={n} {zero_count[n, alpha]} "
-            f"({zero_share[n, alpha]:.4f}, {zero_max[n, alpha]:.4f})"
-            for n in sizes
-        )
-        for alpha in alphas
-    )
-    _report(
-        4,
-        "abs-Tikhonov spectral envelope",
-        ok,
-        f"{readings} (bound 1 + 1e-8 on periodic; zero-BC share must not "
-        "grow from n=16 to n=32)",
-        elapsed,
-        budget,
-    )
+    _report(4, "abs-Tikhonov spectral envelope, periodic", ok and elapsed < budget,
+            f"{readings} (bound 1 + 1e-8)", elapsed, budget)
     assert elapsed < budget
-    assert periodic_ok, (
-        "periodic envelope |eig| <= 1 + 1e-8 violated: "
+    assert ok, f"periodic envelope |eig| <= 1 + 1e-8 violated: {readings}"
+
+
+def test_4_zero_bc_outlier_share_does_not_grow():
+    # zero boundaries: the share of the n^2 eigenvalues beyond the envelope
+    # does not grow from n = 16 to n = 32
+    budget = 10.0
+    start = time.perf_counter()
+    count, share, zero_max = {}, {}, {}
+    for n in _ENVELOPE_SIZES:
+        for alpha, (_, zero_abs) in _abs_tikhonov_spectra(n).items():
+            count[n, alpha] = int(np.count_nonzero(zero_abs > _ENVELOPE_BOUND))
+            share[n, alpha] = count[n, alpha] / n ** 2
+            zero_max[n, alpha] = float(zero_abs[-1])
+    elapsed = time.perf_counter() - start
+    small, large = _ENVELOPE_SIZES
+    ok = all(share[large, alpha] <= share[small, alpha] for alpha in _ENVELOPE_ALPHAS)
+    readings = "; ".join(
+        f"alpha={alpha:g}: count > bound (share, max |eig|) "
         + ", ".join(
-            f"max |eig| = {value:.6f} (n={n}, alpha={alpha:g})"
-            for (n, alpha), value in periodic_max.items()
+            f"n={n} {count[n, alpha]} ({share[n, alpha]:.4f}, {zero_max[n, alpha]:.4f})"
+            for n in _ENVELOPE_SIZES
         )
+        for alpha in _ENVELOPE_ALPHAS
     )
-    assert shares_ok, (
+    _report(4, "abs-Tikhonov zero-BC outlier share", ok and elapsed < budget,
+            f"{readings} (share must not grow from n={small} to n={large})", elapsed, budget)
+    assert elapsed < budget
+    assert ok, (
         "zero-BC share of boundary eigenvalues with |eig| > 1 + 1e-8 grew "
-        "from n=16 to n=32: "
-        + ", ".join(
-            f"alpha={alpha:g}: {zero_share[sizes[0], alpha]:.4f} -> "
-            f"{zero_share[sizes[1], alpha]:.4f}"
-            for alpha in alphas
-        )
+        f"from n={small} to n={large}: {readings}"
+    )
+
+
+def test_4_strict_zero_bc_envelope():
+    # The strict bound |eig(C(g_alpha) Y T(f))| <= 1 + 1e-8 at n = 16 is the
+    # grid-size limit of the preconditioned symbol |f|^2/(|f|^2 + alpha) <= 1.
+    # Boundary outliers break it (about 1.2824 at alpha = 1e-2 and 2.5876 at
+    # alpha = 1e-3), so this test fails by design and records the measured
+    # finite-size excess instead of weakening the envelope.
+    budget = 10.0
+    start = time.perf_counter()
+    n = _ENVELOPE_SIZES[0]
+    zero_max = {alpha: float(zero_abs[-1]) for alpha, (_, zero_abs) in _abs_tikhonov_spectra(n).items()}
+    elapsed = time.perf_counter() - start
+    ok = all(value <= _ENVELOPE_BOUND for value in zero_max.values())
+    readings = ", ".join(f"max |eig| = {value:.4f} (alpha={alpha:g})" for alpha, value in zero_max.items())
+    _report(4, "abs-Tikhonov strict zero-BC envelope", ok and elapsed < budget,
+            f"n={n}: {readings} (bound 1 + 1e-8)", elapsed, budget)
+    assert elapsed < budget
+    assert ok, (
+        f"strict zero-BC envelope |eig| <= 1 + 1e-8 violated at n={n}: {readings}; "
+        "boundary outliers of the rank-O(n) wrap-around part leave it at every size"
     )
 
 

@@ -23,7 +23,6 @@ from kryblur.preconditioners import (
     sparsity_weights,
 )
 from kryblur import solvers
-from kryblur.metrics import psnr, rre
 from kryblur.problems import make_gaussian_psf, make_problem, make_two_motion_psf, natural_scene, phantom, star_field
 from kryblur.solvers import (
     LinearMap,
@@ -48,6 +47,7 @@ from oracles import (
     reference_gmres,
     reference_lsqr,
     reference_minres,
+    reference_psnr,
 )
 
 
@@ -160,9 +160,11 @@ def test_record_metrics_and_best_iterate_past_semiconvergence(iterates):
     prob = make_problem(star_field(16, seed=3), make_gaussian_psf(5, 1.5), "zero", 0.05, 5)
     rec = lsqr(prob.operator, prob.b, StoppingRule(max_iter=40), x_true=prob.x_true)
     assert rec.best_index < rec.iterations == len(iterates)
+    x_true = prob.x_true.ravel()
     for x, got_rre, got_psnr in zip(iterates, rec.rre, rec.psnr):
-        assert abs(got_rre - rre(x, prob.x_true)) <= 1e-14 * got_rre
-        assert abs(got_psnr - psnr(x, prob.x_true)) <= 1e-12
+        want_rre = np.linalg.norm(x - x_true) / np.linalg.norm(x_true)
+        assert abs(got_rre - want_rre) <= 1e-14 * got_rre
+        assert abs(got_psnr - reference_psnr(x, x_true)) <= 1e-12
     np.testing.assert_array_equal(rec.x_best, iterates[rec.best_index - 1])
 
 
@@ -1070,6 +1072,66 @@ def test_dcgs2_breakdown_right_after_lagged_correction(method, scale, bases):
     assert abs(rec.res_norm[-1] - np.linalg.norm(b - mat @ rec.x_stop)) <= 1e-12
     for rows, _ in bases():
         assert _orthogonality_loss(rows) <= 1e-12
+
+
+def _dcgs2_block(lagged, t, new_rows, m=5, size=300, seed=0):
+    """A ``_Dcgs2`` on a basis of ``m`` orthonormal rows, ``lagged`` random
+    rows and the given new rows, with a copy of its uncorrected rows and
+    k."""
+    rng = np.random.default_rng(seed)
+    v = np.linalg.qr(rng.standard_normal((size, m)))[0].T
+    rows = np.vstack((v, rng.standard_normal((lagged, size)), new_rows))
+    basis = rows.copy()
+    return solvers._Dcgs2(basis, 2), rows, m + lagged - 1
+
+
+@pytest.mark.parametrize("lagged, t", [(0, 1), (1, 1), (1, 4), (4, 4)])
+def test_dcgs2_block_factor_rebuilds_the_uncorrected_rows(lagged, t):
+    # [L, W] = [V, L', W'] F, with F upper triangular below its rows on V, L'
+    # and W' written orthonormal, and the kept rows combinations of the
+    # written basis
+    new = np.random.default_rng(1).standard_normal((t, 300))
+    gs, rows, k = _dcgs2_block(lagged, t, new)
+    m, n = k + 1 - lagged, k + 1 + t
+    assert gs.reduce(k, lagged, t) == t
+    assert gs.f.shape == (n, lagged + t)
+    np.testing.assert_array_equal(gs.f[m:], np.triu(gs.f[m:]))
+    keep = np.random.default_rng(2).standard_normal((2, n))
+    out, gram = gs.update(keep)
+    written = gs.basis[:n]
+    assert np.linalg.norm(gs.f.T @ written - rows[m:]) <= 1e-12 * np.linalg.norm(rows[m:])
+    assert _orthogonality_loss(written) <= 1e-12
+    assert np.linalg.norm(out - keep @ written) <= 1e-12 * np.linalg.norm(out)
+    np.testing.assert_allclose(gram, written[k + 1:] @ written[k + 1:].T, rtol=0, atol=1e-12)
+    assert not gs.exhausted(gram)
+
+
+def test_dcgs2_nearly_dependent_block_keeps_its_first_row():
+    # the third new row lies in the span of the basis and the first two up
+    # to 1e-9: the block keeps one row, and F only its columns
+    rng = np.random.default_rng(4)
+    new = rng.standard_normal((4, 300))
+    gs, rows, k = _dcgs2_block(1, 4, new)
+    new[2] = new[0] - 2.0 * new[1] + rows[:k + 1].T @ rng.standard_normal(k + 1)
+    new[2] += 1e-9 * rng.standard_normal(300)
+    gs.basis[k + 1:], rows[k + 1:] = new, new
+    assert gs.reduce(k, 1, 4) == 1
+    assert gs.f.shape == (k + 2, 2)
+    gs.update(np.empty((0, k + 2)))
+    written = gs.basis[:k + 2]
+    assert np.linalg.norm(gs.f.T @ written - rows[k:k + 2]) <= 1e-12 * np.linalg.norm(rows[k:k + 2])
+    assert _orthogonality_loss(written) <= 1e-12
+
+
+def test_dcgs2_zero_row_is_exhausted():
+    # a zero new row: its diagonal entry of F is 1, not 0, and it is
+    # rounding noise
+    gs, _, k = _dcgs2_block(1, 1, np.zeros((1, 300)))
+    assert gs.reduce(k, 1, 1) == 1
+    assert gs.f[-1, -1] == 1.0
+    _, gram = gs.update(np.empty((0, k + 2)))
+    assert gs.exhausted(gram)
+    assert not np.any(gs.basis[k + 1])
 
 
 # ---------------------------------------------------------------------------
