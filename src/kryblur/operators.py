@@ -342,7 +342,7 @@ class BlurOperator:
         self._view = (slice(pr, pr + n), slice(pc, pc + n))
         self._row_pads = _pad_sources(n, pr, mr - n - pr, bc)
         self._col_pads = _pad_sources(n, pc, mc - n - pc, bc)
-        self._kernel_hat = _fft.rfft2(_first_circulant_column(psf, (mr, mc)))
+        self._kernel_hat = np.fft.rfft2(_first_circulant_column(psf, (mr, mc)))
 
     @property
     def size(self) -> int:

@@ -241,6 +241,18 @@ def _psf_from_offsets(weighted: dict[tuple[int, int], float]) -> Psf:
     return Psf(kernel / kernel.sum(), (-r_lo, -c_lo))
 
 
+def _motion_psf(length: int, angles) -> Psf:
+    # one line kernel per angle, each pixel weighted 1/length, renormalized
+    length = int(length)
+    if length < 1:
+        raise ValueError(f"length must be at least 1, got {length}")
+    weighted: dict[tuple[int, int], float] = {}
+    for angle in angles:
+        for offset in _motion_offsets(length, angle):
+            weighted[offset] = weighted.get(offset, 0.0) + 1.0 / length
+    return _psf_from_offsets(weighted)
+
+
 def make_motion_psf(length: int, angle: float) -> Psf:
     """Normalized line kernel for unidirectional motion blur.
 
@@ -248,25 +260,12 @@ def make_motion_psf(length: int, angle: float) -> Psf:
     ``angle`` (degrees, counterclockwise from the positive column axis), so
     any kernel longer than one pixel differs from its 180-degree rotation.
     """
-    length = int(length)
-    if length < 1:
-        raise ValueError(f"length must be at least 1, got {length}")
-    weighted: dict[tuple[int, int], float] = {}
-    for offset in _motion_offsets(length, angle):
-        weighted[offset] = weighted.get(offset, 0.0) + 1.0 / length
-    return _psf_from_offsets(weighted)
+    return _motion_psf(length, (angle,))
 
 
 def make_two_motion_psf(length: int, angle1: float, angle2: float) -> Psf:
     """Motion blur in two directions: renormalized sum of two line kernels."""
-    length = int(length)
-    if length < 1:
-        raise ValueError(f"length must be at least 1, got {length}")
-    weighted: dict[tuple[int, int], float] = {}
-    for angle in (angle1, angle2):
-        for offset in _motion_offsets(length, angle):
-            weighted[offset] = weighted.get(offset, 0.0) + 1.0 / length
-    return _psf_from_offsets(weighted)
+    return _motion_psf(length, (angle1, angle2))
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,12 @@ Every map a solver is handed has ``size``, ``apply`` and ``apply_adjoint``,
 each taking input by :func:`kryblur.operators._map_input`, so a flat vector
 maps to a flat vector; the solvers read nothing else of a map.
 
-Each run returns a :class:`SolveRecord` with per-iteration residual norms
-as the loop carries them, projected residual norms, and error metrics when
+A solve carries one context, :class:`_History`, built from the entry point's
+arguments before anything is applied: it checks the right-hand side, the size
+of each stationary preconditioner and ``x_true``, applies A for the loop and
+counts those applications, and keeps the record, whose every push also makes
+the one discrepancy test.  Each run returns a :class:`SolveRecord` with
+per-iteration residual norms as the loop carries them, and error metrics when
 the ground truth is available.  When the stopping rule carries a noise norm,
 the record also holds the discrepancy iterate: the first one with residual
 at most ``eta * noise_norm``, kept whether or not the rule stops there.
@@ -175,8 +179,9 @@ class SolveRecord:
     threshold.  ``iterates`` is always None: no solver keeps every iterate.
     A preconditioner's alpha is not recorded: whoever built it chose it (the
     experiment driver writes it to ``history.csv`` from its schedule).
-    ``res_norm`` is ``||b - A x||`` as the loop carries it; the Arnoldi loop
-    reads ``||beta e1 - Hbar y||``, so there ``res_norm_projected`` repeats it.
+    ``res_norm`` is ``||b - A x||`` as the loop carries it: the Givens loop
+    updates ``b - A x`` with the iterate, and the Arnoldi loop reads
+    ``||beta e1 - Hbar y||``.
 
     ``stop_reason`` is ``"max_iter"``, ``"discrepancy"``, ``"breakdown"``
     (the Krylov space is exhausted, e.g. by an exact solve) or
@@ -185,7 +190,6 @@ class SolveRecord:
     """
 
     res_norm: list[float] = field(default_factory=list)
-    res_norm_projected: list[float] = field(default_factory=list)
     rre: list[float] | None = None
     psnr: list[float] | None = None
     stop_reason: str = "max_iter"
@@ -203,46 +207,50 @@ class SolveRecord:
         return len(self.res_norm)
 
 
-class _Counted:
-    """Wraps an operator, counting loop applications for the work metric."""
-
-    def __init__(self, op):
-        self.op = op
-        self.count = 0
-
-    def apply(self, x):
-        self.count += 1
-        return self.op.apply(x)
-
-    def apply_adjoint(self, y):
-        self.count += 1
-        return self.op.apply_adjoint(y)
-
-
 class _History:
-    """Per-iteration bookkeeping shared by all solvers, appended to the one
-    :class:`SolveRecord` ``rec``, including the one discrepancy test: the
-    first pushed iterate that meets it is kept.  RRE and PSNR come from one
-    error vector, written into a buffer of its own, and one dot product;
-    ``||x_true||`` and the peak are taken once, here.  The best iterate is
-    copied into one buffer as it improves.  ``x_true`` is checked here,
-    before the solver applies anything."""
+    """The one context of a solve, built before anything is applied.  It
+    takes the default rule, checks the right-hand side (kept as ``b``), the
+    size of each stationary map in ``precs`` (None for none) and ``x_true``,
+    which must be finite and not all zero.  :meth:`apply` and
+    :meth:`apply_adjoint` apply A for the loop and count those applications,
+    which :meth:`record` reports as ``n_ops``.  :meth:`push` appends an
+    iterate's bookkeeping to the one :class:`SolveRecord` ``rec``, including
+    the one discrepancy test: the first pushed iterate that meets it is kept.
+    RRE and PSNR come from one error vector, written into a buffer of its
+    own, and one dot product; ``||x_true||`` and the peak are taken once,
+    here.  The best iterate is copied into one buffer as it improves."""
 
-    def __init__(self, truth, rule, size):
-        self.truth = None if truth is None else _flat(truth, size, "x_true")
-        self.rule = rule
+    def __init__(self, A, b, rule, x_true, *precs):
+        self.rule = rule or StoppingRule()
+        self.b = _flat(b, A.size)
+        for prec in precs:
+            if prec is not None and prec.size != A.size:
+                raise ValueError(f"preconditioner size {prec.size} does not match operator {A.size}")
+        self.truth = None if x_true is None else _flat(x_true, A.size, "x_true")
+        self._op, self.count = A, 0
         self.rec = SolveRecord()
         if self.truth is not None:
+            self._truth_norm = float(np.linalg.norm(self.truth))
+            if self._truth_norm == 0.0:
+                raise ValueError("x_true is all zero, so its RRE is undefined")
             self.rec.rre, self.rec.psnr = [], []
             self._err = np.empty_like(self.truth)
-            self._truth_norm = float(np.linalg.norm(self.truth))
             self._peak = float(self.truth.max())
         self._best_key = math.inf
 
-    def push(self, x, res_true, res_proj):
+    def apply(self, x):
+        self.count += 1
+        return self._op.apply(x)
+
+    def apply_adjoint(self, y):
+        self.count += 1
+        return self._op.apply_adjoint(y)
+
+    def push(self, x, res) -> bool:
+        """Records iterate ``x`` with residual norm ``res``; True when the
+        rule stops here, at the discrepancy iterate."""
         rec = self.rec
-        rec.res_norm.append(float(res_true))
-        rec.res_norm_projected.append(float(res_proj))
+        rec.res_norm.append(float(res))
         if self.truth is not None:
             err = np.subtract(x, self.truth, out=self._err)
             err2 = float(np.dot(err, err))
@@ -250,9 +258,9 @@ class _History:
             rec.psnr.append(psnr_from_error(err2, self._peak, err.size))
             key = rec.rre[-1]
         else:
-            key = float(res_true)
+            key = float(res)
         if (rec.dp_index is None and self.rule.noise_norm is not None
-                and discrepancy_stop(res_true, self.rule)):
+                and discrepancy_stop(res, self.rule)):
             rec.dp_index = rec.iterations
             rec.x_dp = np.array(x, copy=True)
         if key < self._best_key:
@@ -261,10 +269,11 @@ class _History:
             if rec.x_best is None:
                 rec.x_best = np.empty_like(x)
             np.copyto(rec.x_best, x)
+        return self.rule.dp_enabled and rec.dp_index is not None
 
-    def record(self, reason, x_stop, n_ops) -> SolveRecord:
+    def record(self, reason, x_stop) -> SolveRecord:
         rec = self.rec
-        rec.stop_reason, rec.n_ops = reason, n_ops
+        rec.stop_reason, rec.n_ops = reason, self.count
         rec.x_stop = np.array(x_stop, copy=True)
         if rec.x_best is None:
             rec.x_best = rec.x_stop
@@ -279,11 +288,6 @@ def _flat(b, size, what="right-hand side"):
     if not np.all(np.isfinite(b)):
         raise ValueError(f"{what} must be finite")
     return b
-
-
-def _check_prec(prec, size):
-    if prec is not None and prec.size != size:
-        raise ValueError(f"preconditioner size {prec.size} does not match operator {size}")
 
 
 def _sym_ortho(a: float, b: float):
@@ -330,7 +334,7 @@ class _Stop(Exception):
 # MINRES / LSQR: the Givens short recurrence
 # ---------------------------------------------------------------------------
 
-def _givens_loop(column, beta1, b, rule, history, counted):
+def _givens_loop(column, beta1, history):
     """The one short-recurrence loop behind :func:`minres`,
     :func:`minres_sym_prec` and :func:`lsqr`: the Givens QR of a banded
     projected matrix, the Lanczos tridiagonal T_k or the Golub-Kahan
@@ -343,11 +347,12 @@ def _givens_loop(column, beta1, b, rule, history, counted):
     are updated in place, each scaled product going through one scratch pair
     of rows, and ``s`` and ``A s`` are only read, as they may be views of
     other vectors.  A singular R or a subdiagonal at rounding level against
-    ``||T_k||_F`` (``_SINGULAR_RTOL``), or a residual at rounding level
-    against ``beta1``, is a breakdown.  ``counted`` is the operator wrapped
-    in :class:`_Counted`."""
+    ``||T_k||_F`` (``_SINGULAR_RTOL``), or a projected residual ``|phibar|``
+    at rounding level against ``beta1``, is a breakdown.  ``history`` holds
+    ``b`` and the rule, and records the carried ``||b - A x||``."""
+    b = history.b
     if beta1 == 0.0:
-        return history.record("breakdown", np.zeros(b.size), counted.count)
+        return history.record("breakdown", np.zeros(b.size))
     # rows [d, A d] of the two previous directions, each times its gamma;
     # rows [x, b - A x]
     dirs_prev, dirs_prev2 = np.zeros((2, b.size)), np.zeros((2, b.size))
@@ -358,7 +363,7 @@ def _givens_loop(column, beta1, b, rule, history, counted):
     c_prev, s_prev, g_prev = 1.0, 0.0, 1.0
     t_norm2 = 0.0
     reason = "max_iter"
-    for k in range(1, rule.max_iter + 1):
+    for k in range(1, history.rule.max_iter + 1):
         try:
             (upper, diag, sub), s_dir, a_dir = column(k)
         except _Stop as stop:
@@ -388,15 +393,14 @@ def _givens_loop(column, beta1, b, rule, history, counted):
         c_prev, s_prev, g_prev = c, s, gamma
         step = tau / gamma
         xr += np.multiply(dirs_prev, [[step], [-step]], out=scratch)
-        history.push(xr[0], float(np.linalg.norm(xr[1])), abs(phibar))
-        if rule.dp_enabled and history.rec.dp_index is not None:
+        if history.push(xr[0], float(np.linalg.norm(xr[1]))):
             reason = "discrepancy"
             break
         if (sub <= _SINGULAR_RTOL * math.sqrt(t_norm2)
                 or abs(phibar) <= BREAKDOWN_RTOL * beta1):
             reason = "breakdown"
             break
-    return history.record(reason, xr[0], counted.count)
+    return history.record(reason, xr[0])
 
 
 def _lanczos(step, rhs):
@@ -433,18 +437,15 @@ def minres(A, b, rule: StoppingRule | None = None, x_true=None) -> SolveRecord:
     The map is probed for symmetry on three random vector pairs before any
     work is done; a non-symmetric map is rejected.
     """
-    rule = rule or StoppingRule()
-    b = _flat(b, A.size)
-    history = _History(x_true, rule, A.size)
+    history = _History(A, b, rule, x_true)
     _probe_symmetry(A)
-    counted = _Counted(A)
 
     def step(v):
-        av = counted.apply(v)
+        av = history.apply(v)
         return av, v, av
 
-    column, beta1 = _lanczos(step, b)
-    return _givens_loop(column, beta1, b, rule, history, counted)
+    column, beta1 = _lanczos(step, history.b)
+    return _givens_loop(column, beta1, history)
 
 
 def minres_sym_prec(A, b, p_half, rule: StoppingRule | None = None,
@@ -453,14 +454,12 @@ def minres_sym_prec(A, b, p_half, rule: StoppingRule | None = None,
 
     Iterates on ``p_half A p_half z = p_half b`` and returns solutions
     ``x = p_half z``.  The recorded true residuals (and the discrepancy test)
-    are those of the ORIGINAL system ``||b - A x||``; the projected residual
-    series belongs to the preconditioned system.  Each step applies ``p_half``
-    twice and A once; ``x`` and ``b - A x`` follow from those images.
+    are those of the ORIGINAL system ``||b - A x||``; only the breakdown test
+    reads the preconditioned system's projected residual.  Each step applies
+    ``p_half`` twice and A once; ``x`` and ``b - A x`` follow from those
+    images.
     """
-    rule = rule or StoppingRule()
-    b = _flat(b, A.size)
-    _check_prec(p_half, A.size)
-    history = _History(x_true, rule, A.size)
+    history = _History(A, b, rule, x_true, p_half)
 
     def step(z, op):
         pz = p_half.apply(z)
@@ -468,9 +467,8 @@ def minres_sym_prec(A, b, p_half, rule: StoppingRule | None = None,
         return p_half.apply(apz), pz, apz
 
     _probe_symmetry(LinearMap(A.size, lambda z: step(z, A)[0]))
-    counted = _Counted(A)
-    column, beta1 = _lanczos(lambda z: step(z, counted), p_half.apply(b))
-    return _givens_loop(column, beta1, b, rule, history, counted)
+    column, beta1 = _lanczos(lambda z: step(z, history), p_half.apply(history.b))
+    return _givens_loop(column, beta1, history)
 
 
 # ---------------------------------------------------------------------------
@@ -661,10 +659,10 @@ def _hessenberg(gs, sigma, flexible):
     h[:n, k:n - 1] = np.linalg.solve(t_x[k:n - 1].T, cols.T).T
 
 
-def _arnoldi(counted, b, rule, history, *, direction, solution=None, flexible=False):
+def _arnoldi(history, *, direction, solution=None, flexible=False):
     """The one Arnoldi loop behind :func:`gmres`, :func:`fgmres` and
     :func:`flsqr`, in blocks (s-step Arnoldi; Hoemmen, PhD thesis, Berkeley
-    2010); ``counted`` is the operator wrapped in :class:`_Counted`.
+    2010), on the ``b``, rule and operator of ``history``.
 
     ``direction(k, v, x_prev)`` returns the vector ``z`` the operator is
     applied to at 1-based step k (``v``, ``P v``, ``P_k v``, or ``P_k`` times
@@ -691,9 +689,10 @@ def _arnoldi(counted, b, rule, history, *, direction, solution=None, flexible=Fa
     one-row block, whose exact ``||w'||`` is rounding noise.  A stop inside a
     block leaves its later applications unused; ``n_ops`` counts them.
     """
+    b, rule = history.b, history.rule
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
-        return history.record("breakdown", np.zeros(b.size), 0)
+        return history.record("breakdown", np.zeros(b.size))
     basis = _mapped(rule.max_iter + 1, b.size)
     basis[0] = b / beta
     gs = _Dcgs2(basis, 0 if flexible else _S_STEP)
@@ -707,13 +706,13 @@ def _arnoldi(counted, b, rule, history, *, direction, solution=None, flexible=Fa
             try:
                 z = direction(k + j + 1, basis[k + j], x)
             except _Stop as stop:
-                return history.record(str(stop), x, counted.count)
+                return history.record(str(stop), x)
             if flexible:
                 dirs[k + j] = z
             # the image goes into its basis row first, so its norm reads a
             # contiguous row (a flipped image is a reversed view)
             row = basis[k + j + 1]
-            row[:] = counted.apply(z)
+            row[:] = history.apply(z)
             sigma[j] = np.linalg.norm(row) or 1.0
             row *= 1.0 / sigma[j]
         del z  # not kept alive through the passes
@@ -740,13 +739,12 @@ def _arnoldi(counted, b, rule, history, *, direction, solution=None, flexible=Fa
                 x = ys[j, :k + j + 1] @ dirs[:k + j + 1]
             else:
                 x = rows[j] if solution is None else solution(rows[j])
-            history.push(x, proj, proj)
-            if rule.dp_enabled and history.rec.dp_index is not None:
-                return history.record("discrepancy", x, counted.count)
+            if history.push(x, proj):
+                return history.record("discrepancy", x)
         if gs.exhausted(gram):
-            return history.record("breakdown", x, counted.count)
+            return history.record("breakdown", x)
         k, lagged = n - 1, t
-    return history.record("max_iter", x, counted.count)
+    return history.record("max_iter", x)
 
 
 def gmres(A, b, rule: StoppingRule | None = None, right_prec=None,
@@ -757,14 +755,10 @@ def gmres(A, b, rule: StoppingRule | None = None, right_prec=None,
     returned iterates are ``x = P u``; the recorded residual is that of
     the given system, which right preconditioning leaves invariant.
     """
-    rule = rule or StoppingRule()
-    b = _flat(b, A.size)
-    _check_prec(right_prec, A.size)
-    history = _History(x_true, rule, A.size)
+    history = _History(A, b, rule, x_true, right_prec)
     if right_prec is None:
-        return _arnoldi(_Counted(A), b, rule, history, direction=lambda k, v, x: v)
-    return _arnoldi(_Counted(A), b, rule, history,
-                    direction=lambda k, v, x: right_prec.apply(v),
+        return _arnoldi(history, direction=lambda k, v, x: v)
+    return _arnoldi(history, direction=lambda k, v, x: right_prec.apply(v),
                     solution=right_prec.apply)
 
 
@@ -779,11 +773,8 @@ def fgmres(A, b, prec_at=None, rule: StoppingRule | None = None,
     with a constant identity callback they span the basis of :func:`gmres`,
     so the two agree to rounding.
     """
-    rule = rule or StoppingRule()
-    b = _flat(b, A.size)
-    history = _History(x_true, rule, A.size)
-    return _arnoldi(_Counted(A), b, rule, history,
-                    direction=_flexible(prec_at, history), flexible=True)
+    history = _History(A, b, rule, x_true)
+    return _arnoldi(history, direction=_flexible(prec_at, history), flexible=True)
 
 
 # ---------------------------------------------------------------------------
@@ -806,13 +797,9 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
     ``||B_k||_F``, the test the singular R gets), and two more when the next
     column makes R singular.
     """
-    rule = rule or StoppingRule()
-    b = _flat(b, A.size)
-    _check_prec(right_prec, A.size)
-    counted = _Counted(A)
-    history = _History(x_true, rule, A.size)
-    beta1 = float(np.linalg.norm(b))
-    u = b / beta1 if beta1 else b
+    history = _History(A, b, rule, x_true, right_prec)
+    beta1 = float(np.linalg.norm(history.b))
+    u = history.b / beta1 if beta1 else history.b
     v = np.zeros(A.size)
     beta = b_norm2 = 0.0
 
@@ -821,7 +808,7 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
         # alpha_k v_k = P^T A^T u_k - beta_k v_{k-1} and beta_{k+1} u_{k+1} =
         # A P v_k - alpha_k u_k, each in its own buffer; operator outputs may
         # be their own input (identity), so they are only read
-        w = counted.apply_adjoint(u)
+        w = history.apply_adjoint(u)
         if right_prec is not None:
             w = right_prec.apply_adjoint(w)
         v *= -beta
@@ -833,7 +820,7 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
             raise _Stop("breakdown")
         v *= 1.0 / alfa
         s_dir = v if right_prec is None else right_prec.apply(v)
-        a_dir = counted.apply(s_dir)
+        a_dir = history.apply(s_dir)
         u *= -alfa
         u += a_dir
         beta = float(np.linalg.norm(u))
@@ -842,7 +829,7 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
             u *= 1.0 / beta
         return (0.0, alfa, beta), s_dir, a_dir
 
-    return _givens_loop(column, beta1, b, rule, history, counted)
+    return _givens_loop(column, beta1, history)
 
 
 def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None,
@@ -860,22 +847,19 @@ def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None,
     direction stops the run.  With a constant identity callback the projected
     problem is bidiagonal again and the method reduces to :func:`lsqr`.
     """
-    rule = rule or StoppingRule()
-    b = _flat(b, A.size)
-    counted = _Counted(A)
-    history = _History(x_true, rule, A.size)
-    v_basis = _mapped(rule.max_iter, A.size)
+    history = _History(A, b, rule, x_true)
+    v_basis = _mapped(history.rule.max_iter, A.size)
     v_gs = _Dcgs2(v_basis, 0)
     preconditioned = _flexible(prec_at, history)
 
     def direction(k, u, x):
         # row k - 1 is a block of one row after k - 2 steps, with one lagged
         # row (none at step 1), and no combinations
-        v_basis[k - 1] = counted.apply_adjoint(u)
+        v_basis[k - 1] = history.apply_adjoint(u)
         v_gs.reduce(k - 2, min(k - 1, 1), 1)
         _, gram = v_gs.update(np.empty((0, k)))
         if v_gs.exhausted(gram):
             raise _Stop("breakdown")
         return preconditioned(k, v_basis[k - 1], x)
 
-    return _arnoldi(counted, b, rule, history, direction=direction, flexible=True)
+    return _arnoldi(history, direction=direction, flexible=True)

@@ -82,6 +82,14 @@ def test_two_motion_psf_combines_directions():
     assert np.count_nonzero(psf.kernel) > np.count_nonzero(single.kernel)
 
 
+@pytest.mark.parametrize("length", [1, 2, 5, 9, 16])
+def test_two_motion_psf_with_one_angle_twice_is_the_motion_psf(length):
+    for angle in (0.0, 30.0, 45.0, 77.0, 90.0, 135.0, 200.0, -60.0):
+        twice, once = make_two_motion_psf(length, angle, angle), make_motion_psf(length, angle)
+        np.testing.assert_array_equal(twice.kernel, once.kernel)
+        assert twice.center == once.center
+
+
 # ---------------------------------------------------------------------------
 # images
 

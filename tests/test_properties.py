@@ -235,5 +235,5 @@ def test_projected_residuals_do_not_increase(case):
     if bc is not BoundaryCondition.REFLECTIVE:
         records.append(minres(FlipComposedOperator(op), apply_flip(b), rule))
     for record in records:
-        res = np.array([np.linalg.norm(b)] + record.res_norm_projected)
+        res = np.array([np.linalg.norm(b)] + record.res_norm)
         assert np.all(np.diff(res) <= 1e-12 * res[0])

@@ -5,6 +5,10 @@ constructor and a few steps of each solver family run with the full complex
 2-D and n-D transforms of numpy.fft and scipy.fft patched to raise.  The
 filter's per-axis ``numpy.fft.ifft`` over the half spectrum stays allowed,
 and ``rfft2``/``rfftn`` do not go through ``fftn``, so they are not caught.
+
+Every transform is numpy.fft's: blurs are built and applied with each
+scipy.fft transform patched to raise, and scipy supplies only
+``next_fast_len``.
 """
 
 import numpy as np
@@ -15,20 +19,37 @@ from kryblur import operators, preconditioners, problems, solvers
 
 _FULL_COMPLEX = ("fft2", "ifft2", "fftn", "ifftn")
 
+_SCIPY_TRANSFORMS = ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft", "fft2", "ifft2",
+                     "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn", "dct", "idct",
+                     "dst", "idst", "dctn", "idctn", "dstn", "idstn")
+
+
+def _refuse(monkeypatch, calls, module, prefix, names, why):
+    def refuse(name):
+        def transform(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called: {why}")
+        return transform
+
+    for name in names:
+        monkeypatch.setattr(module, name, refuse(f"{prefix}.{name}"))
+
 
 @pytest.fixture
 def no_full_complex_fft(monkeypatch):
     calls = []
-
-    def refuse(name):
-        def transform(*args, **kwargs):
-            calls.append(name)
-            raise AssertionError(f"{name} called: a full complex grid was transformed")
-        return transform
-
     for module, prefix in ((np.fft, "numpy.fft"), (scipy.fft, "scipy.fft")):
-        for name in _FULL_COMPLEX:
-            monkeypatch.setattr(module, name, refuse(f"{prefix}.{name}"))
+        _refuse(monkeypatch, calls, module, prefix, _FULL_COMPLEX,
+                "a full complex grid was transformed")
+    yield calls
+    assert calls == []
+
+
+@pytest.fixture
+def no_scipy_transform(monkeypatch):
+    calls = []
+    _refuse(monkeypatch, calls, scipy.fft, "scipy.fft", _SCIPY_TRANSFORMS,
+            "transforms are numpy.fft's")
     yield calls
     assert calls == []
 
@@ -81,3 +102,20 @@ def test_scenes_set_up_and_solvers_use_half_spectra_only(no_full_complex_fft, tm
         f"outdir = {tmp_path / 'out'}\n", encoding="ascii")
     runs = problems.run_experiment(problems.parse_config(config))
     assert [run.record.iterations for run in runs] == [steps] * 5
+
+
+@pytest.mark.parametrize("bc", ["zero", "periodic", "reflective"])
+def test_blur_and_solvers_use_no_scipy_transform(no_scipy_transform, bc):
+    n, steps = 16, 3
+    psf = problems.make_two_motion_psf(5, 30.0, 120.0)
+    op = operators.BlurOperator(psf, bc, n)
+    x = np.random.default_rng(2).standard_normal(n * n)
+    y = np.random.default_rng(3).standard_normal(n * n)
+    assert abs(np.dot(op.apply(x), y) - np.dot(x, op.apply_adjoint(y))) <= 1e-12 * n * n
+    rule = solvers.StoppingRule(max_iter=steps)
+    records = [solvers.gmres(op, y, rule), solvers.lsqr(op, y, rule)]
+    if bc != "reflective":
+        flipped = operators.FlipComposedOperator(op)
+        records.append(solvers.minres(flipped, operators.apply_flip(y), rule))
+    for record in records:
+        assert record.iterations == steps
