@@ -282,20 +282,17 @@ def _rfft_filter(grid: np.ndarray, half: np.ndarray, adjoint: bool):
     np.fft.irfft(spec, n=grid.shape[-1], axis=-1, out=grid)
 
 
+#: The np.pad mode of each boundary rule.
+_PAD_MODES = {BoundaryCondition.ZERO: "constant", BoundaryCondition.PERIODIC: "wrap",
+              BoundaryCondition.REFLECTIVE: "symmetric"}
+
+
 def _pad_sources(n: int, before: int, after: int, bc: BoundaryCondition):
     # The pad positions of one axis with the field-of-view index each copies
-    # (None for a zero), as np.pad's constant, wrap and symmetric modes do.
-    sources = []
-    for t in [*range(before), *range(before + n, before + n + after)]:
-        k = t - before
-        if bc is BoundaryCondition.ZERO:
-            sources.append((t, None))
-        elif bc is BoundaryCondition.PERIODIC:
-            sources.append((t, k % n))
-        else:
-            k %= 2 * n
-            sources.append((t, min(k, 2 * n - 1 - k)))
-    return sources
+    # (None for a zero), read off np.pad of the 1-based indices.
+    padded = (np.pad(np.arange(1, n + 1), (before, after), _PAD_MODES[bc]) - 1).tolist()
+    return [(t, None if padded[t] < 0 else padded[t])
+            for t in [*range(before), *range(before + n, before + n + after)]]
 
 
 def apply_flip(x: np.ndarray) -> np.ndarray:
@@ -396,7 +393,6 @@ class FlipComposedOperator:
     def __init__(self, base):
         self.base = base
         self.size = base.size
-        self.n = getattr(base, "n", None)
 
     def _flip(self, arr):
         # reverses the pixel axes only, so stacked inputs keep their order
@@ -411,29 +407,25 @@ class FlipComposedOperator:
 
 
 def materialize_dense(op, cap: int = DENSE_CAP) -> np.ndarray:
-    """Assemble the dense matrix of an operator column by column.
+    """Assemble the dense matrix of any map with ``size`` and ``apply``.
 
-    Column j is the operator applied to the j-th unit vector, so this is an
-    oracle for structural checks (persymmetry, transpose identities, dense
-    eigensolves) rather than a fast path.  Refuses to run above ``cap``
-    (default 64) to keep memory at desk scale.
+    Column j is the map applied to the j-th unit vector, applied in flat
+    batches, so this is an oracle for structural checks (persymmetry,
+    transpose identities, dense eigensolves) rather than a fast path.
+    Refuses maps on more than ``cap**2`` entries (images larger than
+    ``cap``-by-``cap``, default 64) to keep memory at desk scale.
     """
-    n = op.n
-    if n > cap:
-        raise ValueError(
-            f"dense materialization refused for n={n} > cap={cap}; "
-            "raise cap explicitly if you really want an n^2 x n^2 matrix"
-        )
     size = op.size
+    if size > cap * cap:
+        raise ValueError(
+            f"dense materialization refused for size={size} > cap**2={cap * cap}; "
+            "raise cap explicitly if you really want a size x size matrix"
+        )
     out = np.empty((size, size))
     chunk = 128
     for start in range(0, size, chunk):
-        cols = range(start, min(start + chunk, size))
-        batch = np.zeros((len(cols), size))
-        for row, j in enumerate(cols):
-            batch[row, j] = 1.0
-        image = op.apply(batch.reshape(len(cols), n, n))
-        out[:, start:start + len(cols)] = image.reshape(len(cols), size).T
+        stop = min(start + chunk, size)
+        out[:, start:stop] = op.apply(np.eye(stop - start, size, start)).T
     return out
 
 

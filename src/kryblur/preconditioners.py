@@ -28,6 +28,7 @@ for sparsity, diagonal reweighting from the previous iterate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,8 +176,8 @@ def circulant_tikhonov(symbol, alpha: float) -> CirculantOperator:
     when no symbol sample vanishes (the half holds every magnitude).
     """
     grid = np.asarray(symbol)
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
     power = np.abs(grid) ** 2
     if alpha == 0.0 and power.min() == 0.0:
         raise ValueError(
@@ -201,8 +202,8 @@ def circulant_abs_tikhonov(symbol, alpha: float) -> CirculantOperator:
     preconditioned flipped matrix exceed it.
     """
     grid = np.asarray(symbol)
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     mag = np.abs(grid)
     return CirculantOperator(mag / (mag ** 2 + alpha))
 
@@ -272,8 +273,8 @@ class PreconditionerSchedule:
                 f"unknown preconditioner variant {self.variant!r}; "
                 f"expected one of {tuple(_FILTERS)}"
             )
-        if self.alpha0 <= 0:
-            raise ValueError(f"alpha0 must be positive, got {self.alpha0}")
+        if not 0.0 < self.alpha0 < math.inf:
+            raise ValueError(f"alpha0 must be positive and finite, got {self.alpha0}")
         if not (0.0 < self.q <= 1.0):
             raise ValueError(f"q must lie in (0, 1], got {self.q}")
 

@@ -297,8 +297,8 @@ def make_problem(x_true: np.ndarray, psf: Psf, bc, sigma: float, seed: int) -> N
     if not np.all(np.isfinite(x_true)):
         raise ValueError("x_true must have finite entries")
     sigma = float(sigma)
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
     operator = BlurOperator(psf, bc, x_true.shape[0])
     blurred = operator.apply(x_true)
     if sigma == 0.0:
@@ -458,13 +458,17 @@ def _method_labels(text: str) -> tuple[str, ...]:
 
 
 def _config_value(key: str, kind, text: str):
-    """The value of config key ``key`` cast to its field type ``kind``."""
+    """The value of config key ``key`` cast to its field type ``kind``; a
+    float must be finite."""
     cast = {BoundaryCondition: BoundaryCondition.coerce,
             tuple[str, ...]: _method_labels, int | None: int}.get(kind, kind)
     try:
-        return cast(text)
+        value = cast(text)
     except ValueError as exc:
         raise ValueError(f"config key {key}: {exc}") from None
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"config key {key} must be finite, got {text}")
+    return value
 
 
 def parse_config(path) -> ExperimentConfig:

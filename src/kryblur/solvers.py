@@ -154,12 +154,13 @@ class StoppingRule:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.eta < 1.0:
-            raise ValueError(f"eta must be at least 1, got {self.eta}")
+        if not 1.0 <= self.eta < math.inf:
+            raise ValueError(f"eta must be at least 1 and finite, got {self.eta}")
         if self.dp_enabled and self.noise_norm is None:
             raise ValueError("dp_enabled requires a noise_norm")
-        if self.noise_norm is not None and self.noise_norm < 0:
-            raise ValueError(f"noise_norm must be nonnegative, got {self.noise_norm}")
+        if self.noise_norm is not None and not 0.0 <= self.noise_norm < math.inf:
+            raise ValueError(
+                f"noise_norm must be nonnegative and finite, got {self.noise_norm}")
 
 
 def discrepancy_stop(residual_norm: float, rule: StoppingRule) -> bool:
@@ -290,24 +291,6 @@ def _flat(b, size, what="right-hand side"):
     return b
 
 
-def _sym_ortho(a: float, b: float):
-    """Stable Givens rotation: returns (r, c, s) with c*a + s*b = r and
-    -s*a + c*b = 0."""
-    if b == 0.0:
-        return abs(a), (1.0 if a >= 0 else -1.0), 0.0
-    if a == 0.0:
-        return abs(b), 0.0, (1.0 if b >= 0 else -1.0)
-    if abs(b) > abs(a):
-        tau = a / b
-        s = math.copysign(1.0, b) / math.sqrt(1.0 + tau * tau)
-        c = s * tau
-        return b / s, c, s
-    tau = b / a
-    c = math.copysign(1.0, a) / math.sqrt(1.0 + tau * tau)
-    s = c * tau
-    return a / c, c, s
-
-
 def _probe_symmetry(op):
     """Check <Ax, y> == <x, Ay> on three seeded random pairs."""
     rng = np.random.default_rng(0x5EED)
@@ -346,10 +329,13 @@ def _givens_loop(column, beta1, history):
     recurrence, so ``x`` and ``b - A x`` take the same scalars; all four rows
     are updated in place, each scaled product going through one scratch pair
     of rows, and ``s`` and ``A s`` are only read, as they may be views of
-    other vectors.  A singular R or a subdiagonal at rounding level against
-    ``||T_k||_F`` (``_SINGULAR_RTOL``), or a projected residual ``|phibar|``
-    at rounding level against ``beta1``, is a breakdown.  ``history`` holds
-    ``b`` and the rule, and records the carried ``||b - A x||``."""
+    other vectors.  After the two previous rotations, a column's own rotation
+    takes ``(gbar, sub)`` to ``(gamma, 0)``: ``gamma = hypot(gbar, sub)``,
+    ``c = gbar / gamma``, ``s = sub / gamma``, the identity at ``gamma == 0``.
+    A singular R or a subdiagonal at rounding level against ``||T_k||_F``
+    (``_SINGULAR_RTOL``), or a projected residual ``|phibar|`` at rounding
+    level against ``beta1``, is a breakdown.  ``history`` holds ``b`` and the
+    rule, and records the carried ``||b - A x||``."""
     b = history.b
     if beta1 == 0.0:
         return history.record("breakdown", np.zeros(b.size))
@@ -375,7 +361,8 @@ def _givens_loop(column, beta1, history):
         delta_tmp = c_prev2 * upper
         delta = c_prev * delta_tmp + s_prev * diag
         gbar = -s_prev * delta_tmp + c_prev * diag
-        gamma, c, s = _sym_ortho(gbar, sub)
+        gamma = math.hypot(gbar, sub)
+        c, s = (gbar / gamma, sub / gamma) if gamma else (1.0, 0.0)
         if gamma <= _SINGULAR_RTOL * math.sqrt(t_norm2):
             reason = "breakdown"
             break

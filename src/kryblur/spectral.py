@@ -2,13 +2,13 @@
 
 At desk scale the operators fit in memory, so the clustering that the
 circulant threshold preconditioner is supposed to produce can simply be
-measured: assemble the zero-boundary blur matrix, flip-symmetrize it,
-conjugate by the inverse square root of the preconditioner, and hand the
-resulting symmetric matrix to LAPACK.  The eigenvalues should pile up near
-+1 and -1 (the signal frequencies, where the preconditioner cancels the
-symbol magnitude) with the rest confined to the noise band [-eps, eps],
-and the count outside those three sets should shrink relative to n^2 as n
-grows.
+measured: compose the zero-boundary blur, the flip and the inverse square
+root of the preconditioner on both sides as maps, assemble the product once,
+and hand the resulting symmetric matrix to LAPACK.  The eigenvalues should
+pile up near +1 and -1 (the signal frequencies, where the preconditioner
+cancels the symbol magnitude) with the rest confined to the noise band
+[-eps, eps], and the count outside those three sets should shrink relative
+to n^2 as n grows.
 
 ``szego_distribution_check`` measures the other classical limit: averages
 of eigenvalue powers of the symmetric Toeplitz-block operator against the
@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import BlurOperator, Psf, _self_mirrored, bccb_eigenvalues, materialize_dense
-from .preconditioners import CirculantOperator, circulant_threshold
+from .operators import (BlurOperator, FlipComposedOperator, Psf, _self_mirrored,
+                        bccb_eigenvalues, materialize_dense)
+from .preconditioners import CirculantOperator, ComposedOperator, circulant_threshold
 
 __all__ = [
     "ClusterReport",
@@ -72,50 +73,50 @@ class ClusterReport:
         return "\n".join(lines)
 
 
+def _symmetric_eigenvalues(dense: np.ndarray, what: str) -> np.ndarray:
+    """The sorted eigenvalues of ``dense``, a matrix symmetric by
+    construction; raises ``ValueError`` naming ``what`` when its symmetry
+    defect exceeds ``_SYM_RTOL`` times its largest entry."""
+    defect = np.abs(dense - dense.T).max()
+    if defect > _SYM_RTOL * max(np.abs(dense).max(), np.finfo(float).tiny):
+        raise ValueError(f"{what} is not symmetric (defect {defect:.3e}): a broken operator")
+    return np.linalg.eigvalsh(0.5 * (dense + dense.T))
+
+
 def preconditioned_spectrum(psf: Psf, n: int, eps: float | None) -> np.ndarray:
     """Eigenvalues of the threshold-preconditioned flip-symmetrized blur.
 
-    Builds the zero-boundary blur matrix T, the flip F, and the circulant
-    threshold preconditioner C from the sampled symbol, then returns the
-    spectrum of C^{-1} F T, computed from the congruent symmetric form
-    C^{-1/2} (F T) C^{-1/2} so the eigenvalues come out real and sorted.
-    ``eps=None`` skips the preconditioner (spectrum of F T itself).
+    Composes the zero-boundary blur T, the flip Y, and the inverse square
+    root of the circulant threshold preconditioner C built from the sampled
+    symbol into the map C^{-1/2} Y T C^{-1/2}, similar to C^{-1} Y T, and
+    materializes it once, so the eigenvalues come out real and sorted.
+    ``eps=None`` skips the preconditioner (spectrum of Y T itself).
     """
-    op = BlurOperator(psf, "zero", n)
-    dense = materialize_dense(op)
-    flipped = dense[::-1, :]
-    sym_defect = np.abs(flipped - flipped.T).max()
-    scale = max(np.abs(flipped).max(), np.finfo(float).tiny)
-    if sym_defect > _SYM_RTOL * scale:
-        raise ValueError(
-            "flip-symmetrized blur is not symmetric "
-            f"(defect {sym_defect:.3e}); zero-boundary operators should be "
-            "persymmetric, so this indicates a broken operator"
-        )
-    if eps is None:
-        target = flipped
-    else:
+    system = FlipComposedOperator(BlurOperator(psf, "zero", n))
+    if eps is not None:
         grid = circulant_threshold(bccb_eigenvalues(psf, n), eps).eigs
-        inv_half = materialize_dense(CirculantOperator(grid ** -0.5), cap=n)
-        target = inv_half @ flipped @ inv_half
-    target = 0.5 * (target + target.T)
-    return np.linalg.eigvalsh(target)
+        inv_half = CirculantOperator(grid ** -0.5)
+        system = ComposedOperator(ComposedOperator(inv_half, system), inv_half)
+    return _symmetric_eigenvalues(materialize_dense(system),
+                                  "the (preconditioned) flip-symmetrized blur")
 
 
 def cluster_report(eigenvalues, eps: float, delta: float) -> ClusterReport:
     """Classify eigenvalues into the three predicted clusters plus outliers.
 
     Priority order: within ``delta`` of +1, within ``delta`` of -1, within
-    ``eps`` of 0, otherwise outlier.  The bands must not touch:
-    ``delta + eps < 1``.
+    ``eps`` of 0, otherwise outlier.  The eigenvalues must be finite and at
+    least one; the bands must not touch: ``delta + eps < 1``.
     """
-    if eps <= 0 or delta <= 0:
+    if not (eps > 0 and delta > 0):
         raise ValueError("eps and delta must be positive")
-    if delta + eps >= 1.0:
+    if not delta + eps < 1.0:
         raise ValueError(
             f"cluster bands overlap: delta + eps = {delta + eps} >= 1"
         )
     vals = np.asarray(eigenvalues, dtype=float).ravel()
+    if vals.size == 0 or not np.all(np.isfinite(vals)):
+        raise ValueError("eigenvalues must be a non-empty set of finite numbers")
     near_plus = np.abs(vals - 1.0) <= delta
     near_minus = (~near_plus) & (np.abs(vals + 1.0) <= delta)
     noise = (~near_plus) & (~near_minus) & (np.abs(vals) <= eps)
@@ -152,12 +153,8 @@ def szego_distribution_check(psf: Psf, n: int, moments: int = 2,
             "distribution check requires a PSF equal to its 180-degree "
             "rotation (symmetric operator, real symbol)"
         )
-    op = BlurOperator(psf, "zero", n)
-    dense = materialize_dense(op)
-    defect = np.abs(dense - dense.T).max()
-    if defect > _SYM_RTOL * max(np.abs(dense).max(), np.finfo(float).tiny):
-        raise ValueError(f"operator unexpectedly nonsymmetric (defect {defect:.3e})")
-    eigs = np.linalg.eigvalsh(0.5 * (dense + dense.T))
+    eigs = _symmetric_eigenvalues(materialize_dense(BlurOperator(psf, "zero", n)),
+                                  "the zero-boundary blur")
     # the symbol is a trigonometric polynomial of degree far below
     # grid_size, so averaging its low powers over any equispaced grid
     # integrates them exactly up to roundoff.  A half-grid column other than

@@ -212,7 +212,9 @@ def test_bad_psf_spec_exits_one(capsys):
     ({"methods": "YA GMRES, YAP GMRES", "alpha0": 0},
      "'YAP GMRES': alpha must be positive"),
     ({"methods": "A GMRES, A GMRES"}, "config key methods: lists method label 'A GMRES' twice"),
-], ids=["minres-on-reflective-motion2", "yap-gmres-with-alpha0-zero", "repeated-label"])
+    ({"methods": "A GMRES, YAP FGMRES", "alpha0": "nan"}, "config key alpha0 must be finite, got nan"),
+], ids=["minres-on-reflective-motion2", "yap-gmres-with-alpha0-zero", "repeated-label",
+        "yap-fgmres-with-alpha0-nan"])
 def test_run_refuses_a_bad_label_before_any_solve(capsys, tmp_path, overrides, error):
     # the first label could run; the whole config is checked before it does
     cfg = _write_run_config(tmp_path, **overrides)

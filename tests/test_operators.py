@@ -19,8 +19,14 @@ from kryblur.operators import (
     materialize_dense,
     save_psf,
 )
-from kryblur.preconditioners import CirculantOperator, circulant_tikhonov
+from kryblur.preconditioners import (
+    CirculantOperator,
+    ComposedOperator,
+    DiagonalOperator,
+    circulant_tikhonov,
+)
 from kryblur.problems import make_gaussian_psf, make_motion_psf, make_two_motion_psf
+from kryblur.solvers import LinearMap
 
 from oracles import blur_matrix_direct, flip_matrix, symbol_direct
 
@@ -450,6 +456,29 @@ def test_dense_periodic_eigenvalues_match_bccb_multiset():
     got = np.sort_complex(np.linalg.eigvals(dense))
     want = np.sort_complex(full_grid(bccb_eigenvalues(psf, 8)).ravel())
     assert np.abs(got - want).max() <= 1e-8
+
+
+def test_materialize_dense_of_any_map():
+    # maps with no image side: only size and apply are read
+    n = 8
+    psf = make_motion_psf(4, 30.0)
+    circ = circulant_tikhonov(bccb_eigenvalues(psf, n), 0.05)
+    units = np.eye(n * n).reshape(n * n, n, n)
+    # the definition of a circulant map, fft2(ifft2(x) * g), on every unit image
+    dense_circ = np.fft.fft2(np.fft.ifft2(units) * full_grid(circ.eigs)).real
+    dense_circ = dense_circ.reshape(n * n, n * n).T
+    rng = np.random.default_rng(43)
+    mat = rng.standard_normal((n * n, n * n))
+    weights = rng.random(n * n)
+    cases = [
+        (ComposedOperator(BlurOperator(psf, "reflective", n), circ),
+         dense_circ @ blur_matrix_direct(psf, "reflective", n)),
+        (LinearMap.from_matrix(mat), mat),
+        (FlipComposedOperator(LinearMap.from_matrix(mat)), mat[::-1, :]),
+        (DiagonalOperator(weights), np.diag(weights)),
+    ]
+    for op, want in cases:
+        assert np.abs(materialize_dense(op) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_dense_cap_refusal():

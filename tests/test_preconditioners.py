@@ -293,6 +293,16 @@ def test_alpha_monotone_decreasing_when_q_below_one():
     assert all(a > b > 0.0 for a, b in zip(alphas, alphas[1:]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_filters_and_schedule_refuse_non_finite_alpha(value):
+    with pytest.raises(ValueError, match="alpha must be nonnegative and finite"):
+        circulant_tikhonov(_delta_symbol(4), value)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        circulant_abs_tikhonov(_delta_symbol(4), value)
+    with pytest.raises(ValueError, match="alpha0 must be positive and finite"):
+        PreconditionerSchedule("abs_tikhonov", value, 0.8)
+
+
 def test_schedule_validation():
     for variant in ("ridge", "threshold", "identity"):
         with pytest.raises(ValueError, match="variant"):

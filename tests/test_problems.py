@@ -158,6 +158,12 @@ def test_make_problem_seed_determinism():
     assert a.b.tobytes() != c.b.tobytes()
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf], ids=["nan", "inf"])
+def test_make_problem_refuses_non_finite_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
+        make_problem(np.ones((4, 4)), make_gaussian_psf(3, 1.0), "zero", sigma, 1)
+
+
 def test_make_problem_validation():
     psf = make_gaussian_psf(3, 1.0)
     with pytest.raises(ValueError, match="square"):
@@ -405,6 +411,13 @@ def test_parse_config_errors(tmp_path):
     # a repeated label would solve twice into one directory
     with pytest.raises(ValueError, match="config key methods: lists method label 'A GMRES' twice"):
         parse_config(_write_config(tmp_path / "s.cfg", methods="A GMRES, YA MINRES, A GMRES"))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", sorted(k for k, t in problems._CONFIG_TYPES.items() if t is float))
+def test_parse_config_refuses_non_finite_floats(tmp_path, key, value):
+    with pytest.raises(ValueError, match=f"config key {key} must be finite, got {value}"):
+        parse_config(_write_config(tmp_path / "exp.cfg", **{key: value}))
 
 
 def test_parse_config_psf_file(tmp_path):

@@ -127,6 +127,13 @@ def test_stopping_rule_validation():
         StoppingRule(noise_norm=-1.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["eta", "noise_norm"])
+def test_stopping_rule_refuses_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be .* and finite"):
+        StoppingRule(**{field: value})
+
+
 def test_discrepancy_stop_examples():
     rule = StoppingRule(dp_enabled=True, eta=1.01, noise_norm=1.0)
     assert discrepancy_stop(1.0, rule)

@@ -53,6 +53,25 @@ def test_spectrum_matches_nonsymmetric_dense_oracle():
     assert grid.min() > 0.0
 
 
+def _dense_spectrum(psf, n, eps):
+    # the reference: C^{-1/2} (Y T) C^{-1/2} from three dense matrices
+    target = materialize_dense(BlurOperator(psf, "zero", n))[::-1, :]
+    if eps is not None:
+        grid = circulant_threshold(bccb_eigenvalues(psf, n), eps).eigs
+        inv_half = materialize_dense(CirculantOperator(grid ** -0.5))
+        target = inv_half @ target @ inv_half
+    return np.linalg.eigvalsh(0.5 * (target + target.T))
+
+
+@pytest.mark.parametrize("eps", [0.1, None], ids=["eps0.1", "unpreconditioned"])
+@pytest.mark.parametrize("psf, n", [(make_gaussian_psf(5, 2.0), 8), (make_gaussian_psf(5, 2.0), 16),
+                                    (DELTA, 8)], ids=["gauss5-n8", "gauss5-n16", "delta-n8"])
+def test_spectrum_matches_dense_products(psf, n, eps):
+    want = _dense_spectrum(psf, n, eps)
+    got = preconditioned_spectrum(psf, n, eps)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_spectrum_output_sorted_and_real():
     vals = preconditioned_spectrum(make_gaussian_psf(5, 2.0), 8, 0.1)
     assert vals.dtype.kind == "f"
@@ -121,6 +140,18 @@ def test_cluster_report_validation():
         cluster_report([0.0], eps=0.1, delta=-0.1)
     with pytest.raises(ValueError, match="overlap"):
         cluster_report([0.0], eps=0.5, delta=0.5)
+
+
+@pytest.mark.parametrize("eigenvalues, eps, delta", [
+    ([1.0, np.nan], 0.1, 0.2),
+    ([1.0, np.inf], 0.1, 0.2),
+    ([], 0.1, 0.2),
+    ([1.0], np.nan, 0.2),
+    ([1.0], 0.1, np.nan),
+], ids=["nan-eigenvalue", "inf-eigenvalue", "empty", "nan-eps", "nan-delta"])
+def test_cluster_report_refuses_non_finite_or_empty(eigenvalues, eps, delta):
+    with pytest.raises(ValueError, match="finite|positive|overlap"):
+        cluster_report(eigenvalues, eps=eps, delta=delta)
 
 
 def test_cluster_counts_sum_to_n_squared():
