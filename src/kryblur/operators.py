@@ -145,8 +145,6 @@ def _check_support(psf: Psf, n: int):
         raise ValueError(
             f"PSF support {kr}x{kc} does not fit inside a {n}x{n} field of view"
         )
-    if n < 1:
-        raise ValueError("image side must be positive")
 
 
 class _Workspace(threading.local):

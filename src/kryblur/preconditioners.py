@@ -77,9 +77,11 @@ class CirculantOperator:
         self.n = _half_side(grid)
         # the filter's half grid; a real grid is its own conjugate
         self._half = np.conj(grid) if np.iscomplexobj(grid) else np.array(grid, float)
+        top = np.abs(grid, out=_WORKSPACE.grid(grid.shape)).max()
+        if not math.isfinite(top):
+            raise ValueError("circulant eigenvalue grid must be finite")
         defect = _half_defect(grid)
-        magnitude = np.abs(grid, out=_WORKSPACE.grid(grid.shape))
-        if not defect <= _IMAG_RTOL * magnitude.max():
+        if not defect <= _IMAG_RTOL * top:
             raise ValueError(
                 "circulant eigenvalue grid is not conjugate-symmetric (defect "
                 f"{defect:.3e}); only grids of real operators are supported"

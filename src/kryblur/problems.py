@@ -209,48 +209,24 @@ def make_gaussian_psf(support: int, std: float) -> Psf:
     return Psf(kernel / kernel.sum(), (half, half))
 
 
-def _motion_offsets(length: int, angle: float) -> list[tuple[int, int]]:
-    # Pixel-center rasterization stepping along the major axis, starting at
-    # the PSF center and extending one-sidedly: this keeps generic-angle
-    # kernels asymmetric under 180-degree rotation.
-    theta = math.radians(float(angle))
-    col_dir = math.cos(theta)
-    row_dir = -math.sin(theta)
-    offsets = []
-    if abs(col_dir) >= abs(row_dir):
-        step = 1 if col_dir >= 0 else -1
-        slope = row_dir / col_dir
-        for t in range(length):
-            offsets.append((round(t * step * slope), t * step))
-    else:
-        step = 1 if row_dir >= 0 else -1
-        slope = col_dir / row_dir
-        for t in range(length):
-            offsets.append((t * step, round(t * step * slope)))
-    return offsets
-
-
-def _psf_from_offsets(weighted: dict[tuple[int, int], float]) -> Psf:
-    rows = [r for r, _ in weighted]
-    cols = [c for _, c in weighted]
-    r_lo, r_hi = min(rows), max(rows)
-    c_lo, c_hi = min(cols), max(cols)
-    kernel = np.zeros((r_hi - r_lo + 1, c_hi - c_lo + 1))
-    for (r, c), w in weighted.items():
-        kernel[r - r_lo, c - c_lo] += w
-    return Psf(kernel / kernel.sum(), (-r_lo, -c_lo))
-
-
 def _motion_psf(length: int, angles) -> Psf:
-    # one line kernel per angle, each pixel weighted 1/length, renormalized
+    # Pixel-center rasterization stepping along each angle's major axis:
+    # pixel t of the line sits at t times its direction over the larger
+    # component, rounded.  The line starts at the PSF center and extends
+    # one-sidedly: this keeps generic-angle kernels asymmetric under
+    # 180-degree rotation.  Each pixel weighs 1/length; renormalized.
     length = int(length)
     if length < 1:
         raise ValueError(f"length must be at least 1, got {length}")
-    weighted: dict[tuple[int, int], float] = {}
-    for angle in angles:
-        for offset in _motion_offsets(length, angle):
-            weighted[offset] = weighted.get(offset, 0.0) + 1.0 / length
-    return _psf_from_offsets(weighted)
+    theta = [math.radians(float(angle)) for angle in angles]
+    if not all(map(math.isfinite, theta)):
+        raise ValueError(f"motion angles must be finite, got {tuple(angles)}")
+    dirs = np.array([(-math.sin(th), math.cos(th)) for th in theta]).T[..., None]
+    offsets = np.rint(np.arange(length) * (dirs / np.abs(dirs).max(axis=0))).astype(int)
+    lo = offsets.min(axis=(1, 2))
+    kernel = np.zeros(offsets.max(axis=(1, 2)) - lo + 1)
+    np.add.at(kernel, tuple(offsets.reshape(2, -1) - lo[:, None]), 1.0 / length)
+    return Psf(kernel / kernel.sum(), tuple(-lo))
 
 
 def make_motion_psf(length: int, angle: float) -> Psf:
@@ -339,23 +315,15 @@ def write_pgm(path, image: np.ndarray) -> None:
     Path(path).write_bytes(header + scaled.astype(">u2").tobytes())
 
 
+_PGM_TOKEN = re.compile(rb"#[^\n]*|(\S+)")
+
+
 def _pgm_tokens(raw: bytes):
-    pos = 0
-    while pos < len(raw):
-        ch = raw[pos : pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            pos = raw.find(b"\n", pos)
-            if pos < 0:
-                return
-            pos += 1
-        else:
-            end = pos
-            while end < len(raw) and not raw[end : end + 1].isspace():
-                end += 1
-            yield raw[pos:end], end
-            pos = end
+    # whitespace-separated header and P2 tokens, with ``#`` comments to the
+    # end of their line skipped; each with the offset just past it
+    for match in _PGM_TOKEN.finditer(raw):
+        if match[1] is not None:
+            yield match[1], match.end()
 
 
 def read_pgm(path) -> np.ndarray:

@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,8 +153,8 @@ class StoppingRule:
     noise_norm: float | None = None
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
         if not 1.0 <= self.eta < math.inf:
             raise ValueError(f"eta must be at least 1 and finite, got {self.eta}")
         if self.dp_enabled and self.noise_norm is None:
@@ -186,8 +187,8 @@ class SolveRecord:
 
     ``stop_reason`` is ``"max_iter"``, ``"discrepancy"``, ``"breakdown"``
     (the Krylov space is exhausted, e.g. by an exact solve) or
-    ``"nonfinite"``: a flexible preconditioner gave a non-finite direction,
-    and the run stopped before applying A to it, on the previous iterate.
+    ``"nonfinite"``: an operator or preconditioner output was not finite,
+    and the run stopped on the previous iterate.
     """
 
     res_norm: list[float] = field(default_factory=list)
@@ -300,7 +301,7 @@ def _probe_symmetry(op):
         lhs = float(np.dot(op.apply(x), y))
         rhs = float(np.dot(x, op.apply(y)))
         bound = _SYMMETRY_RTOL * np.linalg.norm(x) * np.linalg.norm(y)
-        if abs(lhs - rhs) > bound:
+        if not abs(lhs - rhs) <= bound:  # a NaN fails too
             raise ValueError(
                 "operator failed the symmetry probe: |<Ax,y> - <x,Ay>| = "
                 f"{abs(lhs - rhs):.3e} > {bound:.3e}; MINRES needs a symmetric "
@@ -334,8 +335,10 @@ def _givens_loop(column, beta1, history):
     ``c = gbar / gamma``, ``s = sub / gamma``, the identity at ``gamma == 0``.
     A singular R or a subdiagonal at rounding level against ``||T_k||_F``
     (``_SINGULAR_RTOL``), or a projected residual ``|phibar|`` at rounding
-    level against ``beta1``, is a breakdown.  ``history`` holds ``b`` and the
-    rule, and records the carried ``||b - A x||``."""
+    level against ``beta1``, is a breakdown.  A non-finite column, seen once
+    in ``||T_k||_F``, stops the run as ``"nonfinite"`` on the previous
+    iterate.  ``history`` holds ``b`` and the rule, and records the carried
+    ``||b - A x||``."""
     b = history.b
     if beta1 == 0.0:
         return history.record("breakdown", np.zeros(b.size))
@@ -356,6 +359,9 @@ def _givens_loop(column, beta1, history):
             reason = str(stop)
             break
         t_norm2 += upper * upper + diag * diag + sub * sub
+        if not math.isfinite(t_norm2):
+            reason = "nonfinite"
+            break
         # rotate the new column through the two stored rotations
         eps = s_prev2 * upper
         delta_tmp = c_prev2 * upper
@@ -657,7 +663,8 @@ def _arnoldi(history, *, direction, solution=None, flexible=False):
     are read through their one contract, nothing else.  A block applies the
     operator to the last lagged row and then to each image in turn, copied
     into its basis row and scaled there by the reciprocal of its norm
-    ``sigma``, and takes the steps of all of them with one reduction and one
+    ``sigma`` (a non-finite one stops the run on the iterate before the
+    block), and takes the steps of all of them with one reduction and one
     update pass (:class:`_Dcgs2`, with Hbar from :func:`_hessenberg`).
     Stationary GMRES takes blocks of ``_S_STEP`` steps: ``Z = V`` (times P),
     and the iterate is ``solution(V y)``, as storing ``Z = P V`` too would
@@ -701,6 +708,8 @@ def _arnoldi(history, *, direction, solution=None, flexible=False):
             row = basis[k + j + 1]
             row[:] = history.apply(z)
             sigma[j] = np.linalg.norm(row) or 1.0
+            if not math.isfinite(sigma[j]):
+                return history.record("nonfinite", x)
             row *= 1.0 / sigma[j]
         del z  # not kept alive through the passes
         t = gs.reduce(k, lagged, len(sigma))
@@ -781,8 +790,8 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
     P forward, and none follows the last step: k iterations cost ``2k``
     applications, one more when the adjoint of the next step reveals an
     exhausted Golub-Kahan space (``alpha`` at most ``_SINGULAR_RTOL`` times
-    ``||B_k||_F``, the test the singular R gets), and two more when the next
-    column makes R singular.
+    ``||B_k||_F``, the test the singular R gets) or is not finite, and two
+    more when the next column makes R singular.
     """
     history = _History(A, b, rule, x_true, right_prec)
     beta1 = float(np.linalg.norm(history.b))
@@ -803,8 +812,8 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
         del w  # not kept alive through the forward apply
         alfa = float(np.linalg.norm(v))
         b_norm2 += alfa * alfa
-        if alfa <= _SINGULAR_RTOL * math.sqrt(b_norm2):  # ||B_k||_F
-            raise _Stop("breakdown")
+        if not alfa > _SINGULAR_RTOL * math.sqrt(b_norm2):  # ||B_k||_F
+            raise _Stop("breakdown" if math.isfinite(b_norm2) else "nonfinite")
         v *= 1.0 / alfa
         s_dir = v if right_prec is None else right_prec.apply(v)
         a_dir = history.apply(s_dir)
@@ -812,7 +821,7 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
         u += a_dir
         beta = float(np.linalg.norm(u))
         b_norm2 += beta * beta
-        if beta > 0.0:
+        if 0.0 < beta < math.inf:  # an infinite beta stops the loop
             u *= 1.0 / beta
         return (0.0, alfa, beta), s_dir, a_dir
 

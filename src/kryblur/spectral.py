@@ -17,7 +17,7 @@ corresponding integrals of its generating function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,18 +59,8 @@ class ClusterReport:
         return self.outliers / self.total
 
     def as_text(self) -> str:
-        lines = [
-            f"n: {self.n}",
-            f"eps: {self.eps!r}",
-            f"delta: {self.delta!r}",
-            f"near_plus_one: {self.near_plus_one}",
-            f"near_minus_one: {self.near_minus_one}",
-            f"noise_band: {self.noise_band}",
-            f"outliers: {self.outliers}",
-            f"total: {self.total}",
-            f"outlier_fraction: {self.outlier_fraction!r}",
-        ]
-        return "\n".join(lines)
+        names = [f.name for f in fields(self)] + ["total", "outlier_fraction"]
+        return "\n".join(f"{name}: {getattr(self, name)!r}" for name in names)
 
 
 def _symmetric_eigenvalues(dense: np.ndarray, what: str) -> np.ndarray:

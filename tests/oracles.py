@@ -300,3 +300,29 @@ def random_nonsymmetric(size: int, seed: int) -> np.ndarray:
     Gaussian perturbation, far from singular)."""
     rng = np.random.default_rng(seed)
     return np.eye(size) + 0.5 * rng.standard_normal((size, size)) / math.sqrt(size)
+
+
+def motion_psf_stepped(length: int, angles):
+    """Kernel and center of the one-sided motion PSF, rasterized one pixel at
+    a time: step along the major axis of each angle from the center, round
+    the minor coordinate, and accumulate ``1/length`` per pixel in a dict of
+    offsets before renormalizing."""
+    weighted = {}
+    for angle in angles:
+        theta = math.radians(float(angle))
+        col_dir, row_dir = math.cos(theta), -math.sin(theta)
+        for t in range(length):
+            if abs(col_dir) >= abs(row_dir):
+                step = 1 if col_dir >= 0 else -1
+                offset = (round(t * step * (row_dir / col_dir)), t * step)
+            else:
+                step = 1 if row_dir >= 0 else -1
+                offset = (t * step, round(t * step * (col_dir / row_dir)))
+            weighted[offset] = weighted.get(offset, 0.0) + 1.0 / length
+    r_lo = min(r for r, _ in weighted)
+    c_lo = min(c for _, c in weighted)
+    shape = (max(r for r, _ in weighted) - r_lo + 1, max(c for _, c in weighted) - c_lo + 1)
+    kernel = np.zeros(shape)
+    for (r, c), w in weighted.items():
+        kernel[r - r_lo, c - c_lo] += w
+    return kernel / kernel.sum(), (-r_lo, -c_lo)

@@ -1,5 +1,7 @@
 """Circulant filters, schedules, sparsity weights, and composition."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,18 @@ def test_circulant_rejects_non_hermitian_grid():
     # checked at construction, not on the first apply inside a solver loop
     with pytest.raises(ValueError, match="conjugate-symmetric"):
         CirculantOperator(grid)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1j * np.inf], ids=["nan", "inf", "complex-inf"])
+def test_circulant_refuses_a_non_finite_grid_by_name(value):
+    grid = np.ones((4, 3), dtype=complex if isinstance(value, complex) else float)
+    grid[1, 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic on it
+        with pytest.raises(ValueError, match="circulant eigenvalue grid must be finite"):
+            CirculantOperator(grid)
+    with pytest.raises(ValueError, match="circulant eigenvalue grid must be finite"):
+        CirculantOperator(np.full((4, 3), value))
 
 
 def test_circulant_rejects_complex_input():

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from kryblur import problems
+from kryblur import problems, solvers
 from kryblur.metrics import psnr_from_error, rre_from_error
-from kryblur.operators import BoundaryCondition, save_psf
+from kryblur.operators import (BoundaryCondition, FlipComposedOperator, apply_flip,
+                               bccb_eigenvalues, load_psf, save_psf)
+from kryblur.preconditioners import circulant_abs_tikhonov, circulant_sqrt
 from kryblur.problems import (
     ExperimentConfig,
     edges_image,
@@ -25,6 +27,8 @@ from kryblur.problems import (
     star_field,
     write_pgm,
 )
+
+from oracles import motion_psf_stepped
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +92,31 @@ def test_two_motion_psf_with_one_angle_twice_is_the_motion_psf(length):
         twice, once = make_two_motion_psf(length, angle, angle), make_motion_psf(length, angle)
         np.testing.assert_array_equal(twice.kernel, once.kernel)
         assert twice.center == once.center
+
+
+def test_motion_psf_matches_the_stepped_rasterizer():
+    # bit for bit, over every integer angle and the second angles of the
+    # experiments (90 and 135 degrees)
+    for length in (*range(1, 13), 16, 23, 32):
+        for angle in range(-180, 360):
+            psf = make_motion_psf(length, angle)
+            kernel, center = motion_psf_stepped(length, (angle,))
+            assert psf.center == center and psf.kernel.shape == kernel.shape
+            assert psf.kernel.tobytes() == kernel.tobytes(), (length, angle)
+            if angle % 5 == 0:
+                for angle2 in (90, 135):
+                    psf = make_two_motion_psf(length, angle, angle2)
+                    kernel, center = motion_psf_stepped(length, (angle, angle2))
+                    assert psf.center == center and psf.kernel.shape == kernel.shape
+                    assert psf.kernel.tobytes() == kernel.tobytes(), (length, angle, angle2)
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf], ids=["nan", "inf"])
+def test_motion_psf_refuses_non_finite_angle(angle):
+    with pytest.raises(ValueError, match="motion angles must be finite"):
+        make_motion_psf(5, angle)
+    with pytest.raises(ValueError, match="motion angles must be finite"):
+        make_two_motion_psf(5, 30.0, angle)
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +295,27 @@ def test_pgm_reads_ascii_variant(tmp_path):
                                rtol=0.0, atol=1e-12)
 
 
-def test_pgm_rejects_bad_magic(tmp_path):
+def test_pgm_skips_comments_and_reads_p5_bytes_after_one_whitespace(tmp_path):
+    # the byte after maxval ends the header, so pixel bytes that look like
+    # whitespace or a comment are data
+    path = tmp_path / "comments.pgm"
+    path.write_bytes(b"# lead\nP5 # magic\n#\n2\t# width\r\n1\x0b255\n #\x05")
+    np.testing.assert_array_equal(read_pgm(path), np.array([[32.0, 35.0]]) / 255.0)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"P7\n2 2\n255\n\x00\x01\x02\x03", r"not a PGM file \(magic b'P7'\)"),
+    (b"P5\n2 2\n", "malformed PGM header"),
+    (b"P2\n2 2\n# maxval runs into a comment to the end of the file", "malformed PGM header"),
+    (b"P5\n2 2\n0\n\x00\x00\x00\x00", "malformed PGM header"),
+    (b"P2\n2 2\n255\n0 1 2\n# the fourth pixel is a comment 3\n", "expected 4 pixels, got 3"),
+    (b"P5\n2 2\n65535\n\x00\x01\x00\x02\x00\x03\x00", "truncated pixel data"),
+], ids=["bad-magic", "short-header", "comment-to-eof", "zero-maxval", "p2-count",
+        "truncated-p5"])
+def test_read_pgm_refuses_malformed(tmp_path, data, message):
     path = tmp_path / "bad.pgm"
-    path.write_bytes(b"P7\n2 2\n255\n\x00\x01\x02\x03")
-    with pytest.raises(ValueError, match="not a PGM"):
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=message):
         read_pgm(path)
 
 
@@ -494,6 +540,37 @@ def test_run_experiment_artifacts_and_histories(tmp_path):
 def _alpha_column(run):
     rows = (run.directory / "history.csv").read_text().splitlines()[1:]
     return [row.split(",")[4] for row in rows]
+
+
+def test_run_experiment_pgm_image_psf_file_and_minres_labels_match_direct_calls(tmp_path):
+    # an image and a PSF read from files, both MINRES plans and a flexible
+    # label with neither P nor W, each against the solver called by hand
+    image, kernel = tmp_path / "scene.pgm", tmp_path / "kernel.psf"
+    write_pgm(image, phantom(16))
+    save_psf(make_two_motion_psf(3, 30.0, 120.0), kernel)
+    cfg = parse_config(_write_config(tmp_path / "exp.cfg", image=str(image), n=16,
+                                     psf=f"file:{kernel}",
+                                     methods="YA MINRES, YAP MINRES, A FGMRES"))
+    runs = {run.label: run for run in run_experiment(cfg)}
+
+    problem = make_problem(read_pgm(image), load_psf(kernel), "zero", cfg.sigma, cfg.seed)
+    rule = solvers.StoppingRule(max_iter=cfg.max_iter, eta=cfg.eta,
+                                noise_norm=problem.noise_norm)
+    flipped, rhs = FlipComposedOperator(problem.operator), apply_flip(problem.b)
+    p_half = circulant_sqrt(circulant_abs_tikhonov(bccb_eigenvalues(load_psf(kernel), 16),
+                                                   cfg.alpha0))
+    direct = {
+        "YA MINRES": solvers.minres(flipped, rhs, rule, problem.x_true),
+        "YAP MINRES": solvers.minres_sym_prec(flipped, rhs, p_half, rule, problem.x_true),
+        "A FGMRES": solvers.fgmres(problem.operator, problem.b, None, rule, problem.x_true),
+    }
+    assert list(runs) == list(direct)
+    for label, want in direct.items():
+        got = runs[label].record
+        assert (got.res_norm, got.rre, got.psnr) == (want.res_norm, want.rre, want.psnr), label
+        assert (got.stop_reason, got.n_ops) == (want.stop_reason, want.n_ops), label
+    assert _alpha_column(runs["YAP MINRES"]) == ["0.1"] * cfg.max_iter
+    assert _alpha_column(runs["A FGMRES"]) == [""] * cfg.max_iter
 
 
 def test_run_experiment_q_one_keeps_alpha_constant(tmp_path):

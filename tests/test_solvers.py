@@ -134,6 +134,14 @@ def test_stopping_rule_refuses_non_finite(field, value):
         StoppingRule(**{field: value})
 
 
+@pytest.mark.parametrize("value", [np.nan, 2.5, 3.0, "3", -1], ids=str)
+def test_stopping_rule_refuses_a_max_iter_that_is_no_positive_integer(value):
+    # a float budget would only fail at range() inside the solve
+    with pytest.raises(ValueError, match="max_iter must be an integer of at least 1"):
+        StoppingRule(max_iter=value)
+    assert StoppingRule(max_iter=np.int64(3)).max_iter == 3
+
+
 def test_discrepancy_stop_examples():
     rule = StoppingRule(dp_enabled=True, eta=1.01, noise_norm=1.0)
     assert discrepancy_stop(1.0, rule)
@@ -630,6 +638,51 @@ def test_nonfinite_preconditioner_output_stops_run(method):
     assert rec.iterations == 2 and calls["apply"] == 2
     assert np.all(np.isfinite(rec.res_norm)) and np.all(np.isfinite(rec.x_stop))
     assert abs(rec.res_norm[-1] - np.linalg.norm(b - mat @ rec.x_stop)) <= 1e-12
+
+
+def _breaking_map(mat, bad, after):
+    # mat and its transpose for the first ``after`` applications of either,
+    # ``bad`` in every entry from then on
+    calls = []
+
+    def broken(m):
+        def apply(x):
+            calls.append(1)
+            return m @ x if len(calls) <= after else np.full(x.size, bad)
+        return apply
+
+    return LinearMap(mat.shape[0], broken(mat), broken(mat.T)), calls
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("method, after, kept", [
+    ("gmres", 0, 0), ("gmres", 5, 4), ("gmres-right-prec", 5, 4), ("fgmres", 5, 5),
+    ("lsqr", 0, 0), ("lsqr", 5, 2), ("lsqr", 6, 3), ("flsqr", 5, 2)])
+def test_nonfinite_operator_output_stops_run(method, after, kept, bad):
+    # the run stops as "nonfinite" at the first bad output, forward or
+    # adjoint, on the last iterate it completed: GMRES's is the one before
+    # the block of four steps the bad output falls in
+    mat = np.linalg.qr(np.random.default_rng(3).standard_normal((8, 8)))[0] * np.linspace(1, 3, 8)
+    b = _unit_rhs(8, 4)
+    op, calls = _breaking_map(mat, bad, after)
+    if method == "gmres-right-prec":
+        rec = gmres(op, b, StoppingRule(max_iter=8), right_prec=IdentityOperator(8))
+    else:
+        rec = _SOLVERS[method](op, b, rule=StoppingRule(max_iter=8))
+    assert (rec.stop_reason, rec.iterations, len(calls)) == ("nonfinite", kept, after + 1)
+    assert np.all(np.isfinite(rec.res_norm)) and np.all(np.isfinite(rec.x_stop))
+    if kept:
+        assert abs(rec.res_norm[-1] - np.linalg.norm(b - mat @ rec.x_stop)) <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["minres", "minres_sym_prec"])
+def test_minres_refuses_a_map_with_nonfinite_output(method):
+    # |<Ax,y> - <x,Ay>| is NaN here, which must fail the symmetry probe
+    mat = np.eye(16)
+    mat[0, 0] = np.nan
+    with pytest.raises(ValueError, match="symmetry probe"):
+        _SOLVERS[method](LinearMap.from_matrix(mat), np.ones(16),
+                         rule=StoppingRule(max_iter=4))
 
 
 def test_fgmres_sparse_truth_flip_side_converges_plain_side_stalls():

@@ -176,12 +176,9 @@ def test_outlier_fraction_nonincreasing_across_sizes():
 def test_cluster_report_as_text_format():
     rep = ClusterReport(n=4, eps=0.1, delta=0.2, near_plus_one=8,
                         near_minus_one=8, noise_band=0, outliers=0)
-    text = rep.as_text()
-    assert "n: 4" in text
-    assert "eps: 0.1" in text
-    assert "near_plus_one: 8" in text
-    assert "outlier_fraction: 0.0" in text
-    assert "total: 16" in text
+    assert rep.as_text() == (
+        "n: 4\neps: 0.1\ndelta: 0.2\nnear_plus_one: 8\nnear_minus_one: 8\n"
+        "noise_band: 0\noutliers: 0\ntotal: 16\noutlier_fraction: 0.0")
 
 
 # ---------------------------------------------------------------------------
