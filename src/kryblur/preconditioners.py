@@ -45,6 +45,7 @@ __all__ = [
     "circulant_abs_tikhonov",
     "circulant_threshold",
     "circulant_sqrt",
+    "times_adjoint",
     "sparsity_weights",
 ]
 
@@ -245,6 +246,22 @@ def circulant_sqrt(circ: CirculantOperator) -> CirculantOperator:
             f"{real.min():.3e}"
         )
     return CirculantOperator(np.sqrt(np.clip(real, 0.0, None)))
+
+
+class _Gram(ComposedOperator):
+    """P P^T of any map P as ``_Gram(P, P)``: the adjoint of P, then P."""
+
+    def apply(self, x):
+        return self.second.apply(self.first.apply_adjoint(x))
+
+    apply_adjoint = apply
+
+
+def times_adjoint(p):
+    """P P^T: one filter, grid g conj(g), for a circulant with grid g; else P after P^T."""
+    if isinstance(p, CirculantOperator):
+        return CirculantOperator(np.real(p.eigs * np.conj(p.eigs)))
+    return _Gram(p, p)
 
 
 #: The regularizing filter of each name, the constructor the schedule and the

@@ -327,7 +327,7 @@ def _pgm_tokens(raw: bytes):
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a P2 or P5 PGM into floats scaled to [0, 1]."""
+    """Read a P2 or P5 PGM of integers in 0..maxval into floats in [0, 1]."""
     raw = Path(path).read_bytes()
     tokens = _pgm_tokens(raw)
     try:
@@ -344,7 +344,10 @@ def read_pgm(path) -> np.ndarray:
         raise ValueError(f"{path}: malformed PGM header")
     count = width * height
     if magic == b"P2":
-        values = np.array([int(tok) for tok, _ in tokens], dtype=float)
+        try:
+            values = np.array([int(tok) for tok, _ in tokens], dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed pixel value ({exc})") from None
         if values.size != count:
             raise ValueError(f"{path}: expected {count} pixels, got {values.size}")
     else:
@@ -353,6 +356,8 @@ def read_pgm(path) -> np.ndarray:
         if len(data) < count * dtype.itemsize:
             raise ValueError(f"{path}: truncated pixel data")
         values = np.frombuffer(data[: count * dtype.itemsize], dtype=dtype).astype(float)
+    if values.min() < 0 or values.max() > maxval:
+        raise ValueError(f"{path}: pixel values outside 0..{maxval}")
     return (values / maxval).reshape(height, width)
 
 

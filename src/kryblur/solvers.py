@@ -36,12 +36,13 @@ Hbar y||``, the new rows weighted by their Gram as written, as its residual.
 ``minres``, ``minres_sym_prec`` and ``lsqr`` share one Givens
 loop: it minimizes the residual through a Givens QR of a banded projected
 matrix, the Lanczos tridiagonal or the Golub-Kahan bidiagonal (the same band
-with a zero above the diagonal), one column a step.  It updates ``b - A x``
-with the same scalars as the iterate, from images of the directions the
-column map hands it, and stops on a singular R.  It updates its vectors in
-place through scratch allocated once per solve, so with the operators' FFT
-workspace a steady-state step allocates only the arrays the operators
-return.  Those are taken as they come, flipped views included, and only read.
+with a zero above the diagonal), one column a step; with P, a step applies
+P P^T once.  It updates ``b - A x`` with the same scalars as the iterate,
+from images of the directions the column map hands it, and stops on a
+singular R.  It updates its vectors in place through scratch allocated once
+per solve, so with the operators' FFT workspace a steady-state step
+allocates only the arrays the operators return.  Those are taken as they
+come, flipped views included, and only read.
 Every map a solver is handed has ``size``, ``apply`` and ``apply_adjoint``,
 each taking input by :func:`kryblur.operators._map_input`, so a flat vector
 maps to a flat vector; the solvers read nothing else of a map.
@@ -73,6 +74,7 @@ import numpy as np
 
 from .metrics import psnr_from_error, rre_from_error
 from .operators import _map_input
+from .preconditioners import times_adjoint
 
 __all__ = [
     "LinearMap",
@@ -396,30 +398,43 @@ def _givens_loop(column, beta1, history):
     return history.record(reason, xr[0])
 
 
-def _lanczos(step, rhs):
-    """The Lanczos column map of MINRES for the right-hand side ``rhs``, and
-    ``||rhs||``.  ``step(v)`` applies A once and returns the system image of
-    the Lanczos vector ``v``, its solution direction ``s`` and ``A s``."""
-    beta1 = float(np.linalg.norm(rhs))
+def _dual_norm(m, v):
+    """``M v`` (``v`` if ``m`` is None) and ``sqrt(|<v, M v>|)``; ``<v, M v> < 0`` is rounding."""
+    mv = v if m is None else m.apply(v)
+    return mv, math.sqrt(abs(float(np.dot(v, mv))))
+
+
+def _lanczos(history, m=None):
+    """The Lanczos column map of MINRES on ``history``, and ``beta1``.  With
+    ``m``, M = P P^T, it is preconditioned MINRES (Paige & Saunders, SINUM
+    1975) on ``v`` and the solution direction ``z = M v`` (without, ``v``):
+    ``beta_{k+1} v_{k+1} = A z_k - alpha_k v_k - beta_k v_{k-1}``, ``alpha_k =
+    <z_k, A z_k>`` and ``beta^2 = <v, M v>``, one A and one M a step."""
+    rhs = history.b
+    mv, beta1 = _dual_norm(m, rhs)
     v = rhs / beta1 if beta1 else rhs
+    z = v if m is None else mv / (beta1 or 1.0)
     v_next, scratch = np.zeros(rhs.size), np.empty(rhs.size)
+    z_buf = None if m is None else np.empty(rhs.size)
     beta = 0.0
 
     def column(k):
-        nonlocal v, v_next, beta
-        if k > 1:
+        nonlocal v, v_next, z, mv, beta
+        if k > 1:  # ``mv`` first, as it may be ``v_next`` itself; then freed
+            z = v_next if m is None else np.multiply(mv, 1.0 / beta, out=z_buf)
             v_next *= 1.0 / beta
-            v, v_next = v_next, v
-        image, s_dir, a_dir = step(v)
+            v, v_next, mv = v_next, v, None
+        image = history.apply(z)
         # vecdot reads a flipped image in place, where dot would copy it
-        alfa = float(np.vecdot(v, image))
-        # next Lanczos vector in the previous one's buffer, in place:
-        # ``image`` may also be ``a_dir``, so it is only read
+        alfa = float(np.vecdot(z, image))
+        # next dual vector in the previous one's buffer, in place: ``image``
+        # is also the direction's image, so it is only read
         v_next *= -beta
         v_next += image
         v_next -= np.multiply(v, alfa, out=scratch)
-        upper, beta = beta, float(np.linalg.norm(v_next))
-        return (upper, alfa, beta), s_dir, a_dir
+        upper = beta
+        mv, beta = _dual_norm(m, v_next)
+        return (upper, alfa, beta), z, image
 
     return column, beta1
 
@@ -432,36 +447,23 @@ def minres(A, b, rule: StoppingRule | None = None, x_true=None) -> SolveRecord:
     """
     history = _History(A, b, rule, x_true)
     _probe_symmetry(A)
-
-    def step(v):
-        av = history.apply(v)
-        return av, v, av
-
-    column, beta1 = _lanczos(step, history.b)
-    return _givens_loop(column, beta1, history)
+    return _givens_loop(*_lanczos(history), history)
 
 
 def minres_sym_prec(A, b, p_half, rule: StoppingRule | None = None,
                     x_true=None) -> SolveRecord:
     """MINRES on the symmetrically preconditioned system.
 
-    Iterates on ``p_half A p_half z = p_half b`` and returns solutions
-    ``x = p_half z``.  The recorded true residuals (and the discrepancy test)
-    are those of the ORIGINAL system ``||b - A x||``; only the breakdown test
-    reads the preconditioned system's projected residual.  Each step applies
-    ``p_half`` twice and A once; ``x`` and ``b - A x`` follow from those
-    images.
+    Iterates on ``p_half A p_half z = p_half b`` (``p_half`` symmetric) and
+    returns solutions ``x = p_half z``.  The recorded true residuals (and the
+    discrepancy test) are those of the ORIGINAL system ``||b - A x||``; only
+    the breakdown test reads the preconditioned system's projected residual.
+    Each step applies A and M = ``p_half p_half^T`` once each
+    (:func:`~kryblur.preconditioners.times_adjoint`, preconditioned MINRES).
     """
     history = _History(A, b, rule, x_true, p_half)
-
-    def step(z, op):
-        pz = p_half.apply(z)
-        apz = op.apply(pz)
-        return p_half.apply(apz), pz, apz
-
-    _probe_symmetry(LinearMap(A.size, lambda z: step(z, A)[0]))
-    column, beta1 = _lanczos(lambda z: step(z, history), p_half.apply(history.b))
-    return _givens_loop(column, beta1, history)
+    _probe_symmetry(LinearMap(A.size, lambda z: p_half.apply(A.apply(p_half.apply(z)))))
+    return _givens_loop(*_lanczos(history, times_adjoint(p_half)), history)
 
 
 # ---------------------------------------------------------------------------
@@ -781,41 +783,44 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
          x_true=None) -> SolveRecord:
     """LSQR via Golub-Kahan bidiagonalization, no reorthogonalization.
 
-    Needs ``apply_adjoint`` on the operator (and on the right preconditioner
-    if one is given), which runs the bidiagonalization on ``A P``.  This is
-    the Givens loop of :func:`minres` on the bidiagonal B_k, whose column k
-    is ``(0, alpha_k, beta_{k+1})``, with solution direction ``P v_k``, so
-    ``x`` and ``b - A x`` are updated, never recomputed.  ``u`` and ``v`` are
-    updated in place.  Step k applies the adjoint for ``v_k`` and then A and
-    P forward, and none follows the last step: k iterations cost ``2k``
-    applications, one more when the adjoint of the next step reveals an
-    exhausted Golub-Kahan space (``alpha`` at most ``_SINGULAR_RTOL`` times
-    ``||B_k||_F``, the test the singular R gets) or is not finite, and two
-    more when the next column makes R singular.
+    Needs ``apply_adjoint`` on the operator (and on a P that is no
+    circulant), which runs the bidiagonalization on ``A P``.  This is the
+    Givens loop of :func:`minres` on the bidiagonal B_k, whose column k is
+    ``(0, alpha_k, beta_{k+1})``, with solution direction ``P v_k = M q_k``
+    (``v_k = P^T q_k``, ``alpha_k^2 = <q_k, M q_k>``) for M = P P^T
+    (:func:`~kryblur.preconditioners.times_adjoint`), so ``x`` and ``b - A
+    x`` are updated, never recomputed.  ``u`` and ``q`` are updated in place.
+    Step k applies the adjoint for ``q_k``, M and A, and none follows the
+    last step: k iterations cost ``2k`` applications, one more when the
+    adjoint of the next step reveals an exhausted Golub-Kahan space
+    (``alpha`` at most ``_SINGULAR_RTOL`` times ``||B_k||_F``, the test the
+    singular R gets) or is not finite, and two more when the next column
+    makes R singular.
     """
     history = _History(A, b, rule, x_true, right_prec)
+    m = None if right_prec is None else times_adjoint(right_prec)
+    z_buf = None if m is None else np.empty(A.size)
     beta1 = float(np.linalg.norm(history.b))
     u = history.b / beta1 if beta1 else history.b
-    v = np.zeros(A.size)
+    q = np.zeros(A.size)
     beta = b_norm2 = 0.0
 
     def column(k):
-        nonlocal u, v, beta, b_norm2
-        # alpha_k v_k = P^T A^T u_k - beta_k v_{k-1} and beta_{k+1} u_{k+1} =
+        nonlocal u, q, beta, b_norm2
+        # alpha_k q_k = A^T u_k - beta_k q_{k-1} and beta_{k+1} u_{k+1} =
         # A P v_k - alpha_k u_k, each in its own buffer; operator outputs may
         # be their own input (identity), so they are only read
         w = history.apply_adjoint(u)
-        if right_prec is not None:
-            w = right_prec.apply_adjoint(w)
-        v *= -beta
-        v += w
+        q *= -beta
+        q += w
         del w  # not kept alive through the forward apply
-        alfa = float(np.linalg.norm(v))
+        mq, alfa = _dual_norm(m, q)
         b_norm2 += alfa * alfa
         if not alfa > _SINGULAR_RTOL * math.sqrt(b_norm2):  # ||B_k||_F
             raise _Stop("breakdown" if math.isfinite(b_norm2) else "nonfinite")
-        v *= 1.0 / alfa
-        s_dir = v if right_prec is None else right_prec.apply(v)
+        s_dir = q if m is None else np.multiply(mq, 1.0 / alfa, out=z_buf)  # mq may be q
+        q *= 1.0 / alfa
+        del mq
         a_dir = history.apply(s_dir)
         u *= -alfa
         u += a_dir
@@ -839,9 +844,10 @@ def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None,
     the adjoint image of the latest ``u`` made orthonormal to the earlier
     ones by DCGS2 as well, in blocks of one row.  The residual comes from the
     flexible Golub-Kahan relation ``A Z_k = U_{k+1} Mbar_k``: one iteration
-    costs one forward and one adjoint application.  A non-finite preconditioned
-    direction stops the run.  With a constant identity callback the projected
-    problem is bidiagonal again and the method reduces to :func:`lsqr`.
+    costs one forward and one adjoint application.  A non-finite adjoint image
+    or preconditioned direction stops the run.  With a constant identity
+    callback the projected problem is bidiagonal again and the method reduces
+    to :func:`lsqr`.
     """
     history = _History(A, b, rule, x_true)
     v_basis = _mapped(history.rule.max_iter, A.size)
@@ -852,6 +858,8 @@ def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None,
         # row k - 1 is a block of one row after k - 2 steps, with one lagged
         # row (none at step 1), and no combinations
         v_basis[k - 1] = history.apply_adjoint(u)
+        if not math.isfinite(np.linalg.norm(v_basis[k - 1])):
+            raise _Stop("nonfinite")
         v_gs.reduce(k - 2, min(k - 1, 1), 1)
         _, gram = v_gs.update(np.empty((0, k)))
         if v_gs.exhausted(gram):

@@ -17,8 +17,11 @@ from kryblur.preconditioners import (
     circulant_threshold,
     circulant_tikhonov,
     sparsity_weights,
+    times_adjoint,
 )
+from kryblur import preconditioners
 from kryblur.problems import make_gaussian_psf, make_two_motion_psf
+from kryblur.solvers import LinearMap
 
 from oracles import dense_tikhonov_solve
 
@@ -282,6 +285,48 @@ def test_sqrt_domain_errors():
         circulant_sqrt(CirculantOperator(shifted))
     with pytest.raises(ValueError, match="nonnegative"):
         circulant_sqrt(CirculantOperator(np.full((2, 2), -1.0)))
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("grid", ["complex-tikhonov", "real-sqrt"])
+def test_times_adjoint_of_a_circulant_is_one_filter(grid, n, monkeypatch):
+    # P P^T is the circulant with grid g conj(g): the dense product, on an
+    # odd n too (one self-mirrored column), from one filter an apply
+    symbol = bccb_eigenvalues(make_two_motion_psf(4, 45.0, 135.0), n)  # off-center
+    if grid == "complex-tikhonov":
+        p = circulant_tikhonov(symbol, 0.05)
+        assert np.abs(p.eigs.imag).max() > 1e-2
+    else:
+        p = circulant_sqrt(circulant_abs_tikhonov(symbol, 0.05))
+        assert not np.iscomplexobj(p.eigs)
+    gram = times_adjoint(p)
+    assert isinstance(gram, CirculantOperator) and not np.iscomplexobj(gram.eigs)
+    dense = materialize_dense(p, cap=n)
+    want = dense @ dense.T
+    assert np.abs(materialize_dense(gram, cap=n) - want).max() <= 1e-12 * np.abs(want).max()
+    filters = []
+    real = preconditioners._rfft_filter
+    monkeypatch.setattr(preconditioners, "_rfft_filter",
+                        lambda *args: filters.append(1) or real(*args))
+    gram.apply(np.ones(n * n))
+    assert len(filters) == 1
+
+
+def test_times_adjoint_of_any_other_map_is_its_adjoint_then_itself():
+    rng = np.random.default_rng(3)
+    weights = rng.random(16)
+    mat = rng.standard_normal((16, 16))  # not symmetric: P P^T differs from P^T P
+    for p, dense in ((DiagonalOperator(weights), np.diag(weights)),
+                     (LinearMap.from_matrix(mat), mat)):
+        gram = times_adjoint(p)
+        want = dense @ dense.T
+        assert gram.size == 16
+        assert np.abs(materialize_dense(gram) - want).max() <= 1e-12 * np.abs(want).max()
+        x = rng.standard_normal((3, 4, 4))  # a batch of images; P P^T is symmetric
+        got = gram.apply_adjoint(x)
+        assert got.shape == x.shape
+        np.testing.assert_allclose(got.reshape(3, 16), x.reshape(3, 16) @ want,
+                                   rtol=0.0, atol=1e-12 * np.abs(want).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -310,13 +310,19 @@ def test_pgm_skips_comments_and_reads_p5_bytes_after_one_whitespace(tmp_path):
     (b"P5\n2 2\n0\n\x00\x00\x00\x00", "malformed PGM header"),
     (b"P2\n2 2\n255\n0 1 2\n# the fourth pixel is a comment 3\n", "expected 4 pixels, got 3"),
     (b"P5\n2 2\n65535\n\x00\x01\x00\x02\x00\x03\x00", "truncated pixel data"),
+    (b"P2\n2 1\n255\n300 -5\n", r"pixel values outside 0\.\.255"),
+    (b"P2\n2 1\n255\n3 zz\n", r"malformed pixel value \(.*b'zz'"),
+    (b"P5\n2 1\n100\n\x64\x65", r"pixel values outside 0\.\.100"),
+    (b"P5\n2 1\n1000\n\x03\xe8\x03\xe9", r"pixel values outside 0\.\.1000"),
 ], ids=["bad-magic", "short-header", "comment-to-eof", "zero-maxval", "p2-count",
-        "truncated-p5"])
+        "truncated-p5", "p2-out-of-range", "p2-non-numeric", "p5-above-maxval",
+        "p5-16-bit-above-maxval"])
 def test_read_pgm_refuses_malformed(tmp_path, data, message):
     path = tmp_path / "bad.pgm"
     path.write_bytes(data)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as refused:
         read_pgm(path)
+    assert str(refused.value).startswith(f"{path}: ")  # names the file
 
 
 def test_load_image_pgm(tmp_path):

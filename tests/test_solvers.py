@@ -22,7 +22,7 @@ from kryblur.preconditioners import (
     circulant_tikhonov,
     sparsity_weights,
 )
-from kryblur import solvers
+from kryblur import operators, preconditioners, solvers
 from kryblur.problems import make_gaussian_psf, make_problem, make_two_motion_psf, natural_scene, phantom, star_field
 from kryblur.solvers import (
     LinearMap,
@@ -654,14 +654,16 @@ def _breaking_map(mat, bad, after):
     return LinearMap(mat.shape[0], broken(mat), broken(mat.T)), calls
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("method, after, kept", [
     ("gmres", 0, 0), ("gmres", 5, 4), ("gmres-right-prec", 5, 4), ("fgmres", 5, 5),
-    ("lsqr", 0, 0), ("lsqr", 5, 2), ("lsqr", 6, 3), ("flsqr", 5, 2)])
+    ("lsqr", 0, 0), ("lsqr", 5, 2), ("lsqr", 6, 3), ("flsqr", 4, 2), ("flsqr", 5, 2)])
 def test_nonfinite_operator_output_stops_run(method, after, kept, bad):
     # the run stops as "nonfinite" at the first bad output, forward or
-    # adjoint, on the last iterate it completed: GMRES's is the one before
-    # the block of four steps the bad output falls in
+    # adjoint, on the last iterate it completed, with no numpy warning:
+    # GMRES's is the one before the block of four steps the bad output falls
+    # in, and FLSQR's bad adjoint image never reaches the basis passes
     mat = np.linalg.qr(np.random.default_rng(3).standard_normal((8, 8)))[0] * np.linspace(1, 3, 8)
     b = _unit_rhs(8, 4)
     op, calls = _breaking_map(mat, bad, after)
@@ -777,6 +779,29 @@ def test_lsqr_right_preconditioned_equals_reference_on_product(iterates):
     assert x_diff <= 1e-9
 
 
+@pytest.mark.parametrize("kind", ["complex-circulant", "matrix"])
+def test_lsqr_nonsymmetric_right_prec_equals_reference_on_product(kind, iterates):
+    # with P P^T applied as one map, the order matters once P is not
+    # symmetric: an off-center motion blur's Tikhonov circulant, and a
+    # random nonsymmetric matrix that takes the adjoint-then-apply path
+    n = 8
+    psf = make_two_motion_psf(4, 45.0, 135.0)
+    prob = make_problem(star_field(n, seed=3), psf, "zero", 0.02, 5)
+    b = prob.b.ravel()
+    if kind == "complex-circulant":
+        prec = circulant_tikhonov(bccb_eigenvalues(psf, n), 0.05)
+        assert np.abs(prec.eigs.imag).max() > 1e-2
+    else:
+        prec = LinearMap.from_matrix(np.eye(n * n) + 0.3 * random_nonsymmetric(n * n, 4))
+    dense_p = materialize_dense(prec, cap=n)
+    assert np.abs(dense_p - dense_p.T).max() > 1e-2
+    rec = lsqr(prob.operator, b, StoppingRule(max_iter=15), right_prec=prec)
+    want_res, want_zs = reference_lsqr(materialize_dense(prob.operator) @ dense_p, b, 15)
+    assert max(abs(a - w) for a, w in zip(rec.res_norm, want_res)) <= 1e-9
+    assert len(iterates) == rec.iterations
+    assert max(np.abs(x - dense_p @ z).max() for x, z in zip(iterates, want_zs)) <= 1e-9
+
+
 def test_lsqr_work_accounting_two_applications_per_iteration(blocks):
     mat = random_nonsymmetric(16, 3)
     b = _unit_rhs(16, 4)
@@ -846,9 +871,11 @@ def test_work_accounting_short_recurrences(method):
         assert rec.n_ops == k
         assert calls["apply"] == k + 6
         assert calls["apply_adjoint"] == 0
-        # two per step, two per probe system apply, one for the right-hand side
-        want_prec = 0 if method == "minres" else 2 * k + 12 + 1
-        assert prec_calls["apply"] == want_prec
+        # P P^T of a generic P is its adjoint and then its apply: one for the
+        # right-hand side and one per step; the probe's twelve applies of P
+        # stay on the split map P A P
+        want = (0, 0) if method == "minres" else (k + 13, k + 1)
+        assert (prec_calls["apply"], prec_calls["apply_adjoint"]) == want
     else:
         mat = random_nonsymmetric(16, 3)
         op, calls = _counting_map(mat)
@@ -869,6 +896,52 @@ def test_work_accounting_short_recurrences(method):
         # after the last step
         want = (k, k) if right_prec is not None else (0, 0)
         assert (prec_calls["apply"], prec_calls["apply_adjoint"]) == want
+
+
+@pytest.mark.parametrize("method, per_step, probe, startup", [
+    ("YA MINRES", 1, 6, 0), ("YAP MINRES", 2, 18, 1), ("A LSQR", 2, 0, 0), ("AP LSQR", 3, 0, 0)])
+def test_filters_per_step_of_the_short_recurrences(method, per_step, probe, startup, monkeypatch):
+    # every blur and circulant apply is one real-FFT filter (two 2-D
+    # transforms).  A preconditioned step applies P P^T as one circulant, so
+    # a step costs A (and LSQR's adjoint) plus one filter; the MINRES
+    # symmetry probe runs on the split map P A P, and preconditioned MINRES
+    # starts from M b.  Exact counts, read at two budgets
+    filters, probed = [], []
+    real_filter, real_probe = operators._rfft_filter, solvers._probe_symmetry
+
+    def counted_filter(*args):
+        filters.append(1)
+        return real_filter(*args)
+
+    def counted_probe(op):
+        before = len(filters)
+        real_probe(op)
+        probed.append(len(filters) - before)
+
+    for module in (operators, preconditioners):
+        monkeypatch.setattr(module, "_rfft_filter", counted_filter)
+    monkeypatch.setattr(solvers, "_probe_symmetry", counted_probe)
+    n, alpha = 16, 1e-2
+    psf = make_gaussian_psf(5, 1.5)
+    prob = make_problem(star_field(n, seed=1), psf, "zero", 0.05, 42)
+    symbol = bccb_eigenvalues(psf, n)
+    fop, b = FlipComposedOperator(prob.operator), prob.b.ravel()
+    for k in (5, 9):
+        filters.clear()
+        probed.clear()
+        rule = StoppingRule(max_iter=k)
+        if method == "YA MINRES":
+            rec = minres(fop, apply_flip(b), rule)
+        elif method == "YAP MINRES":
+            half = circulant_sqrt(circulant_abs_tikhonov(symbol, alpha))
+            rec = minres_sym_prec(fop, apply_flip(b), half, rule)
+        elif method == "A LSQR":
+            rec = lsqr(prob.operator, b, rule)
+        else:
+            rec = lsqr(prob.operator, b, rule, right_prec=circulant_tikhonov(symbol, alpha))
+        assert rec.iterations == k
+        assert sum(probed) == probe
+        assert len(filters) - probe - per_step * k == startup
 
 
 @pytest.mark.parametrize("method", ["YA MINRES", "YAP MINRES", "A LSQR", "AP LSQR"])
