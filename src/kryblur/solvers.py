@@ -37,10 +37,10 @@ Hbar y||``, the new rows weighted by their Gram as written, as its residual.
 loop: it minimizes the residual through a Givens QR of a banded projected
 matrix, the Lanczos tridiagonal or the Golub-Kahan bidiagonal (the same band
 with a zero above the diagonal), one column a step; with P, a step applies
-P P^T once.  It updates ``b - A x`` with the same scalars as the iterate,
-from images of the directions the column map hands it, and stops on a
-singular R.  It updates its vectors in place through scratch allocated once
-per solve, so with the operators' FFT workspace a steady-state step
+P P^T once.  It updates ``b - A x`` from the next basis vector the column
+map hands it, so it keeps no image of a direction, and stops on a singular
+R.  It updates ``x``, ``b - A x`` and two directions in place through one
+scratch row, so with the operators' FFT workspace a steady-state step
 allocates only the arrays the operators return.  Those are taken as they
 come, flipped views included, and only read.
 Every map a solver is handed has ``size``, ``apply`` and ``apply_adjoint``,
@@ -184,8 +184,8 @@ class SolveRecord:
     A preconditioner's alpha is not recorded: whoever built it chose it (the
     experiment driver writes it to ``history.csv`` from its schedule).
     ``res_norm`` is ``||b - A x||`` as the loop carries it: the Givens loop
-    updates ``b - A x`` with the iterate, and the Arnoldi loop reads
-    ``||beta e1 - Hbar y||``.
+    updates ``b - A x`` from the next basis vector, and the Arnoldi loop
+    reads ``||beta e1 - Hbar y||``.
 
     ``stop_reason`` is ``"max_iter"``, ``"discrepancy"``, ``"breakdown"``
     (the Krylov space is exhausted, e.g. by an exact solve) or
@@ -215,14 +215,15 @@ class _History:
     """The one context of a solve, built before anything is applied.  It
     takes the default rule, checks the right-hand side (kept as ``b``), the
     size of each stationary map in ``precs`` (None for none) and ``x_true``,
-    which must be finite and not all zero.  :meth:`apply` and
-    :meth:`apply_adjoint` apply A for the loop and count those applications,
-    which :meth:`record` reports as ``n_ops``.  :meth:`push` appends an
-    iterate's bookkeeping to the one :class:`SolveRecord` ``rec``, including
-    the one discrepancy test: the first pushed iterate that meets it is kept.
-    RRE and PSNR come from one error vector, written into a buffer of its
-    own, and one dot product; ``||x_true||`` and the peak are taken once,
-    here.  The best iterate is copied into one buffer as it improves."""
+    which must be finite with a positive maximum, the PSNR peak.
+    :meth:`apply` and :meth:`apply_adjoint` apply A for the loop and count
+    those applications, which :meth:`record` reports as ``n_ops``.
+    :meth:`push` appends an iterate's bookkeeping to the one
+    :class:`SolveRecord` ``rec``, including the one discrepancy test: the
+    first pushed iterate that meets it is kept.  RRE and PSNR come from one
+    error vector, written into a buffer of its own, and one dot product;
+    ``||x_true||`` and the peak are taken once, here.  The best iterate is
+    copied into one buffer as it improves."""
 
     def __init__(self, A, b, rule, x_true, *precs):
         self.rule = rule or StoppingRule()
@@ -234,12 +235,12 @@ class _History:
         self._op, self.count = A, 0
         self.rec = SolveRecord()
         if self.truth is not None:
+            self._peak = float(self.truth.max())
+            if self._peak <= 0.0:  # all zero too, whose RRE is undefined
+                raise ValueError(f"x_true has maximum {self._peak:g}, so its PSNR is undefined")
             self._truth_norm = float(np.linalg.norm(self.truth))
-            if self._truth_norm == 0.0:
-                raise ValueError("x_true is all zero, so its RRE is undefined")
             self.rec.rre, self.rec.psnr = [], []
             self._err = np.empty_like(self.truth)
-            self._peak = float(self.truth.max())
         self._best_key = math.inf
 
     def apply(self, x):
@@ -327,36 +328,32 @@ def _givens_loop(column, beta1, history):
     bidiagonal B_k, minimizes ``||beta1 e1 - T y||``.
 
     ``column(k)`` returns the new column ``(upper, diag, sub)`` on rows
-    k - 1, k and k + 1, the solution direction ``s`` and its image ``A s``,
-    or raises :class:`_Stop`.  The directions ``d`` and ``A d`` share one
-    recurrence, so ``x`` and ``b - A x`` take the same scalars; all four rows
-    are updated in place, each scaled product going through one scratch pair
-    of rows, and ``s`` and ``A s`` are only read, as they may be views of
-    other vectors.  After the two previous rotations, a column's own rotation
-    takes ``(gbar, sub)`` to ``(gamma, 0)``: ``gamma = hypot(gbar, sub)``,
-    ``c = gbar / gamma``, ``s = sub / gamma``, the identity at ``gamma == 0``.
-    A singular R or a subdiagonal at rounding level against ``||T_k||_F``
-    (``_SINGULAR_RTOL``), or a projected residual ``|phibar|`` at rounding
-    level against ``beta1``, is a breakdown.  A non-finite column, seen once
-    in ``||T_k||_F``, stops the run as ``"nonfinite"`` on the previous
-    iterate.  ``history`` holds ``b`` and the rule, and records the carried
-    ``||b - A x||``."""
+    k - 1, k and k + 1, the solution direction ``s`` and the next basis
+    vector unnormalized, ``w = sub v_{k+1}``, or raises :class:`_Stop`; both
+    are only read, as they may be views of other vectors.  ``x``, ``r = b - A
+    x`` and the two previous directions, each times its gamma, are updated in
+    place through one scratch row.  After the two previous rotations, a
+    column's own rotation takes ``(gbar, sub)`` to ``(gamma, 0)``: ``gamma =
+    hypot(gbar, sub)``, ``c, s = gbar / gamma, sub / gamma``, the identity at
+    ``gamma == 0``.  ``x`` moves by ``tau / gamma`` times the direction, and
+    ``r_k = s^2 r_{k-1} - (tau / gamma) w`` needs the three-term relation
+    only, no image of a direction (Paige & Saunders, SINUM 1975).  A singular
+    R or a subdiagonal at rounding level against ``||T_k||_F``, or a
+    projected residual ``|phibar|`` at rounding level against ``beta1``, is a
+    breakdown.  A non-finite column, seen once in ``||T_k||_F``, stops the
+    run as ``"nonfinite"`` on the previous iterate.  ``history`` holds ``b``
+    and the rule, and records the carried ``||b - A x||``."""
     b = history.b
     if beta1 == 0.0:
         return history.record("breakdown", np.zeros(b.size))
-    # rows [d, A d] of the two previous directions, each times its gamma;
-    # rows [x, b - A x]
-    dirs_prev, dirs_prev2 = np.zeros((2, b.size)), np.zeros((2, b.size))
-    xr = np.stack((np.zeros(b.size), b))
-    scratch = np.empty((2, b.size))
-    phibar = beta1
+    d_prev, d_prev2, x = np.zeros(b.size), np.zeros(b.size), np.zeros(b.size)
+    r, scratch = b.copy(), np.empty(b.size)
+    phibar, t_norm2, reason = beta1, 0.0, "max_iter"
     c_prev2, s_prev2, g_prev2 = 1.0, 0.0, 1.0
     c_prev, s_prev, g_prev = 1.0, 0.0, 1.0
-    t_norm2 = 0.0
-    reason = "max_iter"
     for k in range(1, history.rule.max_iter + 1):
         try:
-            (upper, diag, sub), s_dir, a_dir = column(k)
+            (upper, diag, sub), s_dir, w = column(k)
         except _Stop as stop:
             reason = str(stop)
             break
@@ -376,26 +373,27 @@ def _givens_loop(column, beta1, history):
             break
         tau = c * phibar
         phibar = -s * phibar
-        # gamma d = fresh - delta d_prev - eps d_prev2 over the oldest rows;
+        # gamma d = fresh - delta d_prev - eps d_prev2 over the oldest row;
         # keeping gamma d saves the pass that would divide by gamma
-        dirs_prev2 *= -eps / g_prev2
-        dirs_prev2[0] += s_dir
-        dirs_prev2[1] += a_dir
-        dirs_prev2 -= np.multiply(dirs_prev, delta / g_prev, out=scratch)
-        dirs_prev2, dirs_prev = dirs_prev, dirs_prev2
-        del s_dir, a_dir  # not kept alive through the next step
+        d_prev2 *= -eps / g_prev2
+        d_prev2 += s_dir
+        d_prev2 -= np.multiply(d_prev, delta / g_prev, out=scratch)
+        d_prev2, d_prev = d_prev, d_prev2
+        del s_dir  # not kept alive through the next step
         c_prev2, s_prev2, g_prev2 = c_prev, s_prev, g_prev
         c_prev, s_prev, g_prev = c, s, gamma
         step = tau / gamma
-        xr += np.multiply(dirs_prev, [[step], [-step]], out=scratch)
-        if history.push(xr[0], float(np.linalg.norm(xr[1]))):
+        x += np.multiply(d_prev, step, out=scratch)
+        r *= s * s
+        r -= np.multiply(w, step, out=scratch)
+        if history.push(x, float(np.linalg.norm(r))):
             reason = "discrepancy"
             break
         if (sub <= _SINGULAR_RTOL * math.sqrt(t_norm2)
                 or abs(phibar) <= BREAKDOWN_RTOL * beta1):
             reason = "breakdown"
             break
-    return history.record(reason, xr[0])
+    return history.record(reason, x)
 
 
 def _dual_norm(m, v):
@@ -409,7 +407,9 @@ def _lanczos(history, m=None):
     ``m``, M = P P^T, it is preconditioned MINRES (Paige & Saunders, SINUM
     1975) on ``v`` and the solution direction ``z = M v`` (without, ``v``):
     ``beta_{k+1} v_{k+1} = A z_k - alpha_k v_k - beta_k v_{k-1}``, ``alpha_k =
-    <z_k, A z_k>`` and ``beta^2 = <v, M v>``, one A and one M a step."""
+    <z_k, A z_k>`` and ``beta^2 = <v, M v>``, one A and one M a step.  It
+    hands the loop ``z_k`` and ``beta_{k+1} v_{k+1}``, normalized a step
+    later; ``A z_k`` is used here only."""
     rhs = history.b
     mv, beta1 = _dual_norm(m, rhs)
     v = rhs / beta1 if beta1 else rhs
@@ -427,14 +427,14 @@ def _lanczos(history, m=None):
         image = history.apply(z)
         # vecdot reads a flipped image in place, where dot would copy it
         alfa = float(np.vecdot(z, image))
-        # next dual vector in the previous one's buffer, in place: ``image``
-        # is also the direction's image, so it is only read
+        # next dual vector in the previous one's buffer, in place; ``image``
+        # may be a view of the operator's workspace, so it is only read
         v_next *= -beta
         v_next += image
         v_next -= np.multiply(v, alfa, out=scratch)
         upper = beta
         mv, beta = _dual_norm(m, v_next)
-        return (upper, alfa, beta), z, image
+        return (upper, alfa, beta), z, v_next
 
     return column, beta1
 
@@ -454,15 +454,15 @@ def minres_sym_prec(A, b, p_half, rule: StoppingRule | None = None,
                     x_true=None) -> SolveRecord:
     """MINRES on the symmetrically preconditioned system.
 
-    Iterates on ``p_half A p_half z = p_half b`` (``p_half`` symmetric) and
-    returns solutions ``x = p_half z``.  The recorded true residuals (and the
-    discrepancy test) are those of the ORIGINAL system ``||b - A x||``; only
-    the breakdown test reads the preconditioned system's projected residual.
-    Each step applies A and M = ``p_half p_half^T`` once each
-    (:func:`~kryblur.preconditioners.times_adjoint`, preconditioned MINRES).
+    Iterates on ``p_half^T A p_half z = p_half^T b`` and returns solutions
+    ``x = p_half z``.  The recorded true residuals (and the discrepancy test)
+    are those of the ORIGINAL system ``||b - A x||``; only the breakdown test
+    reads the preconditioned system's projected residual.  Each step applies
+    A and M = ``p_half p_half^T`` once each (preconditioned MINRES).  Only A
+    is probed for symmetry: M is positive semidefinite for any ``p_half``.
     """
     history = _History(A, b, rule, x_true, p_half)
-    _probe_symmetry(LinearMap(A.size, lambda z: p_half.apply(A.apply(p_half.apply(z)))))
+    _probe_symmetry(A)
     return _givens_loop(*_lanczos(history, times_adjoint(p_half)), history)
 
 
@@ -788,8 +788,9 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
     Givens loop of :func:`minres` on the bidiagonal B_k, whose column k is
     ``(0, alpha_k, beta_{k+1})``, with solution direction ``P v_k = M q_k``
     (``v_k = P^T q_k``, ``alpha_k^2 = <q_k, M q_k>``) for M = P P^T
-    (:func:`~kryblur.preconditioners.times_adjoint`), so ``x`` and ``b - A
-    x`` are updated, never recomputed.  ``u`` and ``q`` are updated in place.
+    (:func:`~kryblur.preconditioners.times_adjoint`).  ``x`` is updated with
+    the direction and ``b - A x`` with ``beta_{k+1} u_{k+1}``, never
+    recomputed; ``u`` and ``q`` are updated in place.
     Step k applies the adjoint for ``q_k``, M and A, and none follows the
     last step: k iterations cost ``2k`` applications, one more when the
     adjoint of the next step reveals an exhausted Golub-Kahan space
@@ -810,10 +811,10 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
         # alpha_k q_k = A^T u_k - beta_k q_{k-1} and beta_{k+1} u_{k+1} =
         # A P v_k - alpha_k u_k, each in its own buffer; operator outputs may
         # be their own input (identity), so they are only read
-        w = history.apply_adjoint(u)
+        if k > 1:  # the loop has read ``beta u``
+            u *= 1.0 / beta
         q *= -beta
-        q += w
-        del w  # not kept alive through the forward apply
+        q += history.apply_adjoint(u)
         mq, alfa = _dual_norm(m, q)
         b_norm2 += alfa * alfa
         if not alfa > _SINGULAR_RTOL * math.sqrt(b_norm2):  # ||B_k||_F
@@ -821,14 +822,11 @@ def lsqr(A, b, rule: StoppingRule | None = None, right_prec=None,
         s_dir = q if m is None else np.multiply(mq, 1.0 / alfa, out=z_buf)  # mq may be q
         q *= 1.0 / alfa
         del mq
-        a_dir = history.apply(s_dir)
         u *= -alfa
-        u += a_dir
+        u += history.apply(s_dir)
         beta = float(np.linalg.norm(u))
         b_norm2 += beta * beta
-        if 0.0 < beta < math.inf:  # an infinite beta stops the loop
-            u *= 1.0 / beta
-        return (0.0, alfa, beta), s_dir, a_dir
+        return (0.0, alfa, beta), s_dir, u
 
     return _givens_loop(column, beta1, history)
 

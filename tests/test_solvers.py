@@ -1,5 +1,6 @@
 """Krylov solvers against independent reference implementations."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -538,6 +539,17 @@ def test_wrong_size_x_true_rejected_before_any_application(method):
     assert calls == {"apply": 0, "apply_adjoint": 0}
 
 
+@pytest.mark.parametrize("truth", ["negative", "nonpositive"])
+@pytest.mark.parametrize("method", list(_SOLVERS))
+def test_x_true_without_positive_peak_rejected_before_any_application(method, truth):
+    # its PSNR, from the peak max(x_true), is undefined
+    op, calls = _counting_map(random_symmetric(16, 2))
+    x_true = -np.ones(16) if truth == "negative" else np.minimum(_unit_rhs(16, 4), 0.0)
+    with pytest.raises(ValueError, match="x_true has maximum"):
+        _SOLVERS[method](op, _unit_rhs(16, 3), rule=StoppingRule(max_iter=4), x_true=x_true)
+    assert calls == {"apply": 0, "apply_adjoint": 0}
+
+
 @pytest.mark.parametrize("method", list(_SOLVERS))
 def test_all_zero_x_true_rejected_before_any_application(method):
     # its RRE is undefined; the symmetry probe does not run either
@@ -872,9 +884,8 @@ def test_work_accounting_short_recurrences(method):
         assert calls["apply"] == k + 6
         assert calls["apply_adjoint"] == 0
         # P P^T of a generic P is its adjoint and then its apply: one for the
-        # right-hand side and one per step; the probe's twelve applies of P
-        # stay on the split map P A P
-        want = (0, 0) if method == "minres" else (k + 13, k + 1)
+        # right-hand side and one per step; the symmetry probe runs on A alone
+        want = (0, 0) if method == "minres" else (k + 1, k + 1)
         assert (prec_calls["apply"], prec_calls["apply_adjoint"]) == want
     else:
         mat = random_nonsymmetric(16, 3)
@@ -899,13 +910,13 @@ def test_work_accounting_short_recurrences(method):
 
 
 @pytest.mark.parametrize("method, per_step, probe, startup", [
-    ("YA MINRES", 1, 6, 0), ("YAP MINRES", 2, 18, 1), ("A LSQR", 2, 0, 0), ("AP LSQR", 3, 0, 0)])
+    ("YA MINRES", 1, 6, 0), ("YAP MINRES", 2, 6, 1), ("A LSQR", 2, 0, 0), ("AP LSQR", 3, 0, 0)])
 def test_filters_per_step_of_the_short_recurrences(method, per_step, probe, startup, monkeypatch):
     # every blur and circulant apply is one real-FFT filter (two 2-D
     # transforms).  A preconditioned step applies P P^T as one circulant, so
     # a step costs A (and LSQR's adjoint) plus one filter; the MINRES
-    # symmetry probe runs on the split map P A P, and preconditioned MINRES
-    # starts from M b.  Exact counts, read at two budgets
+    # symmetry probe runs on A alone, and preconditioned MINRES starts from
+    # M b.  Exact counts, read at two budgets
     filters, probed = [], []
     real_filter, real_probe = operators._rfft_filter, solvers._probe_symmetry
 
@@ -968,6 +979,70 @@ def test_carried_residual_matches_recomputed_on_star_field(method, iterates):
     direct = [np.linalg.norm(b - np.ravel(prob.operator.apply(x))) for x in iterates]
     gap = np.abs(np.array(rec.res_norm) - direct)
     assert gap.max() <= 1e-10 * np.linalg.norm(b), f"max gap {gap.max():.3e}"
+
+
+_SCENES = {f"{bc}-{n}": (n, bc) for bc in ("zero", "periodic") for n in (16, 32)}
+_SCENES["reflective-32"] = (32, "reflective")
+
+
+@pytest.mark.parametrize("scene", list(_SCENES))
+@pytest.mark.parametrize("method", ["minres", "minres-circulant-p", "minres-linear-map-p", "lsqr",
+                                    "lsqr-right-prec"])
+def test_carried_residual_is_that_of_the_iterate_at_every_step(method, scene):
+    # the Givens loop updates b - A x from the next basis vector, not from
+    # images of the directions; a run of j steps must end on the residual of
+    # the iterate it returns.  Zero and periodic BC take a two-motion PSF
+    # (Y A is symmetric, A is not), reflective BC a symmetric Gaussian one
+    n, bc = _SCENES[scene]
+    psf = make_gaussian_psf(5, 1.5) if bc == "reflective" else make_two_motion_psf(5, 30.0, 100.0)
+    prob = make_problem(star_field(n, seed=2), psf, bc, 0.05, 11)
+    tikhonov = circulant_tikhonov(bccb_eigenvalues(psf, n), 1e-2)
+    op, b = prob.operator, prob.b.ravel()
+    if method.startswith("minres"):
+        op, b = FlipComposedOperator(op), apply_flip(b)
+    p = {"minres-circulant-p": tikhonov,
+         "minres-linear-map-p": LinearMap.from_matrix(materialize_dense(tikhonov))}.get(method)
+    for j in (1, 2, 3, 7, 20, 60):
+        rule = StoppingRule(max_iter=j)
+        if method == "minres":
+            rec = minres(op, b, rule)
+        elif p is not None:
+            rec = minres_sym_prec(op, b, p, rule)
+        else:
+            rec = lsqr(op, b, rule, right_prec=tikhonov if method == "lsqr-right-prec" else None)
+        # a periodic A P has few distinct singular values, so LSQR may end
+        # on an exhausted space first
+        assert rec.iterations == j or rec.stop_reason == "breakdown"
+        direct = np.linalg.norm(b - np.ravel(op.apply(rec.x_stop)))
+        assert abs(rec.res_norm[-1] - direct) <= 1e-12 * np.linalg.norm(b), (j, rec.res_norm[-1], direct)
+
+
+@pytest.mark.parametrize("method, rows", [("minres", 10), ("lsqr", 9)])
+def test_givens_loop_working_set(method, rows):
+    # traced peak of a 30-step solve at n = 64 after a warm-up solve, in
+    # N-length rows.  MINRES holds ten: v, v_next and the Lanczos scratch; the
+    # loop's two directions, x, b - A x and its scratch row; the best iterate
+    # and the operator's output.  LSQR holds nine: u and q instead of the
+    # three Lanczos rows.  Half a row of slack covers the small temporaries
+    # (0.1 row measured); a loop that carried the images of its directions
+    # (14.1 and 13.1 rows) would not fit
+    n = 64
+    prob = make_problem(star_field(n, seed=1), make_gaussian_psf(7, 1.5), "zero", 0.05, 3)
+    if method == "minres":
+        fop, yb = FlipComposedOperator(prob.operator), apply_flip(prob.b.ravel())
+        solve = lambda: minres(fop, yb, StoppingRule(max_iter=30))
+    else:
+        solve = lambda: lsqr(prob.operator, prob.b.ravel(), StoppingRule(max_iter=30))
+    solve()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rec = solve()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rec.iterations == 30
+    assert peak <= (rows + 0.5) * n * n * 8, f"peak {peak / (n * n * 8):.2f} rows"
 
 
 @pytest.mark.parametrize("method", ["minres", "lsqr"])
