@@ -27,12 +27,14 @@ orthonormal by classical Gram-Schmidt with delayed reorthogonalization
 reduction yields one coefficient matrix F of the block's lagged rows L and
 new rows W on the corrected basis, ``[L, W] = [V, L', W'] F``; the update
 writes ``L'`` and ``W'`` from it, and Hbar's new columns come from F's.
-Stationary GMRES applies the operator to a scaled monomial block of
-``_S_STEP`` (four) vectors first (s-step GMRES); the flexible solvers, which
-need the iterate of every step for the next direction, take blocks of one
-row, and so does the FLSQR basis V.  The update pass writes basis rows and
-stationary GMRES's iterates ``V y`` only; each step records ``||beta e1 -
-Hbar y||``, the new rows weighted by their Gram as written, as its residual.
+Stationary GMRES takes its first ``_S_STEP`` (twelve) steps one row at a
+time and then applies the operator to Newton blocks of that many vectors,
+each image shifted by a Ritz value of those first steps (s-step GMRES); the
+flexible solvers, which need the iterate of every step for the next
+direction, take blocks of one row, and so does the FLSQR basis V.  The
+update pass writes basis rows and stationary GMRES's iterates ``V y`` only;
+each step records ``||beta e1 - Hbar y||``, the new rows weighted by their
+Gram as written, as its residual.
 ``minres``, ``minres_sym_prec`` and ``lsqr`` share one Givens
 loop: it minimizes the residual through a Givens QR of a banded projected
 matrix, the Lanczos tridiagonal or the Golub-Kahan bidiagonal (the same band
@@ -60,7 +62,8 @@ at most ``eta * noise_norm``, kept whether or not the rule stops there.
 solver loop; only the MINRES symmetry probe goes uncharged.  That includes
 the applications of a GMRES block left unused: those after a stop inside the
 block, and those of a near rank-deficient block, which takes its first step
-only.
+only.  A solve cuts at most two blocks, so the second kind is at most ``2
+(_S_STEP - 1)``.
 """
 
 from __future__ import annotations
@@ -470,24 +473,32 @@ def minres_sym_prec(A, b, p_half, rule: StoppingRule | None = None,
 # GMRES / FGMRES
 # ---------------------------------------------------------------------------
 
-#: Steps per block of stationary GMRES (s-step Arnoldi): the operator is
-#: applied to a scaled monomial block of this many vectors, which one
-#: reduction pass and one update pass over the basis then orthogonalize.  The
-#: flexible solvers need the iterate of every step, so their blocks have one
-#: row; with 1 here, so do GMRES's.
-_S_STEP = 4
+#: Steps per block of stationary GMRES (s-step Arnoldi).  The first this many
+#: steps go one row at a time; the real parts of the Ritz values of their
+#: Hessenberg matrix, in Leja order (:func:`_leja`), then shift the rows of
+#: every Newton block, ``w_{j+1} = (A x_j - theta_j x_j) / sigma_j`` (Bai, Hu
+#: & Reichel, IMA J. Numer. Anal. 1994), which one reduction pass and one
+#: update pass over the basis orthogonalize.  Unshifted (monomial) blocks of
+#: eight after eight one-row steps already read 4.2e5 to 8.6e5 against
+#: ``_BLOCK_COND`` on the flipped S3 systems at n = 256.  The flexible solvers
+#: need the iterate of every step, so their blocks have one row; with 1 here,
+#: so do GMRES's.
+_S_STEP = 12
 
 #: A block takes its first step only when ``||W^T W||_2`` over the smallest
-#: eigenvalue of its Pythagoras Gram (W the scaled monomial images; ``W^T W``
+#: eigenvalue of its Pythagoras Gram (W the shifted, scaled images; ``W^T W``
 #: less the Gram of their coefficients on the basis, see :class:`_Dcgs2`)
 #: exceeds this bound: the projection is then too close to rank deficient to be
 #: read from the Gram, and the defect of the Arnoldi relation grows like eps
-#: times this ratio.  The ratio is infinite on identity maps, at an exhausted
-#: Krylov space and when n < s; it reads 1.5e5 to 1.8e8 on acceptance 2's
-#: random maps, 2e5 to 5e6 on a 7x7 Gaussian blur with zero boundaries, and
-#: 2.6e2 to 5.1e2 on the flipped 512x512 reflective two-motion blur, apart from
-#: its first block (1.7e5, 2.8e5 with the preconditioner), whose smooth start
-#: vector makes the first monomials nearly parallel.
+#: times this ratio.  The ratio is infinite on identity maps and at an
+#: exhausted Krylov space.  On the Newton blocks of twelve of the S3 scene
+#: (after 12, 24, 36 and 48 steps) it reads 2.3e2 to 3.8e3 on the flipped
+#: reflective two-motion blur at n = 128, 256 and 512, and 2.9e2 to 5.2e3
+#: with the abs-Tikhonov preconditioner at n = 256 and 512 (at n = 128,
+#: 3.0e3 and 6.0e3, then 7.0e5 and 6.5e6).  Unflipped, it reads 3.0e2 to
+#: 7.1e2 under a 7x7 Gaussian blur with zero boundaries, and 2.2e4 or more
+#: under the reflective blur, whose Ritz values are complex; on acceptance
+#: 2's random maps and at n = 32 it reads 1.3e5 or more.
 _BLOCK_COND = 1e4
 
 #: Columns per slice of the DCGS2 passes, so a slice stays in cache (8192 by
@@ -628,7 +639,19 @@ def _least_squares(r, rhs):
         return np.linalg.lstsq(r, rhs, rcond=None)[0]
 
 
-def _hessenberg(gs, sigma, flexible):
+def _leja(points) -> np.ndarray:
+    """``points`` in Leja order: first the largest in modulus, then each
+    next the one with the largest product of distances to those before it."""
+    left = list(points)
+    order = [max(left, key=abs)]
+    left.remove(order[0])
+    while left:
+        order.append(max(left, key=lambda p: math.prod(abs(p - q) for q in order)))
+        left.remove(order[-1])
+    return np.array(order)
+
+
+def _hessenberg(gs, sigma, theta, flexible):
     """Brings Hbar (``gs.h``) up to date after the reduction pass of a
     block, from its coefficient matrix F (``gs.f``, ``[L, W] = [V, L', W']
     F``): its rows on ``L`` become rows on ``V`` and ``L'`` (times the
@@ -637,9 +660,10 @@ def _hessenberg(gs, sigma, flexible):
     sigma``, and the earlier columns, images of stored directions, keep
     their values.  Otherwise the columns are images of ``L`` too and are
     multiplied by the inverse, and the block's follow from ``A X = W
-    diag(sigma)``, where ``X = [L e_last, W[:-1]] = [V, L', W'] T_X`` with
-    ``T_X = F[:, lagged - 1:-1]``: with ``U = T_X[k:]`` (triangular),
-    ``(F[:, lagged:] diag(sigma) - Hbar T_X[:k]) U^-1``."""
+    diag(sigma) + X diag(theta)`` (the shifts ``theta``, 0 in a one-row
+    block), where ``X = [L e_last, W[:-1]] = [V, L', W'] T_X`` with ``T_X =
+    F[:, lagged - 1:-1]``: with ``U = T_X[k:]`` (triangular), ``(F[:,
+    lagged:] diag(sigma) + T_X diag(theta) - Hbar T_X[:k]) U^-1``."""
     h, k, m, f = gs.h, gs.k, gs.m, gs.f
     n, lagged = f.shape[0], k + 1 - m
     h[:m, :k] += f[:m, :lagged] @ h[m:k + 1, :k]
@@ -650,7 +674,7 @@ def _hessenberg(gs, sigma, flexible):
     h[:k + 1, m:k] -= h[:k + 1, :m] @ f[:m, :lagged - 1]
     h[:k + 1, m:k] = np.linalg.solve(f[m:k, :lagged - 1].T, h[:k + 1, m:k].T).T
     t_x = f[:, lagged - 1:-1]
-    cols = f[:, lagged:] * sigma - h[:n, :k] @ t_x[:k]
+    cols = f[:, lagged:] * sigma + t_x * theta - h[:n, :k] @ t_x[:k]
     h[:n, k:n - 1] = np.linalg.solve(t_x[k:n - 1].T, cols.T).T
 
 
@@ -663,19 +687,22 @@ def _arnoldi(history, *, direction, solution=None, flexible=False):
     applied to at 1-based step k (``v``, ``P v``, ``P_k v``, or ``P_k`` times
     an adjoint image of ``v``), or raises :class:`_Stop`; the maps it applies
     are read through their one contract, nothing else.  A block applies the
-    operator to the last lagged row and then to each image in turn, copied
-    into its basis row and scaled there by the reciprocal of its norm
-    ``sigma`` (a non-finite one stops the run on the iterate before the
-    block), and takes the steps of all of them with one reduction and one
-    update pass (:class:`_Dcgs2`, with Hbar from :func:`_hessenberg`).
-    Stationary GMRES takes blocks of ``_S_STEP`` steps: ``Z = V`` (times P),
-    and the iterate is ``solution(V y)``, as storing ``Z = P V`` too would
-    double the memory of the basis.  A near rank-deficient block takes its
-    first step only and the next ``_S_STEP - 1`` steps go one at a time;
-    after two such blocks in a row, every step does.  The flexible solvers
-    need the iterate of every step for the next direction, so their blocks
-    have one row: ``A Z = V Hbar`` holds on the stored directions, and the
-    iterate is ``Z y``.
+    operator to the last lagged row ``x_0`` and then to each image ``x_j``
+    in turn; row ``j + 1`` is ``A z_j - theta_j x_j``, written into its basis
+    row and scaled there by the reciprocal of its norm ``sigma_j`` (a
+    non-finite one stops the run on the iterate before the block).  The
+    block takes the steps of all of them with one reduction and one update
+    pass (:class:`_Dcgs2`, with Hbar from :func:`_hessenberg`).  Stationary
+    GMRES takes ``_S_STEP`` steps one row at a time, then Newton blocks of
+    ``_S_STEP`` steps, shifted by the real parts of the Ritz values of
+    ``Hbar[:_S_STEP, :_S_STEP]`` in Leja order (Hoemmen, ch. 7): ``Z = V``
+    (times P), and the iterate is ``solution(V y)``, as storing ``Z = P V``
+    too would double the memory of the basis.  A near rank-deficient block
+    takes its first step only and the next ``_S_STEP - 1`` steps go one at a
+    time; after the second such block, every step does.  The flexible
+    solvers need the iterate of every step for the next direction, so their
+    blocks have one row, unshifted: ``A Z = V Hbar`` holds on the stored
+    directions, and the iterate is ``Z y``.
 
     One R-only Householder QR of ``[Hbar, beta e1]`` (column-prefix stable)
     solves every step j of the block on its leading ``k + j`` triangle.  The
@@ -683,7 +710,9 @@ def _arnoldi(history, *, direction, solution=None, flexible=False):
     step records ``||beta e1 - Hbar y||``, the new rows weighted by their Gram
     as written, as its residual, as if taken alone.  Breakdown shows in a
     one-row block, whose exact ``||w'||`` is rounding noise.  A stop inside a
-    block leaves its later applications unused; ``n_ops`` counts them.
+    block leaves its later applications unused, at most ``_S_STEP - 1``, and
+    the two near rank-deficient blocks at most ``2 (_S_STEP - 1)``; ``n_ops``
+    counts them.
     """
     b, rule = history.b, history.rule
     beta = float(np.linalg.norm(b))
@@ -695,33 +724,37 @@ def _arnoldi(history, *, direction, solution=None, flexible=False):
     gs.h = h = np.zeros((rule.max_iter + 1, rule.max_iter))
     dirs = _mapped(rule.max_iter, b.size) if flexible else None
     x = np.zeros(b.size)
-    k, lagged, single, failed = 0, 1, 0, False
+    k, lagged, single, cuts, ritz = 0, 1, _S_STEP, 0, None
     while k < rule.max_iter:
-        sigma = np.ones(1 if single or flexible else min(_S_STEP, rule.max_iter - k))
-        for j in range(len(sigma)):
+        s = 1 if single or flexible else min(_S_STEP, rule.max_iter - k)
+        if s > 1 and ritz is None:  # the one-row warm-up is over
+            ritz = _leja(np.linalg.eigvals(h[:_S_STEP, :_S_STEP]).real)
+        theta = ritz[:s] if s > 1 else np.zeros(1)
+        sigma = np.ones(s)
+        for j in range(s):
             try:
                 z = direction(k + j + 1, basis[k + j], x)
             except _Stop as stop:
                 return history.record(str(stop), x)
             if flexible:
                 dirs[k + j] = z
-            # the image goes into its basis row first, so its norm reads a
-            # contiguous row (a flipped image is a reversed view)
+            # the shifted image goes into its basis row first, so its norm
+            # reads a contiguous row (a flipped image is a reversed view)
             row = basis[k + j + 1]
-            row[:] = history.apply(z)
+            np.multiply(basis[k + j], -theta[j], out=row)
+            row += history.apply(z)
             sigma[j] = np.linalg.norm(row) or 1.0
             if not math.isfinite(sigma[j]):
                 return history.record("nonfinite", x)
             row *= 1.0 / sigma[j]
         del z  # not kept alive through the passes
-        t = gs.reduce(k, lagged, len(sigma))
-        if t < len(sigma):
-            single = rule.max_iter if failed else _S_STEP - 1
+        t = gs.reduce(k, lagged, s)
+        if t < s:
+            cuts += 1
+            single = rule.max_iter if cuts == 2 else _S_STEP - 1
         elif single:
             single -= 1
-        if len(sigma) > 1:
-            failed = t < len(sigma)
-        _hessenberg(gs, sigma[:t], flexible)
+        _hessenberg(gs, sigma[:t], theta[:t], flexible)
         n = k + 1 + t
         r = np.linalg.qr(np.hstack((h[:n, :n - 1], beta * np.eye(n, 1))), mode="r")
         ys = np.zeros((t, n))

@@ -671,11 +671,13 @@ def _breaking_map(mat, bad, after):
 @pytest.mark.parametrize("method, after, kept", [
     ("gmres", 0, 0), ("gmres", 5, 4), ("gmres-right-prec", 5, 4), ("fgmres", 5, 5),
     ("lsqr", 0, 0), ("lsqr", 5, 2), ("lsqr", 6, 3), ("flsqr", 4, 2), ("flsqr", 5, 2)])
-def test_nonfinite_operator_output_stops_run(method, after, kept, bad):
+def test_nonfinite_operator_output_stops_run(method, after, kept, bad, monkeypatch):
     # the run stops as "nonfinite" at the first bad output, forward or
     # adjoint, on the last iterate it completed, with no numpy warning:
-    # GMRES's is the one before the block of four steps the bad output falls
-    # in, and FLSQR's bad adjoint image never reaches the basis passes
+    # with blocks of four (four one-row steps, then a Newton block of steps
+    # 5 to 8), GMRES's is the one before the Newton block the bad output
+    # falls in, and FLSQR's bad adjoint image never reaches the basis passes
+    monkeypatch.setattr(solvers, "_S_STEP", 4)
     mat = np.linalg.qr(np.random.default_rng(3).standard_normal((8, 8)))[0] * np.linspace(1, 3, 8)
     b = _unit_rhs(8, 4)
     op, calls = _breaking_map(mat, bad, after)
@@ -842,12 +844,13 @@ def _counting_map(mat):
 @pytest.mark.parametrize("method", ["gmres", "gmres-right-prec", "fgmres", "flsqr"])
 def test_work_accounting_counts_every_operator_application(method, blocks):
     # n_ops is every application of A and A^T, residual bookkeeping included;
-    # the monomial blocks of this random map are near rank deficient, so
-    # GMRES takes their first steps only and applies A for nothing else
-    mat = random_nonsymmetric(16, 3)
-    b = _unit_rhs(16, 4)
-    weights = 0.5 + np.random.default_rng(5).random(16)
-    rule = StoppingRule(max_iter=10)
+    # after twelve one-row steps, the Newton blocks of this random map (of
+    # steps 13 to 24, then 25 to 30) are near rank deficient, so GMRES takes
+    # their first steps only and applies A for nothing else
+    mat = random_nonsymmetric(32, 3)
+    b = _unit_rhs(32, 4)
+    weights = 0.5 + np.random.default_rng(5).random(32)
+    rule = StoppingRule(max_iter=30)
     op, calls = _counting_map(mat)
     if method == "gmres":
         rec = gmres(op, b, rule)
@@ -857,10 +860,10 @@ def test_work_accounting_counts_every_operator_application(method, blocks):
         rec = fgmres(op, b, lambda k, x_prev: DiagonalOperator(weights ** (k % 3)), rule)
     else:
         rec = flsqr(op, b, lambda k, x_prev: DiagonalOperator(weights ** (k % 3)), rule)
-    assert rec.iterations == 10
+    assert rec.iterations == 30
     assert calls["apply"] + calls["apply_adjoint"] == rec.n_ops
     abandoned = sum(a - t for a, t in blocks)
-    assert abandoned == (6 if method.startswith("gmres") else 0)
+    assert abandoned == (11 + 5 if method.startswith("gmres") else 0)
     assert calls["apply"] == rec.iterations + abandoned
 
 
@@ -1169,13 +1172,19 @@ def test_flsqr_sparsity_weights_concentrate_support(iterates):
 # DCGS2 bases
 
 
+def _s3_scene(n=128):
+    """The S3 scene (acceptance 6's at n = 128): a natural scene under the
+    reflective two-motion blur, and the abs-Tikhonov preconditioner."""
+    psf = make_two_motion_psf(9, 45.0, 135.0)
+    prob = make_problem(natural_scene(n, seed=7), psf, "reflective", 0.01, 42)
+    return prob, circulant_abs_tikhonov(bccb_eigenvalues(psf, n), 0.1)
+
+
 @pytest.mark.parametrize("method", ["YA", "YAP", "YAPW", "FLSQR"])
 def test_dcgs2_bases_orthonormal_after_60_steps(method, bases):
-    # reflective two-motion blur: every basis DCGS2 grows stays orthonormal
-    # to rounding, including both FLSQR bases
-    psf = make_two_motion_psf(9, 45.0, 135.0)
-    prob = make_problem(natural_scene(32, seed=7), psf, "reflective", 0.01, 42)
-    prec = circulant_abs_tikhonov(bccb_eigenvalues(psf, 32), 0.1)
+    # the S3 scene at n = 128: every basis DCGS2 grows stays orthonormal to
+    # rounding, including both FLSQR bases
+    prob, prec = _s3_scene()
     fop = FlipComposedOperator(prob.operator)
     rhs = apply_flip(prob.b.ravel())
     rule = StoppingRule(max_iter=60)
@@ -1193,10 +1202,11 @@ def test_dcgs2_bases_orthonormal_after_60_steps(method, bases):
         rec = flsqr(prob.operator, prob.b.ravel(), weighted, rule)
     assert rec.iterations == 60
     final = bases()
-    # the rows of the last block (steps 57 to 60) would be reorthogonalized
-    # by the next block's reduction, which a run of 60 steps does not take;
-    # FLSQR reduces its basis V first at each step
-    want = {"YA": [57], "YAP": [57], "YAPW": [60], "FLSQR": [59, 60]}[method]
+    # the rows of YA's last Newton block (steps 49 to 60) would be
+    # reorthogonalized by the next block's reduction, which a run of 60 steps
+    # does not take; YAP's third and fourth Newton blocks are cut, and it
+    # ends one step at a time; FLSQR reduces its basis V first at each step
+    want = {"YA": [49], "YAP": [60], "YAPW": [60], "FLSQR": [59, 60]}[method]
     assert [len(rows) for rows, _ in final] == want
     for rows, _ in final:
         assert _orthogonality_loss(rows) <= 1e-12
@@ -1204,14 +1214,11 @@ def test_dcgs2_bases_orthonormal_after_60_steps(method, bases):
 
 @pytest.mark.parametrize("method", ["YA", "YAP", "A"])
 def test_block_arnoldi_relation_at_60_steps(method, bases, blocks):
-    # the S3 scene at n = 128 (two-motion blur, reflective): with blocks of
-    # four, the basis stays orthonormal and Hbar, recovered from the change
-    # of basis, satisfies A V_k = V_{k+1} Hbar at k = 60 to rounding.  The
-    # budget of 64 steps makes the rows of step 60 final.
-    n = 128
-    psf = make_two_motion_psf(9, 45.0, 135.0)
-    prob = make_problem(natural_scene(n, seed=7), psf, "reflective", 0.01, 42)
-    prec = circulant_abs_tikhonov(bccb_eigenvalues(psf, n), 0.1)
+    # the S3 scene at n = 128: with Newton blocks of twelve after twelve
+    # one-row steps, the basis stays orthonormal and Hbar, recovered from the
+    # change of basis and the shifts, satisfies A V_k = V_{k+1} Hbar at k =
+    # 60 to rounding.  The budget of 64 steps makes the rows of step 60 final.
+    prob, prec = _s3_scene()
     rule = StoppingRule(max_iter=64)
     if method == "A":
         op, rec = prob.operator, gmres(prob.operator, prob.b.ravel(), rule)
@@ -1221,9 +1228,12 @@ def test_block_arnoldi_relation_at_60_steps(method, bases, blocks):
         rec = gmres(op, apply_flip(prob.b.ravel()), rule, right_prec=right)
     assert rec.iterations == 64
     assert sum(taken for _, taken in blocks) == 64
-    # unflipped, two blocks in a row come near rank deficient by step 28 and
-    # the run goes on one step at a time
-    assert sum(taken == 4 for _, taken in blocks) >= (4 if method == "A" else 14)
+    # YA takes four full Newton blocks.  With the preconditioner the third
+    # and fourth come near rank deficient, and unflipped the first two: each
+    # of these takes its first step, a shifted image, and the run goes on
+    # one step at a time
+    assert sum(taken == 12 for _, taken in blocks) == {"YA": 4, "YAP": 2, "A": 0}[method]
+    assert sum(applied > taken for applied, taken in blocks) == (0 if method == "YA" else 2)
     [(rows, hbar)] = bases()
     v, hbar = rows[:61], hbar[:61, :60]
     assert _orthogonality_loss(v) <= 1e-12
@@ -1378,14 +1388,14 @@ def _assert_same_run(blocked, single, tol=1e-10):
 
 def _blur_white_noise(n=32):
     # the flipped reflective two-motion blur with a white-noise right-hand
-    # side: every block of four is well conditioned, including the first (a
-    # blurred image is smooth, and its first monomials nearly parallel)
+    # side: a Newton block of up to six steps after the twelve one-row steps
+    # is well conditioned (one of twelve is near rank deficient at n = 32)
     psf = make_two_motion_psf(9, 45.0, 135.0)
     prob = make_problem(natural_scene(n, seed=7), psf, "reflective", 0.01, 42)
     return FlipComposedOperator(prob.operator), np.random.default_rng(1).standard_normal(n * n)
 
 
-@pytest.mark.parametrize("max_iter", [1, 3, 5, 7])
+@pytest.mark.parametrize("max_iter", [1, 3, 5, 7, 14, 16, 18])
 @pytest.mark.parametrize("method", ["YA", "YAP"])
 def test_block_cut_short_by_the_budget_matches_one_step_at_a_time(method, max_iter,
                                                                    monkeypatch, blocks):
@@ -1395,62 +1405,116 @@ def test_block_cut_short_by_the_budget_matches_one_step_at_a_time(method, max_it
     blocked, single = _one_step_at_a_time(
         monkeypatch, lambda: gmres(op, rhs, StoppingRule(max_iter=max_iter), right_prec=right))
     _assert_same_run(blocked, single)
-    full, last = divmod(max_iter, 4)
-    # the blocked run's blocks, then the one-row blocks of the reference run
-    assert blocks == [(4, 4)] * full + ([(last, last)] if last else []) + [(1, 1)] * max_iter
+    warm_up, last = min(max_iter, 12), max(max_iter - 12, 0)
+    # the blocked run's one-row steps and, past twelve steps, its Newton
+    # block, then the one-row blocks of the reference run
+    assert blocks == [(1, 1)] * warm_up + ([(last, last)] if last else []) + [(1, 1)] * max_iter
     assert (blocked.n_ops, single.n_ops) == (max_iter, max_iter)
 
 
 @pytest.mark.parametrize("dp_enabled", [True, False], ids=["dp-on", "dp-off"])
 def test_discrepancy_inside_a_block_matches_one_step_at_a_time(dp_enabled, monkeypatch):
-    # the threshold is met at step 6, the second of the block of steps 5-8:
-    # stopping there leaves the block's last two applications unused
+    # the threshold is met at step 15, the third of the Newton block of steps
+    # 13-18: stopping there leaves the block's last three applications unused
     op, rhs = _blur_white_noise()
-    res = gmres(op, rhs, StoppingRule(max_iter=8)).res_norm
-    rule = StoppingRule(max_iter=8, dp_enabled=dp_enabled, eta=1.0,
-                        noise_norm=0.5 * (res[4] + res[5]))
+    res = gmres(op, rhs, StoppingRule(max_iter=18)).res_norm
+    rule = StoppingRule(max_iter=18, dp_enabled=dp_enabled, eta=1.0,
+                        noise_norm=0.5 * (res[13] + res[14]))
     blocked, single = _one_step_at_a_time(monkeypatch, lambda: gmres(op, rhs, rule))
     _assert_same_run(blocked, single)
-    assert blocked.dp_index == 6
+    assert blocked.dp_index == 15
     if dp_enabled:
-        assert blocked.stop_reason == "discrepancy" and blocked.iterations == 6
+        assert blocked.stop_reason == "discrepancy" and blocked.iterations == 15
         assert np.array_equal(blocked.x_stop, blocked.x_dp)
-        assert (blocked.n_ops, single.n_ops) == (8, 6)
+        assert (blocked.n_ops, single.n_ops) == (18, 15)
     else:
-        assert blocked.iterations == 8 and (blocked.n_ops, single.n_ops) == (8, 8)
+        assert blocked.iterations == 18 and (blocked.n_ops, single.n_ops) == (18, 18)
 
 
-@pytest.mark.parametrize("case", ["identity", "3x3", "happy"])
+@pytest.mark.parametrize("case", ["identity", "3x3", "happy", "13x13", "16x16", "happy-14"])
 def test_breakdown_inside_a_block_matches_one_step_at_a_time(case, monkeypatch, blocks):
-    # the Krylov space is exhausted inside the first block, which is then
-    # singular: it takes its first step, and the next go one at a time
+    # the Krylov space is exhausted in the twelve one-row steps, or inside
+    # the first Newton block (steps 13 to 24), which is then singular: it
+    # takes its first step, and the next go one at a time
     if case == "identity":
         mat, b, steps = np.eye(16), _unit_rhs(16, 1), 1
-    elif case == "3x3":  # s = 4 > n
+    elif case == "3x3":
         mat, b, steps = random_nonsymmetric(3, 4), _unit_rhs(3, 2), 3
-    else:  # b is an eigenvector
+    elif case == "happy":  # b is an eigenvector
         mat, b, steps = np.diag(np.arange(1.0, 9.0)), np.eye(8)[0], 1
+    elif case == "13x13":  # at the block's first step
+        mat, b, steps = random_nonsymmetric(13, 4), _unit_rhs(13, 2), 13
+    elif case == "16x16":
+        mat, b, steps = random_nonsymmetric(16, 1), _unit_rhs(16, 3), 16
+    else:  # b is a sum of 14 eigenvectors
+        mat, b, steps = np.diag(np.arange(1.0, 21.0)), np.repeat([0.25, 0.0], [14, 6]), 14
     blocked, single = _one_step_at_a_time(
-        monkeypatch, lambda: gmres(LinearMap.from_matrix(mat), b, StoppingRule(max_iter=10)))
+        monkeypatch, lambda: gmres(LinearMap.from_matrix(mat), b, StoppingRule(max_iter=30)))
     _assert_same_run(blocked, single)
     assert blocked.stop_reason == "breakdown" and blocked.iterations == steps
     assert np.linalg.norm(b - mat @ blocked.x_stop) <= 1e-12
-    assert blocks[0] == (4, 1) and blocks[1:steps] == [(1, 1)] * (steps - 1)
+    newton = [(12, 1)] + [(1, 1)] * (steps - 13) if steps > 12 else []
+    assert blocks[:steps] == [(1, 1)] * min(steps, 12) + newton
 
 
 def test_near_rank_deficient_blocks_match_one_step_at_a_time(monkeypatch, blocks):
-    # acceptance 2's random map: its scaled monomial blocks of four have a
-    # Pythagoras Gram 3e5 to 1e8 times smaller than the block's own, far
-    # past _BLOCK_COND.  The first two take one step each; then the run goes
-    # one step at a time.
+    # acceptance 2's random map: its Newton blocks, after twelve one-row
+    # steps, are near rank deficient (past _BLOCK_COND).  The first two take
+    # one step each; then the run goes one step at a time.
     mat = random_nonsymmetric(32, 2)
     b = _unit_rhs(32, 102)
     blocked, single = _one_step_at_a_time(
         monkeypatch, lambda: gmres(LinearMap.from_matrix(mat), b, StoppingRule(max_iter=28)))
     _assert_same_run(blocked, single)
-    assert blocks[:4] == [(4, 1), (1, 1), (1, 1), (1, 1)]
-    assert blocks[4] == (4, 1) and set(blocks[5:28]) == {(1, 1)}
-    assert blocked.n_ops == 28 + 6
+    assert blocks[:28] == [(1, 1)] * 12 + [(12, 1)] + [(1, 1)] * 11 + [(4, 1)] + [(1, 1)] * 3
+    assert blocked.n_ops == 28 + 11 + 3
+
+
+def test_leja_order_starts_at_the_largest_and_maximizes_the_distance_product():
+    points = np.concatenate((np.random.default_rng(11).uniform(-0.5, 1.0, 10), [-1.2, 0.5, 0.5]))
+    order = solvers._leja(points)
+    np.testing.assert_array_equal(np.sort(order), np.sort(points))
+    assert order[0] == -1.2
+    for j in range(1, len(order)):
+        products = [np.prod(np.abs(p - order[:j])) for p in order[j:]]
+        assert products[0] == max(products)
+
+
+def test_flipped_gmres_takes_only_full_newton_blocks(blocks):
+    # the S3 scene at n = 128: after the twelve one-row steps that give the
+    # shifts, YA GMRES takes every step in Newton blocks of twelve, so it
+    # applies the operator once a step
+    prob, _ = _s3_scene()
+    rec = gmres(FlipComposedOperator(prob.operator), apply_flip(prob.b.ravel()),
+                StoppingRule(max_iter=60))
+    assert rec.iterations == 60
+    assert blocks == [(1, 1)] * 12 + [(12, 12)] * 4
+    assert rec.n_ops == rec.iterations
+
+
+def test_complex_ritz_values_match_one_step_at_a_time(monkeypatch, bases, blocks):
+    # unflipped GMRES on acceptance 6's scene: the Ritz values of the first
+    # twelve steps are complex, and only their real parts shift the Newton
+    # blocks.  Both blocks come near rank deficient, each takes its first
+    # step, a shifted image, and the run goes on one step at a time.  The
+    # budget ends before the late steps, whose directions are ill-determined
+    # (a change of summation order alone moves them past 1e-10).
+    prob, _ = _s3_scene()
+    ritz = []
+
+    def solve():
+        rec = gmres(prob.operator, prob.b.ravel(), StoppingRule(max_iter=36), x_true=prob.x_true)
+        if not ritz:
+            [(_, hbar)] = bases()
+            ritz.extend(np.linalg.eigvals(hbar[:12, :12]))
+        return rec
+
+    blocked, single = _one_step_at_a_time(monkeypatch, solve)
+    assert np.abs(np.imag(ritz)).max() > 1e-2
+    _assert_same_run(blocked, single)
+    assert np.abs(np.subtract(blocked.rre, single.rre)).max() <= 1e-10
+    assert blocks[:36] == [(1, 1)] * 12 + ([(12, 1)] + [(1, 1)] * 11) * 2
+    assert blocked.n_ops == 36 + 2 * 11
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
