@@ -32,9 +32,9 @@ time and then applies the operator to Newton blocks of that many vectors,
 each image shifted by a Ritz value of those first steps (s-step GMRES); the
 flexible solvers, which need the iterate of every step for the next
 direction, take blocks of one row, and so does the FLSQR basis V.  The
-update pass writes basis rows and stationary GMRES's iterates ``V y`` only;
-each step records ``||beta e1 - Hbar y||``, the new rows weighted by their
-Gram as written, as its residual.
+update pass writes basis rows and stationary GMRES's iterates ``V y``, these
+into basis rows that no later step reads; each step records ``||beta e1 -
+Hbar y||``, the new rows weighted by their Gram as written, as its residual.
 ``minres``, ``minres_sym_prec`` and ``lsqr`` share one Givens
 loop: it minimizes the residual through a Givens QR of a banded projected
 matrix, the Lanczos tridiagonal or the Golub-Kahan bidiagonal (the same band
@@ -509,11 +509,12 @@ _BLOCK = 8192
 
 def _mapped(rows: int, n: int) -> np.ndarray:
     """An uninitialized ``(rows, n)`` float array in a private anonymous
-    mapping of its own, unmapped when freed.  From malloc, a freed basis
-    raises the mmap threshold, the next one lands in the heap, and whether it
-    fits the hole decided whether the heap grew: peak memory of the same
-    solves varied from run to run by a basis.  From 4 MiB up it asks for
-    transparent huge pages, which a shared (shmem) mapping would not get."""
+    mapping of its own, unmapped when freed; pages never written are not
+    resident.  From malloc, a freed basis raises the mmap threshold, the next
+    one lands in the heap, and whether it fits the hole decided whether the
+    heap grew: peak memory of the same solves varied from run to run by a
+    basis.  From 4 MiB up it asks for transparent huge pages, which a shared
+    (shmem) mapping would not get."""
     buf = mmap.mmap(-1, max(rows * n * 8, 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     if rows * n * 8 >= 1 << 22 and hasattr(mmap, "MADV_HUGEPAGE"):
         buf.madvise(mmap.MADV_HUGEPAGE)
@@ -525,8 +526,7 @@ class _Dcgs2:
     rows of a preallocated basis, one block of rows at a time, in two passes
     over the basis (Swirydowicz et al., NLAA 2021; Bielich et al., Parallel
     Computing 2022; for blocks, Carson, Lund, Rozloznik & Thomas, LAA 2022).
-    ``out_rows`` is the number of combination rows an update may keep, and
-    ``h`` the Arnoldi matrix Hbar on the basis, set and kept up to date by
+    ``h`` is the Arnoldi matrix Hbar on the basis, set and kept up to date by
     the Arnoldi loop (None for a basis without one).
 
     After k steps, rows ``:m`` are orthonormal, rows ``m:k + 1`` hold the
@@ -542,13 +542,12 @@ class _Dcgs2:
     - V F[:m]`` (the lift), and :meth:`update` writes them (orthonormal as
     far as the Gram is exact; the next block corrects it) with one more
     pass, and with them combinations of ``[V, L', W']``, all linear in the
-    uncorrected rows.
+    uncorrected rows, into basis rows that no later pass reads.
     """
 
-    def __init__(self, basis: np.ndarray, out_rows: int):
+    def __init__(self, basis: np.ndarray):
         self.basis = basis
         self.h = None
-        self._out = np.empty((out_rows, basis.shape[1]))
 
     def reduce(self, k: int, lagged: int, t: int) -> int:
         """The reduction pass of the block after k steps, with ``lagged``
@@ -583,16 +582,16 @@ class _Dcgs2:
         self._lift = np.linalg.solve(f[m:].T, np.hstack((-f[:m].T, np.eye(lagged + t))))
         return t
 
-    def update(self, keep: np.ndarray):
+    def update(self, keep: np.ndarray, dest: int):
         """The update pass: writes ``L'`` and ``W'`` over rows ``m:k + 1 +
-        t``, a slice at a time (read before written), and nothing else but
-        the combinations of ``keep``, rows of coefficients on ``[V, L',
-        W']``.  Returns those (valid until the next update) and ``W'^T W'``
-        as written."""
+        t``, a slice at a time (read before written), then the combinations
+        of ``keep``, rows of coefficients on ``[V, L', W']``, over basis rows
+        ``dest:`` (past the block's, or its own when no step reads them
+        again).  Returns those and ``W'^T W'`` as written."""
         m, t, n = self.m, self.t, self.k + 1 + self.t
         coef = np.vstack((self._lift, keep[:, m:] @ self._lift))
         coef[n - m:, :m] += keep[:, :m]
-        out, gram = self._out[:len(keep)], np.zeros((t, t))
+        out, gram = self.basis[dest:dest + len(keep)], np.zeros((t, t))
         for j in range(0, self.basis.shape[1], _BLOCK):
             blk = coef @ self.basis[:n, j:j + _BLOCK]
             self.basis[m:n, j:j + _BLOCK] = blk[:n - m]
@@ -706,21 +705,21 @@ def _arnoldi(history, *, direction, solution=None, flexible=False):
 
     One R-only Householder QR of ``[Hbar, beta e1]`` (column-prefix stable)
     solves every step j of the block on its leading ``k + j`` triangle.  The
-    update pass writes basis rows and each ``V y`` (unless flexible); each
-    step records ``||beta e1 - Hbar y||``, the new rows weighted by their Gram
-    as written, as its residual, as if taken alone.  Breakdown shows in a
-    one-row block, whose exact ``||w'||`` is rounding noise.  A stop inside a
-    block leaves its later applications unused, at most ``_S_STEP - 1``, and
-    the two near rank-deficient blocks at most ``2 (_S_STEP - 1)``; ``n_ops``
-    counts them.
+    update pass writes basis rows and each ``V y`` (unless flexible), these
+    into the rows the next block's images fill (``_S_STEP - 1`` past the
+    budget at most) or the last block's own; the last is copied, as the next
+    block's stops record it.  Each step records ``||beta e1 - Hbar y||``, the
+    new rows weighted by their Gram as written, as its residual, as if taken
+    alone.  Breakdown shows in a one-row block, whose exact ``||w'||`` is
+    rounding noise.  ``n_ops`` counts the applications a block leaves unused.
     """
     b, rule = history.b, history.rule
     beta = float(np.linalg.norm(b))
     if beta == 0.0:
         return history.record("breakdown", np.zeros(b.size))
-    basis = _mapped(rule.max_iter + 1, b.size)
+    basis = _mapped(rule.max_iter + (1 if flexible else _S_STEP), b.size)
     basis[0] = b / beta
-    gs = _Dcgs2(basis, 0 if flexible else _S_STEP)
+    gs = _Dcgs2(basis)
     gs.h = h = np.zeros((rule.max_iter + 1, rule.max_iter))
     dirs = _mapped(rule.max_iter, b.size) if flexible else None
     x = np.zeros(b.size)
@@ -762,7 +761,7 @@ def _arnoldi(history, *, direction, solution=None, flexible=False):
             ys[j - 1, :k + j] = _least_squares(r[:k + j, :k + j], r[:k + j, -1])
         res = -ys[:, :n - 1] @ h[:n, :n - 1].T  # beta e1 - Hbar y, zero past row k + j
         res[:, 0] += beta
-        rows, gram = gs.update(ys[:0] if flexible else ys)
+        rows, gram = gs.update(ys[:0] if flexible else ys, gs.m if n - 1 == rule.max_iter else n)
         tail = res[:, k + 1:]
         projs = np.sqrt(np.vecdot(res[:, :k + 1], res[:, :k + 1]) + np.vecdot(tail @ gram, tail))
         for j, proj in enumerate(projs):
@@ -775,6 +774,7 @@ def _arnoldi(history, *, direction, solution=None, flexible=False):
         if gs.exhausted(gram):
             return history.record("breakdown", x)
         k, lagged = n - 1, t
+        x = x.copy()  # the next block writes its images over the row
     return history.record("max_iter", x)
 
 
@@ -882,7 +882,7 @@ def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None,
     """
     history = _History(A, b, rule, x_true)
     v_basis = _mapped(history.rule.max_iter, A.size)
-    v_gs = _Dcgs2(v_basis, 0)
+    v_gs = _Dcgs2(v_basis)
     preconditioned = _flexible(prec_at, history)
 
     def direction(k, u, x):
@@ -892,7 +892,7 @@ def flsqr(A, b, prec_at=None, rule: StoppingRule | None = None,
         if not math.isfinite(np.linalg.norm(v_basis[k - 1])):
             raise _Stop("nonfinite")
         v_gs.reduce(k - 2, min(k - 1, 1), 1)
-        _, gram = v_gs.update(np.empty((0, k)))
+        _, gram = v_gs.update(np.empty((0, k)), 0)
         if v_gs.exhausted(gram):
             raise _Stop("breakdown")
         return preconditioned(k, v_basis[k - 1], x)

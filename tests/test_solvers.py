@@ -77,13 +77,15 @@ def bases(monkeypatch):
     """The orthonormal rows of every basis a solver grew by DCGS2, read after
     the solve, each with its Hbar (``A V = V Hbar``, or ``A Z = V Hbar`` for
     the flexible solvers; None for the FLSQR basis V): rows ``:k + 1`` are
-    final once the update of the block after step k has run."""
+    final once the update of the block after step k has run, up to the row
+    ``dest`` from which that update writes its iterates (GMRES's last block
+    writes them over its own rows)."""
     last = {}
     update = solvers._Dcgs2.update
 
-    def recording_update(self, *args):
-        last[id(self.basis)] = (self, self.k + 1)
-        return update(self, *args)
+    def recording_update(self, keep, dest):
+        last[id(self.basis)] = (self, min(self.k + 1, dest) if len(keep) else self.k + 1)
+        return update(self, keep, dest)
 
     monkeypatch.setattr(solvers._Dcgs2, "update", recording_update)
     return lambda: [(gs.basis[:k], None if gs.h is None else gs.h[:k, :k - 1])
@@ -1187,7 +1189,7 @@ def test_dcgs2_bases_orthonormal_after_60_steps(method, bases):
     prob, prec = _s3_scene()
     fop = FlipComposedOperator(prob.operator)
     rhs = apply_flip(prob.b.ravel())
-    rule = StoppingRule(max_iter=60)
+    rule = StoppingRule(max_iter=64)
 
     def weighted(k, x_prev):
         return ComposedOperator(sparsity_weights(x_prev), prec) if np.any(x_prev) else prec
@@ -1200,13 +1202,15 @@ def test_dcgs2_bases_orthonormal_after_60_steps(method, bases):
         rec = fgmres(fop, rhs, weighted, rule)
     else:
         rec = flsqr(prob.operator, prob.b.ravel(), weighted, rule)
-    assert rec.iterations == 60
+    assert rec.iterations == 64
     final = bases()
-    # the rows of YA's last Newton block (steps 49 to 60) would be
-    # reorthogonalized by the next block's reduction, which a run of 60 steps
-    # does not take; YAP's third and fourth Newton blocks are cut, and it
-    # ends one step at a time; FLSQR reduces its basis V first at each step
-    want = {"YA": [49], "YAP": [60], "YAPW": [60], "FLSQR": [59, 60]}[method]
+    # the rows of YA's last full Newton block (steps 49 to 60) would be
+    # reorthogonalized by the next block's reduction, which a run of 64 steps
+    # does not take, and the block of steps 61 to 64 writes its iterates from
+    # row 49 on; YAP's third and fourth Newton blocks are cut, and it ends one
+    # step at a time, its last iterate over row 63; FLSQR reduces its basis V
+    # first at each step
+    want = {"YA": [49], "YAP": [63], "YAPW": [64], "FLSQR": [63, 64]}[method]
     assert [len(rows) for rows, _ in final] == want
     for rows, _ in final:
         assert _orthogonality_loss(rows) <= 1e-12
@@ -1217,22 +1221,23 @@ def test_block_arnoldi_relation_at_60_steps(method, bases, blocks):
     # the S3 scene at n = 128: with Newton blocks of twelve after twelve
     # one-row steps, the basis stays orthonormal and Hbar, recovered from the
     # change of basis and the shifts, satisfies A V_k = V_{k+1} Hbar at k =
-    # 60 to rounding.  The budget of 64 steps makes the rows of step 60 final.
+    # 60 to rounding.  The budget of 76 steps makes the rows of step 60 final,
+    # and YA's last block, of steps 73 to 76, writes its iterates past them.
     prob, prec = _s3_scene()
-    rule = StoppingRule(max_iter=64)
+    rule = StoppingRule(max_iter=76)
     if method == "A":
         op, rec = prob.operator, gmres(prob.operator, prob.b.ravel(), rule)
     else:
         op = FlipComposedOperator(prob.operator)
         right = prec if method == "YAP" else None
         rec = gmres(op, apply_flip(prob.b.ravel()), rule, right_prec=right)
-    assert rec.iterations == 64
-    assert sum(taken for _, taken in blocks) == 64
-    # YA takes four full Newton blocks.  With the preconditioner the third
+    assert rec.iterations == 76
+    assert sum(taken for _, taken in blocks) == 76
+    # YA takes five full Newton blocks.  With the preconditioner the third
     # and fourth come near rank deficient, and unflipped the first two: each
     # of these takes its first step, a shifted image, and the run goes on
     # one step at a time
-    assert sum(taken == 12 for _, taken in blocks) == {"YA": 4, "YAP": 2, "A": 0}[method]
+    assert sum(taken == 12 for _, taken in blocks) == {"YA": 5, "YAP": 2, "A": 0}[method]
     assert sum(applied > taken for applied, taken in blocks) == (0 if method == "YA" else 2)
     [(rows, hbar)] = bases()
     v, hbar = rows[:61], hbar[:61, :60]
@@ -1263,7 +1268,7 @@ def test_dcgs2_reorthogonalizes_where_one_pass_is_not_enough(method, bases):
     mat = (q * np.concatenate((1e6 + np.arange(5.0), np.linspace(1.0, 2.0, n - 5)))) @ q.T
     b = q @ np.ones(n) / np.sqrt(n)
     weights = 0.5 + rng.random(n)
-    rule = StoppingRule(max_iter=60)
+    rule = StoppingRule(max_iter=64)
     op = LinearMap.from_matrix(mat)
     if method == "gmres":
         rec = gmres(op, b, rule)
@@ -1273,7 +1278,7 @@ def test_dcgs2_reorthogonalizes_where_one_pass_is_not_enough(method, bases):
         rec = fgmres(op, b, lambda k, x_prev: DiagonalOperator(weights ** (k % 3)), rule)
     else:
         rec = flsqr(op, b, lambda k, x_prev: DiagonalOperator(weights ** (k % 3)), rule)
-    assert rec.iterations == 60
+    assert rec.iterations == 64
     assert abs(rec.res_norm[-1] - np.linalg.norm(b - mat @ rec.x_stop)) <= 1e-9
     for rows, _ in bases():
         assert _orthogonality_loss(rows) <= 1e-12
@@ -1305,34 +1310,46 @@ def test_dcgs2_breakdown_right_after_lagged_correction(method, scale, bases):
 
 def _dcgs2_block(lagged, t, new_rows, m=5, size=300, seed=0):
     """A ``_Dcgs2`` on a basis of ``m`` orthonormal rows, ``lagged`` random
-    rows and the given new rows, with a copy of its uncorrected rows and
-    k."""
+    rows, the given new rows and two spare rows, with a copy of its
+    uncorrected rows and k."""
     rng = np.random.default_rng(seed)
     v = np.linalg.qr(rng.standard_normal((size, m)))[0].T
     rows = np.vstack((v, rng.standard_normal((lagged, size)), new_rows))
-    basis = rows.copy()
-    return solvers._Dcgs2(basis, 2), rows, m + lagged - 1
+    basis = np.vstack((rows, np.zeros((2, size))))
+    return solvers._Dcgs2(basis), rows, m + lagged - 1
 
 
-@pytest.mark.parametrize("lagged, t", [(0, 1), (1, 1), (1, 4), (4, 4)])
-def test_dcgs2_block_factor_rebuilds_the_uncorrected_rows(lagged, t):
+@pytest.mark.parametrize("lagged, t, dest", [  # only the dest = m cases mark it in their ID
+    pytest.param(lagged, t, dest, id=f"{lagged}-{t}" + ("-m" if dest == "m" else ""))
+    for dest in "nm" for lagged, t in [(0, 1), (1, 1), (1, 4), (4, 4)]])
+def test_dcgs2_block_factor_rebuilds_the_uncorrected_rows(lagged, t, dest):
     # [L, W] = [V, L', W'] F, with F upper triangular below its rows on V, L'
     # and W' written orthonormal, and the kept rows combinations of the
-    # written basis
+    # written basis, written past its rows (dest = n) or over them (dest =
+    # m).  Over them, the kept rows and W'^T W' are still those of the basis
+    # before the overwrite, which a twin block that writes past them keeps.
     new = np.random.default_rng(1).standard_normal((t, 300))
-    gs, rows, k = _dcgs2_block(lagged, t, new)
+    (gs, rows, k), (twin, _, _) = _dcgs2_block(lagged, t, new), _dcgs2_block(lagged, t, new)
     m, n = k + 1 - lagged, k + 1 + t
-    assert gs.reduce(k, lagged, t) == t
+    assert gs.reduce(k, lagged, t) == twin.reduce(k, lagged, t) == t
     assert gs.f.shape == (n, lagged + t)
     np.testing.assert_array_equal(gs.f[m:], np.triu(gs.f[m:]))
     keep = np.random.default_rng(2).standard_normal((2, n))
-    out, gram = gs.update(keep)
-    written = gs.basis[:n]
+    row = {"n": n, "m": m}[dest]
+    out, gram = gs.update(keep, row)
+    twin_out, twin_gram = twin.update(keep, n)
+    written = twin.basis[:n]
     assert np.linalg.norm(gs.f.T @ written - rows[m:]) <= 1e-12 * np.linalg.norm(rows[m:])
     assert _orthogonality_loss(written) <= 1e-12
     assert np.linalg.norm(out - keep @ written) <= 1e-12 * np.linalg.norm(out)
     np.testing.assert_allclose(gram, written[k + 1:] @ written[k + 1:].T, rtol=0, atol=1e-12)
     assert not gs.exhausted(gram)
+    # the kept rows are basis rows row:row + 2, and the others as the twin's
+    assert np.shares_memory(out, gs.basis[row:row + 2])
+    np.testing.assert_array_equal(out, twin_out)
+    np.testing.assert_array_equal(gram, twin_gram)
+    others = np.r_[:row, row + 2:n]
+    np.testing.assert_array_equal(gs.basis[others], written[others])
 
 
 def test_dcgs2_nearly_dependent_block_keeps_its_first_row():
@@ -1343,10 +1360,10 @@ def test_dcgs2_nearly_dependent_block_keeps_its_first_row():
     gs, rows, k = _dcgs2_block(1, 4, new)
     new[2] = new[0] - 2.0 * new[1] + rows[:k + 1].T @ rng.standard_normal(k + 1)
     new[2] += 1e-9 * rng.standard_normal(300)
-    gs.basis[k + 1:], rows[k + 1:] = new, new
+    gs.basis[k + 1:k + 5], rows[k + 1:] = new, new
     assert gs.reduce(k, 1, 4) == 1
     assert gs.f.shape == (k + 2, 2)
-    gs.update(np.empty((0, k + 2)))
+    gs.update(np.empty((0, k + 2)), k + 2)
     written = gs.basis[:k + 2]
     assert np.linalg.norm(gs.f.T @ written - rows[k:k + 2]) <= 1e-12 * np.linalg.norm(rows[k:k + 2])
     assert _orthogonality_loss(written) <= 1e-12
@@ -1358,7 +1375,7 @@ def test_dcgs2_zero_row_is_exhausted():
     gs, _, k = _dcgs2_block(1, 1, np.zeros((1, 300)))
     assert gs.reduce(k, 1, 1) == 1
     assert gs.f[-1, -1] == 1.0
-    _, gram = gs.update(np.empty((0, k + 2)))
+    _, gram = gs.update(np.empty((0, k + 2)), k + 2)
     assert gs.exhausted(gram)
     assert not np.any(gs.basis[k + 1])
 
@@ -1490,6 +1507,33 @@ def test_flipped_gmres_takes_only_full_newton_blocks(blocks):
     assert rec.iterations == 60
     assert blocks == [(1, 1)] * 12 + [(12, 12)] * 4
     assert rec.n_ops == rec.iterations
+
+
+@pytest.mark.parametrize("method", ["YA", "YAP"])
+def test_gmres_working_set(method):
+    # traced peak of a 60-step solve on the S3 scene at n = 256 after a
+    # warm-up solve, in N-length rows.  The basis is a mapping of its own and
+    # is not traced, and each Newton block writes its twelve iterates into
+    # basis rows.  What is traced (12.25 rows measured for both) is mostly the
+    # slices of the passes over the basis, 8192 columns wide, and the
+    # operator's output, the iterate copied for the next block, the best
+    # iterate and the error row; a 12-row buffer of the block's iterates (23.25
+    # and 24.25 rows) would not fit
+    n = 256
+    prob, prec = _s3_scene(n)
+    fop, rhs = FlipComposedOperator(prob.operator), apply_flip(prob.b.ravel())
+    solve = lambda: gmres(fop, rhs, StoppingRule(max_iter=60), x_true=prob.x_true,
+                          right_prec=prec if method == "YAP" else None)
+    solve()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rec = solve()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rec.iterations == 60
+    assert peak <= 13 * n * n * 8, f"peak {peak / (n * n * 8):.2f} rows"
 
 
 def test_complex_ritz_values_match_one_step_at_a_time(monkeypatch, bases, blocks):
